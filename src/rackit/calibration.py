@@ -21,9 +21,7 @@ collection pass can later serve both prompt-only and decode-aware compression.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,13 +32,13 @@ from .model import (
     ModelBundle,
     ModelConfig,
     PrunableLayerRef,
-    atomic_write_bytes,
     decode,
     forward_teacher_forced,
     model_content_hash,
     slot_input_dim,
     sort_refs,
 )
+from .model.container import manifest_count, read_container, write_container
 from .model.runtime import GREEDY, Sampler
 from .numkernel import SymMatrix, accumulate_gram
 
@@ -63,7 +61,6 @@ __all__ = [
 MODES = ("corpus", "prompt_only", "rac", "off_policy")
 
 MAGIC = b"RACC"
-_HEADER = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -164,44 +161,45 @@ class CalibrationSet:
             "provenance": self.provenance,
             "refs": refs_meta,
         }
-        mbytes = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-        atomic_write_bytes(path, MAGIC + _HEADER.pack(len(mbytes)) + mbytes + b"".join(parts))
+        write_container(path, MAGIC, manifest, parts)
 
     @classmethod
     def load(cls, path) -> "CalibrationSet":
-        data = Path(path).read_bytes()
-        if len(data) < len(MAGIC) + _HEADER.size or data[: len(MAGIC)] != MAGIC:
-            raise ContainerError(f"{path}: not a calibration container")
-        (mlen,) = _HEADER.unpack_from(data, len(MAGIC))
-        start = len(MAGIC) + _HEADER.size
-        if start + mlen > len(data):
-            raise ContainerError(f"{path}: truncated manifest")
-        try:
-            manifest = json.loads(data[start : start + mlen].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ContainerError(f"{path}: bad manifest ({exc})") from exc
-        if manifest.get("format") != "RACC" or manifest.get("version") != 1:
-            raise ContainerError(f"{path}: unsupported calibration container")
-        blob = data[start + mlen :]
+        manifest, blob = read_container(path, MAGIC, "RACC")
+        refs_meta = manifest.get("refs", [])
+        if not isinstance(refs_meta, list):
+            raise ContainerError(f"{path}: refs must be a list")
         stats = {}
-        for meta in manifest.get("refs", []):
-            ref = PrunableLayerRef(meta["layer"], meta["slot"])
-            dim = int(meta["dim"])
+        for i, meta in enumerate(refs_meta):
+            what = f"{path}: ref entry {i}"
+            try:
+                ref = PrunableLayerRef(manifest_count(meta, "layer", what), meta.get("slot"))
+            except ValidationError as exc:
+                raise ContainerError(f"{what}: {exc}") from exc
+            if ref in stats:
+                raise ContainerError(f"{path}: duplicate ref {ref}")
+            dim = manifest_count(meta, "dim", what)
             need = dim * dim * 8
-            if meta["length"] != need:
+            if meta.get("length") != need:
                 raise ContainerError(f"{path}: Gram size mismatch for {ref}")
-            if meta["offset_decode"] + need > len(blob):
-                raise ContainerError(f"{path}: Gram data for {ref} overruns blob")
 
-            def gram(off):
-                flat = np.frombuffer(blob, dtype="<f8", count=dim * dim, offset=off)
-                return SymMatrix(dim, flat.reshape(dim, dim).copy())
+            def gram(key):
+                off = manifest_count(meta, key, what)
+                if off + need > len(blob):
+                    raise ContainerError(f"{path}: Gram data for {ref} overruns blob")
+                data = np.frombuffer(blob, dtype="<f8", count=dim * dim, offset=off)
+                data = data.reshape(dim, dim).copy()
+                if not (np.isfinite(data).all() and (data == data.T).all()):
+                    raise ContainerError(
+                        f"{path}: Gram for {ref} is not finite and symmetric"
+                    )
+                return SymMatrix(dim, data)
 
             stats[ref] = LayerStats(
-                gram_prompt=gram(meta["offset_prompt"]),
-                gram_decode=gram(meta["offset_decode"]),
-                n_prompt=int(meta["n_prompt"]),
-                n_decode=int(meta["n_decode"]),
+                gram_prompt=gram("offset_prompt"),
+                gram_decode=gram("offset_decode"),
+                n_prompt=manifest_count(meta, "n_prompt", what),
+                n_decode=manifest_count(meta, "n_decode", what),
             )
         if not stats:
             raise ContainerError(f"{path}: calibration container holds no refs")

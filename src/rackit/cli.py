@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -67,8 +66,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-THREADS_ENV_VAR = "RAC_THREADS"
-
 # Fixed per-phase offsets applied to --seed.
 _MODEL_SEED_OFFSET = 0
 _DECODE_SEED_OFFSET = 1
@@ -118,22 +115,6 @@ def _merge_config(args, parser, defaults: dict) -> None:
             if value is _REQUIRED:
                 parser.error(f"the following argument is required: --{key.replace('_', '-')}")
             setattr(args, key, value)
-
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{THREADS_ENV_VAR}={env!r} is not an integer"
-            ) from None
-    if value < 1:
-        raise ValidationError(f"threads must be >= 1, got {value}")
-    return int(value)
 
 
 def _parse_layers(spec, n_layers: int) -> list[int]:
@@ -190,9 +171,7 @@ _GEN_DEFAULTS = {
 }
 
 
-def _cmd_gen_model(args, parser) -> int:
-    started = _utc_now()
-    t0 = time.perf_counter()
+def _cmd_gen_model(args, parser) -> tuple[int, object, dict]:
     _merge_config(args, parser, _GEN_DEFAULTS)
     d_mlp = args.d_mlp if args.d_mlp is not None else 4 * args.d_model
     config = ModelConfig(
@@ -213,14 +192,7 @@ def _cmd_gen_model(args, parser) -> int:
                                  "d_mlp": config.d_mlp,
                                  "max_positions": config.max_positions},
                       "seed": args.seed}))
-    _write_sidecar(args.out, {
-        "command": "gen-model",
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "duration_s": time.perf_counter() - t0,
-        "model_hash": digest,
-    })
-    return EXIT_OK
+    return EXIT_OK, args.out, {"model_hash": digest}
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +215,7 @@ _CAL_DEFAULTS = {
 }
 
 
-def _cmd_calibrate(args, parser) -> int:
-    started = _utc_now()
-    t0 = time.perf_counter()
+def _cmd_calibrate(args, parser) -> tuple[int, object, dict]:
     _merge_config(args, parser, _CAL_DEFAULTS)
     mode = str(args.mode).replace("-", "_")
     _check_input_files(args.model, args.prompts, args.corpus, args.trace_model)
@@ -279,18 +249,12 @@ def _cmd_calibrate(args, parser) -> int:
     calib.provenance["seed"] = args.seed
     calib.save(args.out)
     first = calib.stats[calib.refs[0]]
+    digest = calib.content_digest()
     print(json.dumps({"calibration": str(args.out), "mode": mode,
                       "refs": len(calib.refs),
                       "n_prompt": first.n_prompt, "n_decode": first.n_decode,
-                      "digest": calib.content_digest()}))
-    _write_sidecar(args.out, {
-        "command": "calibrate",
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "duration_s": time.perf_counter() - t0,
-        "digest": calib.content_digest(),
-    })
-    return EXIT_OK
+                      "digest": digest}))
+    return EXIT_OK, args.out, {"digest": digest}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +275,6 @@ _PRUNE_DEFAULTS = {
     "slots": None,
     "out": _REQUIRED,
     "report": None,
-    "threads": None,
     "seed": 0,
 }
 
@@ -337,12 +300,9 @@ def _pattern_from_flags(args) -> SparsityPattern:
     return SparsityPattern.quantize(args.bits, group_size=args.group_size)
 
 
-def _cmd_prune(args, parser) -> int:
-    started = _utc_now()
-    t0 = time.perf_counter()
+def _cmd_prune(args, parser) -> tuple[int, object, dict]:
     _merge_config(args, parser, _PRUNE_DEFAULTS)
     _check_input_files(args.model, args.calib)
-    threads = _resolve_threads(args.threads)
     pattern = _pattern_from_flags(args)
     model = load_model(args.model)
     calib = CalibrationSet.load(args.calib)
@@ -368,7 +328,7 @@ def _cmd_prune(args, parser) -> int:
 
     bundle, report = compress_model(
         model, calib, mode, args.method, pattern, refs=refs,
-        block_size=args.block_size, damp_fraction=args.damp, threads=threads,
+        block_size=args.block_size, damp_fraction=args.damp,
     )
     bundle = replace(bundle, provenance={
         **model.provenance,
@@ -393,15 +353,7 @@ def _cmd_prune(args, parser) -> int:
                       "refs": len(report.refs), "total_loss": total_loss,
                       "input_model_hash": report.input_model_hash,
                       "output_model_hash": report.output_model_hash}))
-    _write_sidecar(args.out, {
-        "command": "prune",
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "duration_s": time.perf_counter() - t0,
-        "threads": threads,
-        "per_ref_seconds": report.timings(),
-    })
-    return EXIT_OK
+    return EXIT_OK, args.out, {"per_ref_seconds": report.timings()}
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +386,7 @@ def _parse_labeled_models(specs) -> list[tuple[str, str]]:
     return pairs
 
 
-def _cmd_diagnose(args, parser) -> int:
-    started = _utc_now()
-    t0 = time.perf_counter()
+def _cmd_diagnose(args, parser) -> tuple[int, object, dict]:
     _merge_config(args, parser, _DIAG_DEFAULTS)
     pairs = _parse_labeled_models(args.compressed)
     if not 1 <= len(pairs) <= 2:
@@ -486,13 +436,7 @@ def _cmd_diagnose(args, parser) -> int:
 
     print(json.dumps({"out_dir": str(out_dir), "problems": len(traces),
                       "phase_means": summary}))
-    _write_sidecar(out_dir / "run", {
-        "command": "diagnose",
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "duration_s": time.perf_counter() - t0,
-    })
-    return EXIT_OK
+    return EXIT_OK, out_dir / "run", {}
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +451,7 @@ _EVAL_DEFAULTS = {
 }
 
 
-def _cmd_eval(args, parser) -> int:
-    started = _utc_now()
-    t0 = time.perf_counter()
+def _cmd_eval(args, parser) -> tuple[int, object, dict]:
     _merge_config(args, parser, _EVAL_DEFAULTS)
     _check_input_files(args.model, args.text)
     model = load_model(args.model)
@@ -520,13 +462,7 @@ def _cmd_eval(args, parser) -> int:
     print(json.dumps(body))
     if args.out is not None:
         Path(args.out).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-        _write_sidecar(args.out, {
-            "command": "eval",
-            "started_utc": started,
-            "finished_utc": _utc_now(),
-            "duration_s": time.perf_counter() - t0,
-        })
-    return EXIT_OK
+    return EXIT_OK, args.out, {}
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +517,6 @@ def build_parser() -> _Parser:
     prn.add_argument("--slots")
     prn.add_argument("--out")
     prn.add_argument("--report")
-    prn.add_argument("--threads", type=int)
     prn.add_argument("--seed", type=int)
     prn.add_argument("--config")
     prn.set_defaults(handler=_cmd_prune)
@@ -610,10 +545,26 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Each handler returns (exit code, sidecar target or None, extra sidecar
+    fields); the timing fields every sidecar carries are recorded here.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = _utc_now()
+    t0 = time.perf_counter()
     try:
-        return args.handler(args, parser)
+        code, target, extra = args.handler(args, parser)
+        if target is not None:
+            _write_sidecar(target, {
+                "command": args.command,
+                "started_utc": started,
+                "finished_utc": _utc_now(),
+                "duration_s": time.perf_counter() - t0,
+                **extra,
+            })
+        return code
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

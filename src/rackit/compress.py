@@ -25,14 +25,13 @@ U[c,c]^2 and its leading row is U[c,c] * U[c, c:], so the per-column update
 reduces to err = (w_c - q_c) / U[c,c] and W[:, c+1:] -= err * U[c, c+1:].
 
 Everything here runs in float64; layers never see each other's outputs, so
-refs may be processed concurrently and results are stitched in ref order.
+each ref is compressed on its own and results are stitched in ref order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -194,10 +193,9 @@ def prune_wanda(weights, gram: SymMatrix, pattern: SparsityPattern):
     return mask, np.where(mask, W, 0.0)
 
 
-def _upper_inverse_factor(gram: SymMatrix, damp_fraction: float) -> np.ndarray:
-    """Upper-triangular U with (damped gram)^-1 == U.T @ U."""
-    hinv = inverse_via_cholesky(dampen(gram, damp_fraction))
-    return np.ascontiguousarray(cholesky(hinv).lower.T)
+def _upper_inverse_factor(damped: SymMatrix) -> np.ndarray:
+    """Upper-triangular U with damped^-1 == U.T @ U."""
+    return np.ascontiguousarray(cholesky(inverse_via_cholesky(damped)).lower.T)
 
 
 def _check_obs_args(W, gram, pattern, block_size):
@@ -211,6 +209,30 @@ def _check_obs_args(W, gram, pattern, block_size):
         raise ValidationError(
             f"block_size {block_size} must be a multiple of m={pattern.m}"
         )
+
+
+def _obs_walk(W: np.ndarray, U: np.ndarray, block_size: int, choose) -> None:
+    """Blockwise left-to-right column walk with error feedback, in place on W.
+
+    ``choose(W, c, i2)`` returns the replacement for column ``c`` (``i2`` ends
+    the current block); it sees W with the error of every earlier column
+    already pushed forward. Within a block each column's scaled error updates
+    the rest of the block at once; the block's errors reach the columns past
+    it in one product.
+    """
+    d_out, d_in = W.shape
+    for i1 in range(0, d_in, block_size):
+        i2 = min(i1 + block_size, d_in)
+        err_block = np.zeros((d_out, i2 - i1))
+        for c in range(i1, i2):
+            q = choose(W, c, i2)
+            err = (W[:, c] - q) / U[c, c]
+            if c + 1 < i2:
+                W[:, c + 1 : i2] -= np.outer(err, U[c, c + 1 : i2])
+            W[:, c] = q
+            err_block[:, c - i1] = err
+        if i2 < d_in:
+            W[:, i2:] -= err_block @ U[i1:i2, i2:]
 
 
 def _greedy_block_mask(W_block: np.ndarray, ub: np.ndarray, quota: int) -> np.ndarray:
@@ -245,6 +267,17 @@ def _greedy_block_mask(W_block: np.ndarray, ub: np.ndarray, quota: int) -> np.nd
     return mask
 
 
+def _solve_on_support(H_SS: np.ndarray, rhs: np.ndarray, row: int) -> np.ndarray:
+    """Solve H_SS x = rhs by Cholesky for one row's support."""
+    try:
+        factor = scipy.linalg.cho_factor(H_SS, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"singular support submatrix for row {row} (increase dampening)"
+        ) from exc
+    return scipy.linalg.cho_solve(factor, rhs)
+
+
 def _refit_survivors(W_orig: np.ndarray, walked: np.ndarray, mask: np.ndarray,
                      damped: np.ndarray) -> np.ndarray:
     """Exact per-row least squares on the final support, in residual form.
@@ -258,11 +291,11 @@ def _refit_survivors(W_orig: np.ndarray, walked: np.ndarray, mask: np.ndarray,
         s = mask[r]
         if not s.any():
             continue
-        resid = damped[np.ix_(s, s)] @ out[r, s] - damped[s] @ W_orig[r]
+        H_SS = damped[np.ix_(s, s)]
+        resid = H_SS @ out[r, s] - damped[s] @ W_orig[r]
         if not resid.any():
             continue
-        factor = scipy.linalg.cho_factor(damped[np.ix_(s, s)], lower=True)
-        out[r, s] -= scipy.linalg.cho_solve(factor, resid)
+        out[r, s] -= _solve_on_support(H_SS, resid, r)
     return out
 
 
@@ -284,8 +317,8 @@ def prune_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
     _check_obs_args(W, gram, pattern, block_size)
     d_out, d_in = W.shape
     damped = dampen(gram, damp_fraction)
-    U = np.ascontiguousarray(cholesky(inverse_via_cholesky(damped)).lower.T)
-    diag = np.diag(U).copy()
+    U = _upper_inverse_factor(damped)
+    diag = np.diag(U)
 
     mask = np.ones((d_out, d_in), dtype=bool)
     if pattern.kind == "unstructured":
@@ -293,34 +326,19 @@ def prune_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
         if prune_total == 0:
             return mask, W
     W_orig = W.copy()
-    pruned_so_far = 0
 
-    for i1 in range(0, d_in, block_size):
-        i2 = min(i1 + block_size, d_in)
-        cols = i2 - i1
-        ub = U[i1:i2, i1:i2]
-        if pattern.kind == "unstructured":
-            target = _round_half_up(prune_total * i2 / d_in)
-            quota = target - pruned_so_far
-            pruned_so_far = target
+    def choose(W, c, i2):
+        if pattern.kind == "unstructured" and c % block_size == 0:
+            quota = (_round_half_up(prune_total * i2 / d_in)
+                     - _round_half_up(prune_total * c / d_in))
             if quota > 0:
-                mask[:, i1:i2] = _greedy_block_mask(W[:, i1:i2], ub, quota)
-        err_block = np.zeros((d_out, cols))
-        for j in range(cols):
-            c = i1 + j
-            if pattern.kind == "semi_structured" and c % pattern.m == 0:
-                grp = slice(c, c + pattern.m)
-                scores = W[:, grp] ** 2 / diag[grp] ** 2
-                mask[:, grp] = _keep_mask(scores, pattern.n)
-            w = W[:, c]
-            q = np.where(mask[:, c], w, 0.0)
-            err = (w - q) / ub[j, j]
-            if j + 1 < cols:
-                W[:, c + 1 : i2] -= np.outer(err, ub[j, j + 1 :])
-            W[:, c] = q
-            err_block[:, j] = err
-        if i2 < d_in:
-            W[:, i2:] -= err_block @ U[i1:i2, i2:]
+                mask[:, c:i2] = _greedy_block_mask(W[:, c:i2], U[c:i2, c:i2], quota)
+        elif pattern.kind == "semi_structured" and c % pattern.m == 0:
+            grp = slice(c, c + pattern.m)
+            mask[:, grp] = _keep_mask(W[:, grp] ** 2 / diag[grp] ** 2, pattern.n)
+        return np.where(mask[:, c], W[:, c], 0.0)
+
+    _obs_walk(W, U, block_size, choose)
     return mask, _refit_survivors(W_orig, W, mask, damped.data)
 
 
@@ -342,40 +360,25 @@ def _quantize_obs_impl(weights, gram: SymMatrix, pattern: SparsityPattern,
     if not pattern.symmetric:
         raise ValidationError("only symmetric quantization grids are supported")
     _check_obs_args(W, gram, pattern, block_size)
-    d_out, d_in = W.shape
+    d_in = W.shape[1]
     gs = pattern.group_size
     if gs is not None and d_in % gs != 0:
         raise ValidationError(f"group_size {gs} does not divide input width {d_in}")
     qmax = 2 ** (pattern.bits - 1) - 1
 
-    U = _upper_inverse_factor(gram, damp_fraction)
+    U = _upper_inverse_factor(dampen(gram, damp_fraction))
     scales = []
-    scale = None
     if gs is None:
-        scale = np.abs(W).max(axis=1) / qmax
-        scales.append(scale)
+        scales.append(np.abs(W).max(axis=1) / qmax)
 
-    for i1 in range(0, d_in, block_size):
-        i2 = min(i1 + block_size, d_in)
-        cols = i2 - i1
-        ub = U[i1:i2, i1:i2]
-        err_block = np.zeros((d_out, cols))
-        for j in range(cols):
-            c = i1 + j
-            if gs is not None and c % gs == 0:
-                # Group grids are refit on the current weights so that error
-                # compensation from earlier columns is taken into account.
-                scale = np.abs(W[:, c : c + gs]).max(axis=1) / qmax
-                scales.append(scale)
-            w = W[:, c]
-            q = _grid_snap(w[:, None], scale, qmax)[:, 0]
-            err = (w - q) / ub[j, j]
-            if j + 1 < cols:
-                W[:, c + 1 : i2] -= np.outer(err, ub[j, j + 1 :])
-            W[:, c] = q
-            err_block[:, j] = err
-        if i2 < d_in:
-            W[:, i2:] -= err_block @ U[i1:i2, i2:]
+    def choose(W, c, i2):
+        if gs is not None and c % gs == 0:
+            # Group grids are refit on the current weights so that error
+            # compensation from earlier columns is taken into account.
+            scales.append(np.abs(W[:, c : c + gs]).max(axis=1) / qmax)
+        return _grid_snap(W[:, c : c + 1], scales[-1], qmax)[:, 0]
+
+    _obs_walk(W, U, block_size, choose)
     return W, np.stack(scales, axis=1)
 
 
@@ -414,14 +417,9 @@ def refit_fixed_mask(weights, gram: SymMatrix, mask) -> np.ndarray:
         support = np.flatnonzero(M[r])
         if support.size == 0:
             continue
-        rhs = H[support, :] @ W[r]
-        try:
-            factor = scipy.linalg.cho_factor(H[np.ix_(support, support)], lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"singular support submatrix for row {r} (increase dampening)"
-            ) from exc
-        out[r, support] = scipy.linalg.cho_solve(factor, rhs)
+        out[r, support] = _solve_on_support(
+            H[np.ix_(support, support)], H[support, :] @ W[r], r
+        )
     return out
 
 
@@ -499,8 +497,7 @@ def _select_gram(calib: CalibrationSet, ref: PrunableLayerRef, mode: str) -> Sym
 def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
                    method: str, pattern: SparsityPattern, refs=None,
                    block_size: int = DEFAULT_BLOCK_SIZE,
-                   damp_fraction: float = DEFAULT_DAMP_FRACTION,
-                   threads: int = 1):
+                   damp_fraction: float = DEFAULT_DAMP_FRACTION):
     """Compress every requested ref independently against its calibration Gram.
 
     ``mode`` picks the statistic: ``rac`` uses prompt + decode, ``prompt_only``
@@ -519,8 +516,6 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
             raise ValidationError("obs_quant requires a quantize pattern")
     elif pattern.kind == "quantize":
         raise ValidationError(f"method {method!r} requires a pruning pattern")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
 
     refs = sort_refs(refs) if refs is not None else calib.refs
     if not refs:
@@ -566,11 +561,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         loss = trace_form_loss(W, W_new, gram)
         return RefReport(ref, loss, time.perf_counter() - start, achieved), W_new
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, refs))
-    else:
-        solved = [solve(ref) for ref in refs]
+    solved = [solve(ref) for ref in refs]
 
     bundle = model
     for (ref_report, W_new), ref in zip(solved, refs):

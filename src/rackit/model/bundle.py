@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,8 +56,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("d_model", "n_layers", "n_heads", "d_mlp", "max_positions"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.vocab_size != BYTE_VOCAB:
             raise ValidationError(
                 f"vocab_size is fixed at {BYTE_VOCAB} (byte-level), got {self.vocab_size}"

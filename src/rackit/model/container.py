@@ -7,6 +7,9 @@ manifest records the model config, a tensor directory mapping each name to
 concatenated in directory order), and free-form provenance. Tensors are
 row-major. Saving is atomic (temp file + rename) and re-saving a loaded
 bundle reproduces the input bytes exactly.
+
+The calibration container (``RACC``) shares this framing; ``write_container``
+and ``read_container`` implement it for both.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContainerError
+from ..errors import ContainerError, ValidationError
 from .bundle import (
     LayerWeights,
     ModelBundle,
@@ -28,7 +31,14 @@ from .bundle import (
     validate_bundle,
 )
 
-__all__ = ["save_model", "load_model", "atomic_write_bytes"]
+__all__ = [
+    "save_model",
+    "load_model",
+    "atomic_write_bytes",
+    "write_container",
+    "read_container",
+    "manifest_count",
+]
 
 MAGIC = b"TMC1"
 _HEADER = struct.Struct("<Q")
@@ -39,6 +49,45 @@ def atomic_write_bytes(path, payload: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
+
+
+def write_container(path, magic: bytes, manifest: dict, parts) -> None:
+    """Atomically write ``magic + u64 LE manifest length + JSON + blob``."""
+    mbytes = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    atomic_write_bytes(path, magic + _HEADER.pack(len(mbytes)) + mbytes + b"".join(parts))
+
+
+def read_container(path, magic: bytes, fmt: str) -> tuple[dict, bytes]:
+    """Parse the framing written by :func:`write_container`.
+
+    Returns (manifest, blob). The manifest must be a JSON object naming
+    ``fmt`` at version 1, with an object (or no) ``provenance``.
+    """
+    data = Path(path).read_bytes()
+    if len(data) < len(magic) + _HEADER.size or data[: len(magic)] != magic:
+        raise ContainerError(f"{path}: not a {fmt} container")
+    (mlen,) = _HEADER.unpack_from(data, len(magic))
+    start = len(magic) + _HEADER.size
+    if start + mlen > len(data):
+        raise ContainerError(f"{path}: truncated manifest")
+    try:
+        manifest = json.loads(data[start : start + mlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContainerError(f"{path}: bad manifest ({exc})") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != fmt \
+            or manifest.get("version") != 1:
+        raise ContainerError(f"{path}: unsupported {fmt} container version")
+    if not isinstance(manifest.get("provenance", {}), dict):
+        raise ContainerError(f"{path}: provenance must be an object")
+    return manifest, data[start + mlen :]
+
+
+def manifest_count(entry, key: str, what: str) -> int:
+    """``entry[key]`` as a non-negative int; anything else is a ContainerError."""
+    value = entry.get(key) if isinstance(entry, dict) else None
+    if type(value) is not int or value < 0:
+        raise ContainerError(f"{what}: {key!r} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def save_model(bundle: ModelBundle, path) -> None:
@@ -57,49 +106,37 @@ def save_model(bundle: ModelBundle, path) -> None:
         "tensors": directory,
         "provenance": bundle.provenance,
     }
-    mbytes = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    payload = MAGIC + _HEADER.pack(len(mbytes)) + mbytes + b"".join(parts)
-    atomic_write_bytes(path, payload)
+    write_container(path, MAGIC, manifest, parts)
 
 
 def _read_tensor(blob: bytes, directory: dict, name: str, expected_shape) -> np.ndarray:
     entry = directory.get(name)
     if entry is None:
         raise ContainerError(f"tensor {name!r} missing from container")
-    shape = tuple(entry["shape"])
-    if shape != tuple(expected_shape):
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    if shape != list(expected_shape):
         raise ContainerError(
             f"tensor {name!r} has shape {shape}, expected {tuple(expected_shape)}"
         )
-    count = int(np.prod(shape)) if shape else 1
-    if entry["length"] != count * 4:
+    count = int(np.prod(expected_shape))
+    if entry.get("length") != count * 4:
         raise ContainerError(f"tensor {name!r} length does not match its shape")
-    if entry["offset"] + entry["length"] > len(blob):
+    offset = manifest_count(entry, "offset", f"tensor {name!r}")
+    if offset + count * 4 > len(blob):
         raise ContainerError(f"tensor {name!r} overruns the data blob")
-    flat = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"])
-    return flat.astype(np.float64).reshape(shape)
+    flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+    return flat.astype(np.float64).reshape(expected_shape)
 
 
 def load_model(path) -> ModelBundle:
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC) + _HEADER.size or data[: len(MAGIC)] != MAGIC:
-        raise ContainerError(f"{path}: not a TMC container")
-    (mlen,) = _HEADER.unpack_from(data, len(MAGIC))
-    body_start = len(MAGIC) + _HEADER.size
-    if body_start + mlen > len(data):
-        raise ContainerError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(data[body_start : body_start + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"{path}: bad manifest ({exc})") from exc
-    if manifest.get("format") != "TMC" or manifest.get("version") != 1:
-        raise ContainerError(f"{path}: unsupported container version")
+    manifest, blob = read_container(path, MAGIC, "TMC")
     try:
         config = ModelConfig(**manifest["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValidationError) as exc:
         raise ContainerError(f"{path}: bad config block ({exc})") from exc
-    blob = data[body_start + mlen :]
     directory = manifest.get("tensors", {})
+    if not isinstance(directory, dict):
+        raise ContainerError(f"{path}: tensor directory must be an object")
 
     def take(name, shape):
         return _read_tensor(blob, directory, name, shape)
@@ -131,5 +168,8 @@ def load_model(path) -> ModelBundle:
         output_projection=take("output_projection", (config.vocab_size, d)),
         provenance=manifest.get("provenance", {}),
     )
-    validate_bundle(bundle)
+    try:
+        validate_bundle(bundle)
+    except ValidationError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
     return bundle

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -254,17 +255,44 @@ class TestPrune:
                     str(ws["calib"]), "--method", "obs", "--sparsity", "0.5",
                     "--out", str(tmp_path / "x.tmc")]) == 3
 
-    def test_threads_flag_and_env(self, ws, tmp_path, monkeypatch, capsys):
-        a = tmp_path / "t1.tmc"
-        b = tmp_path / "t2.tmc"
-        base = ["prune", "--model", str(ws["model"]), "--calib",
-                str(ws["calib"]), "--method", "obs", "--sparsity", "0.5"]
-        assert run(base + ["--threads", "2", "--out", str(a)]) == 0
-        monkeypatch.setenv("RAC_THREADS", "3")
-        assert run(base + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        monkeypatch.setenv("RAC_THREADS", "lots")
-        assert run(base + ["--out", str(tmp_path / "t3.tmc")]) == 1
+    @pytest.mark.parametrize("which, mutate", [
+        ("model", lambda m, blob: m["tensors"]["layers.0.attn_q"].update(offset=-4)),
+        ("model", lambda m, blob: m["tensors"]["layers.0.attn_q"].pop("shape")),
+        ("model", lambda m, blob: m.update(tensors=list(m["tensors"].values()))),
+        ("model", lambda m, blob: m["config"].update(d_model=7)),
+        ("model", lambda m, blob: m["config"].update(d_model=16.0)),
+        ("calib", lambda m, blob: m["refs"][0].pop("layer")),
+        ("calib", lambda m, blob: m["refs"].__setitem__(1, dict(m["refs"][0]))),
+        ("calib", lambda m, blob: blob.__setitem__(
+            slice(m["refs"][0]["offset_prompt"], m["refs"][0]["offset_prompt"] + 8),
+            struct.pack("<d", float("nan")))),
+    ], ids=["tmc-negative-offset", "tmc-missing-shape", "tmc-tensors-list",
+            "tmc-heads-do-not-divide", "tmc-float-d-model", "racc-ref-without-layer",
+            "racc-duplicate-ref", "racc-nan-gram"])
+    def test_malformed_manifest_exits_3(self, ws, tmp_path, capsys, which, mutate):
+        """Each mutation of a good container exits 3 with a one-line message.
+
+        The framing (4-byte magic, u64 LE manifest length, JSON, blob) is
+        unpacked here by hand, not through rackit's reader.
+        """
+        inputs = {"model": ws["model"], "calib": ws["calib"]}
+        src = inputs[which]
+        data = src.read_bytes()
+        (mlen,) = struct.unpack_from("<Q", data, 4)
+        manifest = json.loads(data[12 : 12 + mlen])
+        blob = bytearray(data[12 + mlen :])
+        mutate(manifest, blob)
+        mbytes = json.dumps(manifest).encode()
+        inputs[which] = tmp_path / src.name
+        inputs[which].write_bytes(
+            data[:4] + struct.pack("<Q", len(mbytes)) + mbytes + bytes(blob)
+        )
+        capsys.readouterr()
+        assert run(["prune", "--model", str(inputs["model"]),
+                    "--calib", str(inputs["calib"]), "--method", "magnitude",
+                    "--sparsity", "0.5", "--out", str(tmp_path / "x.tmc")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o failure:")
 
 
 @pytest.fixture(scope="module")

@@ -389,13 +389,6 @@ class TestCompressModel:
             assert same == (r not in subset)
         assert len(report.refs) == 2
 
-    def test_threads_do_not_change_the_answer(self, rac_setup):
-        model, calib, _ = rac_setup
-        one, rep1 = compress_model(model, calib, "rac", "obs", HALF, threads=1)
-        two, rep2 = compress_model(model, calib, "rac", "obs", HALF, threads=3)
-        assert model_content_hash(one) == model_content_hash(two)
-        assert rep1.as_dict() == rep2.as_dict()
-
     def test_report_shape_and_audit(self, rac_setup):
         model, calib, refs = rac_setup
         _, report = compress_model(model, calib, "rac", "obs",
