@@ -5,23 +5,26 @@ Four ways to gather them, all reading activations from the target model:
 * ``corpus``       - teacher-force chunks of an arbitrary byte stream.
 * ``prompt_only``  - teacher-force the prompts themselves.
 * ``rac``          - prompts plus the model's own decode rollouts: each prompt
-  is continued autoregressively, the full sequence is teacher-forced once,
-  and the columns at generated positions land in a separate decode Gram.
+  is continued autoregressively and the rollout captures the target's slot
+  inputs at every position as it goes; the columns at generated positions
+  land in a separate decode Gram.
 * ``off_policy``   - like ``rac`` but a different model writes the rollout;
   the target model is teacher-forced on the foreign trace, so the statistics
   are still the target's own activations.
 
-Only Gram matrices and column counts are stored, never raw activation
-matrices; within a sequence columns are accumulated one at a time in position
-order, and sequences are consumed in input order, so a given collection is
-bit-reproducible. Prompt-phase and decode-phase Grams are kept separate so one
-collection pass can later serve both prompt-only and decode-aware compression.
+Every prompt makes one pass through the target. Only Gram matrices and
+column counts are stored, never raw activation matrices; within a sequence
+columns are accumulated one at a time in position order, and sequences are
+consumed in input order, so a given collection is bit-reproducible.
+Prompt-phase and decode-phase Grams are kept separate so one collection pass
+can later serve both prompt-only and decode-aware compression.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from .model import (
     decode,
     forward_teacher_forced,
     model_content_hash,
+    rollout,
     slot_input_dim,
     sort_refs,
 )
@@ -49,8 +53,6 @@ __all__ = [
     "CalibrationConfig",
     "LayerStats",
     "CalibrationSet",
-    "collect_prompt_phase",
-    "collect_decode_phase",
     "collect_corpus",
     "collect",
     "merged_gram",
@@ -116,16 +118,6 @@ class CalibrationSet:
     @property
     def refs(self) -> tuple[PrunableLayerRef, ...]:
         return tuple(self.stats)
-
-    def add_from(self, other: "CalibrationSet") -> None:
-        if self.refs != other.refs:
-            raise ValidationError("calibration sets cover different refs")
-        for ref, st in self.stats.items():
-            o = other.stats[ref]
-            st.gram_prompt.data += o.gram_prompt.data
-            st.gram_decode.data += o.gram_decode.data
-            st.n_prompt += o.n_prompt
-            st.n_decode += o.n_decode
 
     def content_digest(self) -> str:
         """SHA-256 over counts and Gram bytes; provenance is not included."""
@@ -220,7 +212,12 @@ def prompt_digest(prompt) -> str:
 
 def load_prompt_file(path) -> list[list[int]]:
     """UTF-8 text, one prompt per line; the line's bytes are the tokens."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
     prompts = [list(line.encode("utf-8")) for line in text.split("\n") if line]
     if not prompts:
         raise ValidationError(f"{path}: no prompts found")
@@ -239,13 +236,12 @@ def _check_prompts(prompts) -> list[list[int]]:
 
 def _accumulate(dest: CalibrationSet, captures, start: int, stop: int,
                 phase: str, limit) -> int:
-    """Stream captured columns [start, stop) into the destination Grams.
+    """Stream captured columns [start, stop), at most ``limit``, into the
+    destination Grams.
 
     Returns how many positions were consumed (identical for every ref).
     """
-    take = stop - start
-    if limit is not None:
-        take = min(take, limit)
+    take = min(stop - start, limit)
     if take <= 0:
         return 0
     for ref, st in dest.stats.items():
@@ -260,65 +256,11 @@ def _accumulate(dest: CalibrationSet, captures, start: int, stop: int,
     return take
 
 
-def collect_prompt_phase(model: ModelBundle, prompts, refs,
-                         max_columns: int | None = None) -> CalibrationSet:
-    """Teacher-force each prompt and accumulate every position into the prompt Gram."""
-    seqs = _check_prompts(prompts)
-    dest = CalibrationSet.empty(model.config, refs)
-    remaining = max_columns
-    for prompt in seqs:
-        if remaining == 0:
-            break
-        _, captures = forward_teacher_forced(model, prompt, dest.refs)
-        used = _accumulate(dest, captures, 0, len(prompt), "prompt", remaining)
-        if remaining is not None:
-            remaining -= used
-    return dest
-
-
 def _child_sampler(sampler: Sampler, index: int) -> Sampler:
     if sampler.kind == "greedy":
         return sampler
     child = np.random.SeedSequence(sampler.seed, spawn_key=(index,))
     return replace(sampler, seed=int(child.generate_state(1, np.uint64)[0]))
-
-
-def collect_decode_phase(model: ModelBundle, prompts, refs, t_max: int,
-                         sampler: Sampler = GREEDY,
-                         trace_model: ModelBundle | None = None,
-                         max_columns: int | None = None) -> CalibrationSet:
-    """Roll out each prompt, then teacher-force the full sequence through the
-    target model and accumulate the columns at generated positions.
-
-    With ``trace_model`` unset the rollout comes from the target itself
-    (on-policy); otherwise the foreign model writes the tokens and the target
-    merely re-reads them, so the Grams always hold the target's activations.
-    Column counts track generated tokens only.
-    """
-    seqs = _check_prompts(prompts)
-    if t_max < 0:
-        raise ValidationError("t_max must be >= 0")
-    source = trace_model if trace_model is not None else model
-    if source.config.vocab_size != model.config.vocab_size:
-        raise ValidationError("trace model vocabulary is incompatible with target")
-    dest = CalibrationSet.empty(model.config, refs)
-    remaining = max_columns
-    for m, prompt in enumerate(seqs):
-        if remaining == 0:
-            break
-        for cfg, who in ((model.config, "target"), (source.config, "trace")):
-            if len(prompt) + t_max > cfg.max_positions:
-                raise ValidationError(
-                    f"prompt {m} + t_max exceeds {who} model max_positions={cfg.max_positions}"
-                )
-        full = decode(source, prompt, t_max, _child_sampler(sampler, m))
-        if len(full) == len(prompt):
-            continue
-        _, captures = forward_teacher_forced(model, full, dest.refs)
-        used = _accumulate(dest, captures, len(prompt), len(full), "decode", remaining)
-        if remaining is not None:
-            remaining -= used
-    return dest
 
 
 def collect_corpus(model: ModelBundle, text, refs, token_budget: int) -> CalibrationSet:
@@ -341,7 +283,7 @@ def collect_corpus(model: ModelBundle, text, refs, token_budget: int) -> Calibra
         chunk = data[offset : offset + min(size, token_budget - consumed)]
         offset += len(chunk)
         _, captures = forward_teacher_forced(model, list(chunk), dest.refs)
-        consumed += _accumulate(dest, captures, 0, len(chunk), "prompt", None)
+        consumed += _accumulate(dest, captures, 0, len(chunk), "prompt", len(chunk))
     if consumed < token_budget:
         msg = (f"corpus exhausted after {consumed} of {token_budget} requested columns")
         logger.warning(msg)
@@ -351,7 +293,7 @@ def collect_corpus(model: ModelBundle, text, refs, token_budget: int) -> Calibra
 
 def collect(model: ModelBundle, config: CalibrationConfig, refs,
             corpus=None) -> CalibrationSet:
-    """Run the phases demanded by ``config.mode`` and attach provenance."""
+    """Collect the Grams demanded by ``config.mode`` and attach provenance."""
     provenance = {
         "mode": config.mode,
         "model_hash": model_content_hash(model),
@@ -379,14 +321,33 @@ def collect(model: ModelBundle, config: CalibrationConfig, refs,
 
     prompts = _check_prompts(config.prompts)
     provenance["prompt_hashes"] = [prompt_digest(p) for p in prompts]
-    dest = collect_prompt_phase(model, prompts, refs, max_columns=config.token_budget)
-    if config.mode in ("rac", "off_policy"):
-        used = dest.stats[dest.refs[0]].n_prompt
-        remaining = None if config.token_budget is None else config.token_budget - used
-        trace = config.trace_model if config.mode == "off_policy" else None
-        dec = collect_decode_phase(model, prompts, refs, config.t_max,
-                                   config.sampler, trace_model=trace,
-                                   max_columns=remaining)
-        dest.add_from(dec)
+    dest = CalibrationSet.empty(model.config, refs)
+    # A token budget goes to prompt columns first and to decode columns after.
+    budget = config.token_budget or math.inf
+    prompt_left = min(budget, sum(len(p) for p in prompts))
+    decode_left = 0 if config.mode == "prompt_only" else budget - prompt_left
+    source = config.trace_model if config.mode == "off_policy" else model
+    for m, prompt in enumerate(prompts):
+        if prompt_left == 0 and decode_left == 0:
+            break
+        if decode_left == 0:
+            full = prompt
+            _, captures = forward_teacher_forced(model, prompt, dest.refs)
+        else:
+            for cfg, who in ((model.config, "target"), (source.config, "trace")):
+                if len(prompt) + config.t_max > cfg.max_positions:
+                    raise ValidationError(
+                        f"prompt {m} + t_max exceeds {who} model "
+                        f"max_positions={cfg.max_positions}"
+                    )
+            sampler = _child_sampler(config.sampler, m)
+            if config.mode == "rac":
+                full, captures = rollout(model, prompt, config.t_max, sampler, dest.refs)
+            else:
+                full = decode(source, prompt, config.t_max, sampler)
+                _, captures = forward_teacher_forced(model, full, dest.refs)
+        prompt_left -= _accumulate(dest, captures, 0, len(prompt), "prompt", prompt_left)
+        decode_left -= _accumulate(dest, captures, len(prompt), len(full), "decode",
+                                   decode_left)
     dest.provenance = provenance
     return dest

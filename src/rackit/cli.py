@@ -74,7 +74,20 @@ _REQUIRED = object()
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; remap to the validation exit code."""
+    """argparse exits 2 on bad usage; remap to the validation exit code.
+
+    ``flags`` maps each argument's dest to (action, repeatable), so that
+    ``--config`` values can be parsed like the flags they stand for.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = (action, kwargs.get("action") == "append")
+        return action
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -92,8 +105,31 @@ def _write_sidecar(target, payload: dict) -> None:
     )
 
 
+def _config_value(path, key: str, value, action, repeatable: bool):
+    """One ``--config`` value, parsed as argparse parses the flag's text."""
+    if repeatable and isinstance(value, list):
+        return [_config_value(path, key, item, action, False) for item in value]
+    if isinstance(value, (dict, list)):
+        raise ValidationError(f"--config {path}: {key} must be a single value, got {value!r}")
+    try:
+        parsed = action.type(str(value)) if action.type is not None else str(value)
+    except ValueError:
+        raise ValidationError(
+            f"--config {path}: {key}: invalid {action.type.__name__} value {value!r}"
+        ) from None
+    if action.choices is not None and parsed not in action.choices:
+        raise ValidationError(
+            f"--config {path}: {key}: invalid choice {value!r} "
+            f"(choose from {', '.join(map(str, action.choices))})"
+        )
+    return parsed
+
+
 def _merge_config(args, parser, defaults: dict) -> None:
-    """Fill unset flags from --config, then from built-in defaults."""
+    """Fill unset flags from --config, then from built-in defaults.
+
+    A JSON null in the file counts as not given.
+    """
     cfg = {}
     if args.config is not None:
         raw = Path(args.config).read_text()
@@ -109,6 +145,8 @@ def _merge_config(args, parser, defaults: dict) -> None:
                 f"--config {args.config}: unknown keys {unknown}; "
                 f"allowed: {sorted(defaults)}"
             )
+        cfg = {key: _config_value(args.config, key, value, *parser.flags[key])
+               for key, value in cfg.items() if value is not None}
     for key, default in defaults.items():
         if getattr(args, key) is None:
             value = cfg.get(key, default)
@@ -482,7 +520,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out")
     gen.add_argument("--config")
-    gen.set_defaults(handler=_cmd_gen_model)
+    gen.set_defaults(handler=_cmd_gen_model, command_parser=gen)
 
     cal = sub.add_parser("calibrate", help="collect per-layer Gram statistics")
     cal.add_argument("--model")
@@ -499,7 +537,7 @@ def build_parser() -> _Parser:
     cal.add_argument("--slots")
     cal.add_argument("--out")
     cal.add_argument("--config")
-    cal.set_defaults(handler=_cmd_calibrate)
+    cal.set_defaults(handler=_cmd_calibrate, command_parser=cal)
 
     prn = sub.add_parser("prune", help="compress a model against calibration data")
     prn.add_argument("--model")
@@ -519,7 +557,7 @@ def build_parser() -> _Parser:
     prn.add_argument("--report")
     prn.add_argument("--seed", type=int)
     prn.add_argument("--config")
-    prn.set_defaults(handler=_cmd_prune)
+    prn.set_defaults(handler=_cmd_prune, command_parser=prn)
 
     dia = sub.add_parser("diagnose", help="tokenwise error traces on held-out rollouts")
     dia.add_argument("--dense")
@@ -530,7 +568,7 @@ def build_parser() -> _Parser:
     dia.add_argument("--out-dir", dest="out_dir")
     dia.add_argument("--seed", type=int)
     dia.add_argument("--config")
-    dia.set_defaults(handler=_cmd_diagnose)
+    dia.set_defaults(handler=_cmd_diagnose, command_parser=dia)
 
     ev = sub.add_parser("eval", help="teacher-forced NLL over a byte stream")
     ev.add_argument("--model")
@@ -539,7 +577,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--out")
     ev.add_argument("--seed", type=int)
     ev.add_argument("--config")
-    ev.set_defaults(handler=_cmd_eval)
+    ev.set_defaults(handler=_cmd_eval, command_parser=ev)
 
     return parser
 
@@ -555,7 +593,7 @@ def main(argv=None) -> int:
     started = _utc_now()
     t0 = time.perf_counter()
     try:
-        code, target, extra = args.handler(args, parser)
+        code, target, extra = args.handler(args, args.command_parser)
         if target is not None:
             _write_sidecar(target, {
                 "command": args.command,

@@ -35,6 +35,7 @@ __all__ = [
     "apply_compressed",
     "generate_model",
     "named_tensors",
+    "tensor_schema",
     "config_as_dict",
     "model_content_hash",
 ]
@@ -233,24 +234,44 @@ def generate_model(config: ModelConfig, seed: int) -> ModelBundle:
     )
 
 
+# Per-block tensors in canonical order: (name suffix, LayerWeights field).
+_LAYER_TENSORS = (
+    ("ln1.gain", "ln1_gain"),
+    ("ln1.bias", "ln1_bias"),
+    ("attn_q", "attn_q"),
+    ("attn_k", "attn_k"),
+    ("attn_v", "attn_v"),
+    ("attn_out", "attn_out"),
+    ("ln2.gain", "ln2_gain"),
+    ("ln2.bias", "ln2_bias"),
+    ("mlp_up", "mlp_up"),
+    ("mlp_down", "mlp_down"),
+)
+
+
+def tensor_schema(config: ModelConfig):
+    """The one tensor table: (name, block index or None, field, shape) per
+    tensor, in the canonical order used by hashing and containers.
+
+    ``field`` names the attribute of :class:`ModelBundle` (block index None)
+    or of that block's :class:`LayerWeights`.
+    """
+    d, vocab = config.d_model, config.vocab_size
+    yield "token_embedding", None, "token_embedding", (vocab, d)
+    yield "position_embedding", None, "position_embedding", (config.max_positions, d)
+    for i in range(config.n_layers):
+        for suffix, field in _LAYER_TENSORS:
+            shape = slot_shape(config, field) if field in SLOTS else (d,)
+            yield f"layers.{i}.{suffix}", i, field, shape
+    yield "final_norm.gain", None, "final_norm_gain", (d,)
+    yield "final_norm.bias", None, "final_norm_bias", (d,)
+    yield "output_projection", None, "output_projection", (vocab, d)
+
+
 def named_tensors(bundle: ModelBundle):
     """Canonical (name, array) iteration order used by hashing and containers."""
-    yield "token_embedding", bundle.token_embedding
-    yield "position_embedding", bundle.position_embedding
-    for i, lw in enumerate(bundle.layers):
-        yield f"layers.{i}.ln1.gain", lw.ln1_gain
-        yield f"layers.{i}.ln1.bias", lw.ln1_bias
-        yield f"layers.{i}.attn_q", lw.attn_q
-        yield f"layers.{i}.attn_k", lw.attn_k
-        yield f"layers.{i}.attn_v", lw.attn_v
-        yield f"layers.{i}.attn_out", lw.attn_out
-        yield f"layers.{i}.ln2.gain", lw.ln2_gain
-        yield f"layers.{i}.ln2.bias", lw.ln2_bias
-        yield f"layers.{i}.mlp_up", lw.mlp_up
-        yield f"layers.{i}.mlp_down", lw.mlp_down
-    yield "final_norm.gain", bundle.final_norm_gain
-    yield "final_norm.bias", bundle.final_norm_bias
-    yield "output_projection", bundle.output_projection
+    for name, layer, field, _ in tensor_schema(bundle.config):
+        yield name, getattr(bundle if layer is None else bundle.layers[layer], field)
 
 
 def config_as_dict(config: ModelConfig) -> dict:
@@ -277,28 +298,14 @@ def model_content_hash(bundle: ModelBundle) -> str:
 
 def validate_bundle(bundle: ModelBundle) -> None:
     cfg = bundle.config
-    expected = {
-        "token_embedding": (cfg.vocab_size, cfg.d_model),
-        "position_embedding": (cfg.max_positions, cfg.d_model),
-        "final_norm.gain": (cfg.d_model,),
-        "final_norm.bias": (cfg.d_model,),
-        "output_projection": (cfg.vocab_size, cfg.d_model),
-    }
-    for i in range(cfg.n_layers):
-        expected[f"layers.{i}.ln1.gain"] = (cfg.d_model,)
-        expected[f"layers.{i}.ln1.bias"] = (cfg.d_model,)
-        expected[f"layers.{i}.ln2.gain"] = (cfg.d_model,)
-        expected[f"layers.{i}.ln2.bias"] = (cfg.d_model,)
-        for slot in SLOTS:
-            expected[f"layers.{i}.{slot}"] = slot_shape(cfg, slot)
     if len(bundle.layers) != cfg.n_layers:
         raise ValidationError(
             f"bundle has {len(bundle.layers)} layers, config says {cfg.n_layers}"
         )
-    for name, arr in named_tensors(bundle):
-        if arr.shape != expected[name]:
+    for (name, arr), (*_, shape) in zip(named_tensors(bundle), tensor_schema(cfg)):
+        if arr.shape != shape:
             raise ValidationError(
-                f"tensor {name} has shape {arr.shape}, expected {expected[name]}"
+                f"tensor {name} has shape {arr.shape}, expected {shape}"
             )
         if not np.isfinite(arr).all():
             raise ValidationError(f"tensor {name} contains non-finite entries")

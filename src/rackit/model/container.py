@@ -28,6 +28,7 @@ from .bundle import (
     ModelConfig,
     config_as_dict,
     named_tensors,
+    tensor_schema,
     validate_bundle,
 )
 
@@ -138,35 +139,15 @@ def load_model(path) -> ModelBundle:
     if not isinstance(directory, dict):
         raise ContainerError(f"{path}: tensor directory must be an object")
 
-    def take(name, shape):
-        return _read_tensor(blob, directory, name, shape)
-
-    d, m = config.d_model, config.d_mlp
-    layers = []
-    for i in range(config.n_layers):
-        layers.append(
-            LayerWeights(
-                ln1_gain=take(f"layers.{i}.ln1.gain", (d,)),
-                ln1_bias=take(f"layers.{i}.ln1.bias", (d,)),
-                attn_q=take(f"layers.{i}.attn_q", (d, d)),
-                attn_k=take(f"layers.{i}.attn_k", (d, d)),
-                attn_v=take(f"layers.{i}.attn_v", (d, d)),
-                attn_out=take(f"layers.{i}.attn_out", (d, d)),
-                ln2_gain=take(f"layers.{i}.ln2.gain", (d,)),
-                ln2_bias=take(f"layers.{i}.ln2.bias", (d,)),
-                mlp_up=take(f"layers.{i}.mlp_up", (m, d)),
-                mlp_down=take(f"layers.{i}.mlp_down", (d, m)),
-            )
-        )
+    top, blocks = {}, {}
+    for name, layer, field, shape in tensor_schema(config):
+        owner = top if layer is None else blocks.setdefault(layer, {})
+        owner[field] = _read_tensor(blob, directory, name, shape)
     bundle = ModelBundle(
         config=config,
-        token_embedding=take("token_embedding", (config.vocab_size, d)),
-        position_embedding=take("position_embedding", (config.max_positions, d)),
-        layers=layers,
-        final_norm_gain=take("final_norm.gain", (d,)),
-        final_norm_bias=take("final_norm.bias", (d,)),
-        output_projection=take("output_projection", (config.vocab_size, d)),
+        layers=[LayerWeights(**fields) for fields in blocks.values()],
         provenance=manifest.get("provenance", {}),
+        **top,
     )
     try:
         validate_bundle(bundle)

@@ -26,6 +26,7 @@ __all__ = [
     "forward_teacher_forced",
     "last_layer_states",
     "decode",
+    "rollout",
 ]
 
 STOP_BYTE = 0
@@ -133,54 +134,6 @@ def _advance(model: ModelBundle, state: DecodeState, token: int, collect=None):
     return logits, x
 
 
-def _check_tokens(model: ModelBundle, tokens) -> list[int]:
-    seq = [int(t) for t in tokens]
-    if not seq:
-        raise ValidationError("token sequence must be nonempty")
-    if len(seq) > model.config.max_positions:
-        raise ValidationError(
-            f"sequence length {len(seq)} exceeds max_positions="
-            f"{model.config.max_positions}"
-        )
-    return seq
-
-
-def _run(model: ModelBundle, tokens, refs):
-    refs = sort_refs(refs)
-    for r in refs:
-        if r.layer_index >= model.config.n_layers:
-            raise ValidationError(f"capture ref {r} out of range")
-    seq = _check_tokens(model, tokens)
-    collect = {(r.layer_index, r.slot): [] for r in refs} or None
-    state = DecodeState(model)
-    logits_rows = []
-    hidden_rows = []
-    for tok in seq:
-        logits, hidden = _advance(model, state, tok, collect)
-        logits_rows.append(logits)
-        hidden_rows.append(hidden)
-    captures = {
-        r: np.array(collect[(r.layer_index, r.slot)]) for r in refs
-    } if collect else {}
-    return np.array(logits_rows), np.array(hidden_rows), captures
-
-
-def forward_teacher_forced(model: ModelBundle, tokens, capture=()):
-    """Run a fixed token sequence; returns (logits, captured input columns).
-
-    ``capture`` is an iterable of :class:`PrunableLayerRef`. For each ref the
-    result holds one row per position: the vector that the slot's weight
-    matrix multiplied at that position, in position order.
-    """
-    logits, _, captures = _run(model, tokens, capture)
-    return logits, captures
-
-
-def last_layer_states(model: ModelBundle, tokens) -> np.ndarray:
-    """Hidden state after the last block (before the final norm), per position."""
-    return _run(model, tokens, ())[1]
-
-
 def _sample(logits, sampler: Sampler, rng):
     if sampler.kind == "greedy":
         return int(np.argmax(logits))
@@ -191,6 +144,72 @@ def _sample(logits, sampler: Sampler, rng):
     return int(rng.choice(p.size, p=p))
 
 
+def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
+         sampler: Sampler = GREEDY):
+    """The one stepwise driver: advance ``tokens``, then sample up to ``max_new`` more.
+
+    Generation ends after ``max_new`` tokens or at the stop byte 0x00, which
+    is kept. Returns (tokens, logits, hidden states, captures), with one row
+    per advanced position. The last sampled token is advanced only when
+    ``refs`` asks for captures, so that its slot inputs are recorded too.
+    """
+    refs = sort_refs(refs)
+    for r in refs:
+        if r.layer_index >= model.config.n_layers:
+            raise ValidationError(f"capture ref {r} out of range")
+    seq = [int(t) for t in tokens]
+    if not seq:
+        raise ValidationError("token sequence must be nonempty")
+    if max_new < 0:
+        raise ValidationError(f"max_new must be >= 0, got {max_new}")
+    cap = model.config.max_positions
+    if len(seq) + max_new > cap:
+        what = (f"prompt ({len(seq)}) + max_new ({max_new})" if max_new
+                else f"sequence length {len(seq)}")
+        raise ValidationError(f"{what} exceeds max_positions={cap}")
+    collect = {(r.layer_index, r.slot): [] for r in refs} or None
+    state = DecodeState(model)
+    logits_rows = []
+    hidden_rows = []
+
+    def step(tok):
+        logits, hidden = _advance(model, state, tok, collect)
+        logits_rows.append(logits)
+        hidden_rows.append(hidden)
+
+    for tok in seq:
+        step(tok)
+    rng = np.random.default_rng(sampler.seed) if sampler.kind == "temperature" else None
+    for i in range(max_new):
+        tok = _sample(logits_rows[-1], sampler, rng)
+        seq.append(tok)
+        done = tok == STOP_BYTE or i == max_new - 1
+        if collect is not None or not done:
+            step(tok)
+        if done:
+            break
+    captures = {
+        r: np.array(collect[(r.layer_index, r.slot)]) for r in refs
+    } if collect else {}
+    return seq, np.array(logits_rows), np.array(hidden_rows), captures
+
+
+def forward_teacher_forced(model: ModelBundle, tokens, capture=()):
+    """Run a fixed token sequence; returns (logits, captured input columns).
+
+    ``capture`` is an iterable of :class:`PrunableLayerRef`. For each ref the
+    result holds one row per position: the vector that the slot's weight
+    matrix multiplied at that position, in position order.
+    """
+    _, logits, _, captures = _run(model, tokens, capture)
+    return logits, captures
+
+
+def last_layer_states(model: ModelBundle, tokens) -> np.ndarray:
+    """Hidden state after the last block (before the final norm), per position."""
+    return _run(model, tokens)[2]
+
+
 def decode(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY):
     """Autoregressive continuation of ``prompt``.
 
@@ -199,28 +218,16 @@ def decode(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY):
     of the returned sequence). The prompt must be nonempty and
     ``len(prompt) + max_new`` must fit in the position table.
     """
-    seq = [int(t) for t in prompt]
-    if not seq:
-        raise ValidationError("prompt must be nonempty")
-    if max_new < 0:
-        raise ValidationError(f"max_new must be >= 0, got {max_new}")
-    if len(seq) + max_new > model.config.max_positions:
-        raise ValidationError(
-            f"prompt ({len(seq)}) + max_new ({max_new}) exceeds max_positions="
-            f"{model.config.max_positions}"
-        )
-    state = DecodeState(model)
-    logits = None
-    for tok in seq:
-        logits, _ = _advance(model, state, tok)
-    out = list(seq)
-    if max_new == 0:
-        return out
-    rng = np.random.default_rng(sampler.seed) if sampler.kind == "temperature" else None
-    for i in range(max_new):
-        tok = _sample(logits, sampler, rng)
-        out.append(tok)
-        if tok == STOP_BYTE or i == max_new - 1:
-            break
-        logits, _ = _advance(model, state, tok)
-    return out
+    return _run(model, prompt, (), max_new, sampler)[0]
+
+
+def rollout(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY,
+            capture=()):
+    """:func:`decode` that also captures slot inputs at every position.
+
+    Returns (tokens, captures) with the tokens of :func:`decode` and, per
+    ref in ``capture``, one row per returned token, generated ones included.
+    The captures equal those of :func:`forward_teacher_forced` on the tokens.
+    """
+    tokens, _, _, captures = _run(model, prompt, capture, max_new, sampler)
+    return tokens, captures

@@ -1,4 +1,6 @@
 import logging
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ from rackit.calibration import (
     CalibrationSet,
     collect,
     collect_corpus,
-    collect_decode_phase,
-    collect_prompt_phase,
     load_prompt_file,
     merged_gram,
 )
@@ -22,6 +22,7 @@ from rackit.model import (
     forward_teacher_forced,
     generate_model,
 )
+from rackit.numkernel import accumulate_gram
 
 from .helpers import random_prompts, small_config
 
@@ -39,16 +40,21 @@ def _materialized_gram(model, sequences, ref, start_at=0):
     return total
 
 
+def _prompt_only(model, prompts, refs, token_budget=None):
+    return collect(model, CalibrationConfig(mode="prompt_only", prompts=prompts,
+                                            token_budget=token_budget), refs)
+
+
 class TestPromptPhase:
     def test_counts_every_prompt_position(self, tiny_model):
-        calib = collect_prompt_phase(tiny_model, PROMPTS, all_refs(tiny_model.config))
+        calib = _prompt_only(tiny_model, PROMPTS, all_refs(tiny_model.config))
         for st in calib.stats.values():
             assert st.n_prompt == 7
             assert st.n_decode == 0
 
     def test_gram_matches_materialized_product(self, tiny_model):
         refs = all_refs(tiny_model.config)
-        calib = collect_prompt_phase(tiny_model, PROMPTS, refs)
+        calib = _prompt_only(tiny_model, PROMPTS, refs)
         for ref in refs:
             want = _materialized_gram(tiny_model, PROMPTS, ref)
             np.testing.assert_allclose(
@@ -56,25 +62,27 @@ class TestPromptPhase:
                 err_msg=str(ref))
 
     def test_column_cap_stops_mid_prompt(self, tiny_model):
-        calib = collect_prompt_phase(
-            tiny_model, PROMPTS, all_refs(tiny_model.config), max_columns=5)
+        calib = _prompt_only(tiny_model, PROMPTS, all_refs(tiny_model.config),
+                             token_budget=5)
         st = calib.stats[calib.refs[0]]
         assert st.n_prompt == 5
 
     def test_rejects_empty_prompt_list(self, tiny_model):
         with pytest.raises(ValidationError):
-            collect_prompt_phase(tiny_model, [], all_refs(tiny_model.config))
+            _prompt_only(tiny_model, [], all_refs(tiny_model.config))
 
     def test_rejects_empty_prompt(self, tiny_model):
         with pytest.raises(ValidationError):
-            collect_prompt_phase(tiny_model, [[1, 2], []], all_refs(tiny_model.config))
+            _prompt_only(tiny_model, [[1, 2], []], all_refs(tiny_model.config))
 
 
 class TestDecodePhase:
     def test_matches_manual_rollout_then_teacher_forcing(self, tiny_model):
         refs = all_refs(tiny_model.config)
         t_max = 8
-        calib = collect_decode_phase(tiny_model, PROMPTS, refs, t_max, GREEDY)
+        calib = collect(tiny_model,
+                        CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=t_max),
+                        refs)
 
         gram_want = {r: np.zeros((g.gram_decode.dim, g.gram_decode.dim))
                      for r, g in calib.stats.items()}
@@ -90,22 +98,25 @@ class TestDecodePhase:
         for r in refs:
             st = calib.stats[r]
             assert st.n_decode == n_want
-            assert st.n_prompt == 0
+            assert st.n_prompt == 7
             np.testing.assert_allclose(st.gram_decode.data, gram_want[r],
                                        atol=1e-10, err_msg=str(r))
 
     def test_prompt_plus_budget_must_fit_positions(self, tiny_model):
         cap = tiny_model.config.max_positions
         with pytest.raises(ValidationError):
-            collect_decode_phase(tiny_model, [[1] * 10], all_refs(tiny_model.config),
-                                 t_max=cap - 9)
+            collect(tiny_model,
+                    CalibrationConfig(mode="rac", prompts=[[1] * 10], t_max=cap - 9),
+                    all_refs(tiny_model.config))
 
     def test_foreign_trace_model_writes_tokens_only(self, tiny_model):
         # activations must come from the target even when the rollout does not
         other = generate_model(small_config(), seed=99)
         refs = all_refs(tiny_model.config)[:2]
-        calib = collect_decode_phase(tiny_model, PROMPTS, refs, 8, GREEDY,
-                                     trace_model=other)
+        calib = collect(tiny_model,
+                        CalibrationConfig(mode="off_policy", prompts=PROMPTS,
+                                          t_max=8, trace_model=other),
+                        refs)
         ref = refs[0]
         want = np.zeros((calib.stats[ref].gram_decode.dim,) * 2)
         for prompt in PROMPTS:
@@ -203,6 +214,85 @@ class TestCollect:
             CalibrationConfig(mode="prompt_only", prompts=PROMPTS, token_budget=0)
 
 
+def _two_pass_oracle(target, config, refs):
+    """Today's contract spelled out the slow way: per prompt, ``decode`` and
+    then ``forward_teacher_forced`` of the whole sequence; columns go through
+    ``accumulate_gram`` in order, all prompt columns first, then decode
+    columns, until the token budget runs out."""
+    source = config.trace_model or target
+    sequences = []
+    for m, prompt in enumerate(config.prompts):
+        sampler = config.sampler
+        if sampler.kind == "temperature":
+            child = np.random.SeedSequence(sampler.seed, spawn_key=(m,))
+            sampler = replace(sampler, seed=int(child.generate_state(1, np.uint64)[0]))
+        full = decode(source, prompt, config.t_max, sampler)
+        _, caps = forward_teacher_forced(target, full, refs)
+        sequences.append((len(prompt), len(full), caps))
+    left = config.token_budget or math.inf
+    dest = CalibrationSet.empty(target.config, refs)
+    for phase in ("prompt", "decode"):
+        for boundary, length, caps in sequences:
+            span = range(boundary) if phase == "prompt" else range(boundary, length)
+            for t in span:
+                if left == 0:
+                    break
+                left -= 1
+                for r in refs:
+                    st = dest.stats[r]
+                    if phase == "prompt":
+                        accumulate_gram(st.gram_prompt, caps[r][t])
+                        st.n_prompt += 1
+                    else:
+                        accumulate_gram(st.gram_decode, caps[r][t])
+                        st.n_decode += 1
+    return dest
+
+
+# content_digest of collect at t_max 16 over PROMPTS, computed before
+# calibration moved to one pass per prompt.
+_PINNED_DIGESTS = {
+    ("rac", "greedy", None): "d0d187f11f018911db824e57326893aebfa595fa2f25b8176e5f8d2ba7ed34da",
+    ("rac", "greedy", 5): "42b36c8555fd5f06f6d70925fc3c951306dcd7cc69c8fe609e3b463b3d9d1346",
+    ("rac", "greedy", 10): "5c6ca8a84d4e11fd42c75bdaa3524b3d8d97f17f5823315beb6ad7c774dca31f",
+    ("rac", "greedy", 30): "7ac7c63a45862c0797a2c0cde9cf3df7b775cccfb13354cc0d2d998e2366e810",
+    ("rac", "temperature", None): "347528f8328c5eddfb307d51f647cbb215c5e8d331cdf08cfefc68266e2b4f61",
+    ("rac", "temperature", 5): "42b36c8555fd5f06f6d70925fc3c951306dcd7cc69c8fe609e3b463b3d9d1346",
+    ("rac", "temperature", 10): "d454dfd6bcaf44256956169dd4dbf66068e7995e895e498e98380271de4a6f9d",
+    ("rac", "temperature", 30): "53fbf057e196f0254ac934d122257c98e6ad16737df1c939d654f67803f6f53e",
+    ("off_policy", "greedy", None): "07dc971f6c8774e569523c81e4bfa30c23c6b76c539a51293d23546ad29164b5",
+    ("off_policy", "greedy", 5): "42b36c8555fd5f06f6d70925fc3c951306dcd7cc69c8fe609e3b463b3d9d1346",
+    ("off_policy", "greedy", 10): "68f22aa3c3720d008ad6fa04e935b45987af42317b5ed1236ee8a4e2fcde9f7d",
+    ("off_policy", "greedy", 30): "e8cf22786de5e70551312ebb5b3a235d944cc454021580c808034244aff5d1da",
+    ("off_policy", "temperature", None): "ab9621c5be4c3c49ef1461a0a9ee093c8346fb53dc7f1dc514416c85c3bc8298",
+    ("off_policy", "temperature", 5): "42b36c8555fd5f06f6d70925fc3c951306dcd7cc69c8fe609e3b463b3d9d1346",
+    ("off_policy", "temperature", 10): "14fe0da89bd9a29694d54d81af5865ece95072a1776f9ec1410221242d8e7c3c",
+    ("off_policy", "temperature", 30): "af0d59d2ca06f452a6552c06e408952a79cba188dc8ed5848ed7d63774a456c0",
+}
+
+_SAMPLERS = {"greedy": GREEDY, "temperature": Sampler("temperature", 1.3, seed=17)}
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("budget", [None, 5, 10, 30])
+    @pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+    @pytest.mark.parametrize("mode", ["rac", "off_policy"])
+    def test_matches_two_pass_oracle_bit_for_bit(self, tiny_model, mode, sampler, budget):
+        trace = generate_model(small_config(), seed=99) if mode == "off_policy" else None
+        config = CalibrationConfig(mode=mode, prompts=PROMPTS, t_max=16,
+                                   sampler=_SAMPLERS[sampler], trace_model=trace,
+                                   token_budget=budget)
+        refs = all_refs(tiny_model.config)
+        got = collect(tiny_model, config, refs)
+        want = _two_pass_oracle(tiny_model, config, refs)
+        for r in refs:
+            a, b = got.stats[r], want.stats[r]
+            assert (a.n_prompt, a.n_decode) == (b.n_prompt, b.n_decode)
+            assert np.array_equal(a.gram_prompt.data, b.gram_prompt.data), str(r)
+            assert np.array_equal(a.gram_decode.data, b.gram_decode.data), str(r)
+        assert got.content_digest() == _PINNED_DIGESTS[(mode, sampler, budget)]
+
+
 class TestCorpus:
     def test_budget_arithmetic_is_exact(self, tiny_model, rng):
         data = bytes(rng.integers(1, 256, size=500).tolist())
@@ -263,21 +353,15 @@ class TestMergedGram:
 class TestBatchAdditivity:
     def test_split_collection_sums_to_joint(self, tiny_model):
         refs = all_refs(tiny_model.config)
-        joint = collect_prompt_phase(tiny_model, PROMPTS, refs)
-        part = collect_prompt_phase(tiny_model, [PROMPTS[0]], refs)
-        part.add_from(collect_prompt_phase(tiny_model, [PROMPTS[1]], refs))
+        joint = _prompt_only(tiny_model, PROMPTS, refs)
+        first = _prompt_only(tiny_model, [PROMPTS[0]], refs)
+        second = _prompt_only(tiny_model, [PROMPTS[1]], refs)
         for r in refs:
-            assert part.stats[r].n_prompt == joint.stats[r].n_prompt
-            np.testing.assert_allclose(part.stats[r].gram_prompt.data,
-                                       joint.stats[r].gram_prompt.data,
-                                       rtol=1e-12, atol=1e-12)
-
-    def test_add_from_rejects_mismatched_refs(self, tiny_model):
-        refs = all_refs(tiny_model.config)
-        a = collect_prompt_phase(tiny_model, PROMPTS, refs[:2])
-        b = collect_prompt_phase(tiny_model, PROMPTS, refs[:3])
-        with pytest.raises(ValidationError):
-            a.add_from(b)
+            assert first.stats[r].n_prompt + second.stats[r].n_prompt == \
+                joint.stats[r].n_prompt
+            np.testing.assert_allclose(
+                first.stats[r].gram_prompt.data + second.stats[r].gram_prompt.data,
+                joint.stats[r].gram_prompt.data, rtol=1e-12, atol=1e-12)
 
 
 class TestContainerRoundTrip:
@@ -301,16 +385,14 @@ class TestContainerRoundTrip:
             assert loaded.stats[r].n_decode == calib.stats[r].n_decode
 
     def test_resave_is_byte_identical(self, tiny_model, tmp_path):
-        calib = collect_prompt_phase(tiny_model, PROMPTS,
-                                     all_refs(tiny_model.config)[:2])
+        calib = _prompt_only(tiny_model, PROMPTS, all_refs(tiny_model.config)[:2])
         p1, p2 = tmp_path / "a.racc", tmp_path / "b.racc"
         calib.save(p1)
         CalibrationSet.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tiny_model, tmp_path):
-        calib = collect_prompt_phase(tiny_model, PROMPTS,
-                                     all_refs(tiny_model.config)[:1])
+        calib = _prompt_only(tiny_model, PROMPTS, all_refs(tiny_model.config)[:1])
         path = tmp_path / "c.racc"
         calib.save(path)
         blob = bytearray(path.read_bytes())
@@ -320,8 +402,7 @@ class TestContainerRoundTrip:
             CalibrationSet.load(path)
 
     def test_digest_ignores_provenance(self, tiny_model):
-        calib = collect_prompt_phase(tiny_model, PROMPTS,
-                                     all_refs(tiny_model.config)[:1])
+        calib = _prompt_only(tiny_model, PROMPTS, all_refs(tiny_model.config)[:1])
         before = calib.content_digest()
         calib.provenance["mode"] = "relabeled"
         assert calib.content_digest() == before

@@ -106,6 +106,27 @@ class TestConfigFile:
         assert run(["gen-model", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "x.tmc")]) == 3
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("calibrate", {"t_max": "abc"}),
+        ("calibrate", {"t_max": 3.5}),
+        ("eval", {"budget": 10.5}),
+        ("eval", {"seed": "x"}),
+    ])
+    def test_wrong_typed_value_rejected(self, ws, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        text = tmp_path / "text.bin"
+        text.write_bytes(bytes(1 + i % 255 for i in range(5000)))
+        flags = {
+            "calibrate": ["--model", str(ws["model"]), "--mode", "rac",
+                          "--prompts", str(ws["prompts"]),
+                          "--out", str(tmp_path / "x.racc")],
+            "eval": ["--model", str(ws["model"]), "--text", str(text)],
+        }[command]
+        assert run([command, *flags, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(path) in err[0] and next(iter(cfg)) in err[0]
+
 
 class TestCalibrate:
     def test_reports_counts_and_digest(self, ws, capsys):
@@ -145,6 +166,18 @@ class TestCalibrate:
         assert run(["calibrate", "--model", str(ws["model"]),
                     "--mode", "prompt-only",
                     "--out", str(tmp_path / "x.racc")]) == 1
+
+    def test_prompt_file_that_is_not_utf8_rejected(self, ws, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe bad\n")
+        assert run(["calibrate", "--model", str(ws["model"]), "--mode", "rac",
+                    "--prompts", str(bad), "--t-max", "4",
+                    "--out", str(tmp_path / "x.racc")]) == 1
+        assert run(["diagnose", "--dense", str(ws["model"]),
+                    "--compressed", f"same={ws['model']}", "--prompts", str(bad),
+                    "--out-dir", str(tmp_path / "diag")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(str(bad) in line for line in err)
 
     def test_corrupt_model_container_is_io_error(self, tmp_path, ws):
         junk = tmp_path / "junk.tmc"

@@ -21,6 +21,7 @@ from rackit.model import (
     model_content_hash,
     named_tensors,
     parse_ref,
+    rollout,
     save_model,
     sort_refs,
 )
@@ -179,6 +180,26 @@ class TestDecode:
         a = decode(tiny_model, [4, 4], 12, s)
         b = decode(tiny_model, [4, 4], 12, s)
         assert a == b
+
+    @pytest.mark.parametrize("sampler", [GREEDY, Sampler("temperature", 1.5, seed=5)])
+    def test_rollout_captures_equal_teacher_forced_replay(self, tiny_model, sampler):
+        refs = all_refs(tiny_model.config)
+        tokens, caps = rollout(tiny_model, [4, 9, 2], 12, sampler, refs)
+        assert tokens == decode(tiny_model, [4, 9, 2], 12, sampler)
+        _, replay = forward_teacher_forced(tiny_model, tokens, refs)
+        for r in refs:
+            assert caps[r].shape[0] == len(tokens)
+            assert np.array_equal(caps[r], replay[r]), str(r)
+
+    def test_rollout_captures_the_stop_byte(self, tiny_model):
+        forced = dataclasses.replace(
+            tiny_model,
+            output_projection=np.zeros_like(tiny_model.output_projection),
+        )
+        ref = PrunableLayerRef(0, "attn_q")
+        tokens, caps = rollout(forced, [5, 6], 10, GREEDY, [ref])
+        assert tokens == [5, 6, 0]
+        assert np.array_equal(caps[ref], forward_teacher_forced(forced, tokens, [ref])[1][ref])
 
     def test_sampler_validation(self):
         with pytest.raises(ValidationError):
