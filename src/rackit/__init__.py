@@ -46,7 +46,6 @@ from .calibration import (
     CalibrationSet,
     LayerStats,
     collect,
-    collect_corpus,
     load_prompt_file,
     merged_gram,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "CalibrationSet",
     "LayerStats",
     "collect",
-    "collect_corpus",
     "load_prompt_file",
     "merged_gram",
     "CompressionReport",

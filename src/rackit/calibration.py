@@ -2,7 +2,8 @@
 
 Four ways to gather them, all reading activations from the target model:
 
-* ``corpus``       - teacher-force chunks of an arbitrary byte stream.
+* ``corpus``       - teacher-force an arbitrary byte stream, cut at the token
+  budget into ``max_positions``-sized chunks that are treated as prompts.
 * ``prompt_only``  - teacher-force the prompts themselves.
 * ``rac``          - prompts plus the model's own decode rollouts: each prompt
   is continued autoregressively and the rollout captures the target's slot
@@ -12,10 +13,11 @@ Four ways to gather them, all reading activations from the target model:
   the target model is teacher-forced on the foreign trace, so the statistics
   are still the target's own activations.
 
-Every prompt makes one pass through the target. Only Gram matrices and
-column counts are stored, never raw activation matrices; within a sequence
-columns are accumulated one at a time in position order, and sequences are
-consumed in input order, so a given collection is bit-reproducible.
+Every prompt or corpus chunk makes one pass through the target. Only Gram
+matrices and column counts are stored, never raw activation matrices; within
+a sequence columns are accumulated one at a time in position order, and
+sequences are consumed in input order, so a given collection is
+bit-reproducible.
 Prompt-phase and decode-phase Grams are kept separate so one collection pass
 can later serve both prompt-only and decode-aware compression.
 """
@@ -53,7 +55,6 @@ __all__ = [
     "CalibrationConfig",
     "LayerStats",
     "CalibrationSet",
-    "collect_corpus",
     "collect",
     "merged_gram",
     "prompt_digest",
@@ -234,6 +235,24 @@ def _check_prompts(prompts) -> list[list[int]]:
     return seqs
 
 
+def _corpus_chunks(corpus, token_budget, size: int, warnings: list) -> list[list[int]]:
+    """The byte stream cut at ``token_budget`` and split into ``size``-long
+    sequences; a stream shorter than the budget yields what it has and
+    records a warning.
+    """
+    if corpus is None:
+        raise ValidationError("corpus mode requires a byte stream")
+    data = bytes(corpus)
+    if not data:
+        raise ValidationError("corpus stream is empty")
+    if token_budget is not None and len(data) < token_budget:
+        msg = f"corpus exhausted after {len(data)} of {token_budget} requested columns"
+        logger.warning(msg)
+        warnings.append(msg)
+    data = data[:token_budget]
+    return [list(data[i : i + size]) for i in range(0, len(data), size)]
+
+
 def _accumulate(dest: CalibrationSet, captures, start: int, stop: int,
                 phase: str, limit) -> int:
     """Stream captured columns [start, stop), at most ``limit``, into the
@@ -263,34 +282,6 @@ def _child_sampler(sampler: Sampler, index: int) -> Sampler:
     return replace(sampler, seed=int(child.generate_state(1, np.uint64)[0]))
 
 
-def collect_corpus(model: ModelBundle, text, refs, token_budget: int) -> CalibrationSet:
-    """Chunk a byte stream into max_positions-sized sequences and accumulate
-    every position until ``token_budget`` columns are consumed.
-
-    A stream shorter than the budget yields what it has and records a warning
-    in the returned provenance.
-    """
-    data = bytes(text)
-    if not data:
-        raise ValidationError("corpus stream is empty")
-    if token_budget <= 0:
-        raise ValidationError("token_budget must be positive")
-    dest = CalibrationSet.empty(model.config, refs)
-    size = model.config.max_positions
-    offset = 0
-    consumed = 0
-    while consumed < token_budget and offset < len(data):
-        chunk = data[offset : offset + min(size, token_budget - consumed)]
-        offset += len(chunk)
-        _, captures = forward_teacher_forced(model, list(chunk), dest.refs)
-        consumed += _accumulate(dest, captures, 0, len(chunk), "prompt", len(chunk))
-    if consumed < token_budget:
-        msg = (f"corpus exhausted after {consumed} of {token_budget} requested columns")
-        logger.warning(msg)
-        dest.provenance.setdefault("warnings", []).append(msg)
-    return dest
-
-
 def collect(model: ModelBundle, config: CalibrationConfig, refs,
             corpus=None) -> CalibrationSet:
     """Collect the Grams demanded by ``config.mode`` and attach provenance."""
@@ -312,20 +303,16 @@ def collect(model: ModelBundle, config: CalibrationConfig, refs,
         "warnings": [],
     }
     if config.mode == "corpus":
-        if corpus is None:
-            raise ValidationError("corpus mode requires a byte stream")
-        dest = collect_corpus(model, corpus, refs, config.token_budget or len(bytes(corpus)))
-        provenance["warnings"] = dest.provenance.get("warnings", [])
-        dest.provenance = provenance
-        return dest
-
-    prompts = _check_prompts(config.prompts)
-    provenance["prompt_hashes"] = [prompt_digest(p) for p in prompts]
+        prompts = _corpus_chunks(corpus, config.token_budget, model.config.max_positions,
+                                 provenance["warnings"])
+    else:
+        prompts = _check_prompts(config.prompts)
+        provenance["prompt_hashes"] = [prompt_digest(p) for p in prompts]
     dest = CalibrationSet.empty(model.config, refs)
     # A token budget goes to prompt columns first and to decode columns after.
     budget = config.token_budget or math.inf
     prompt_left = min(budget, sum(len(p) for p in prompts))
-    decode_left = 0 if config.mode == "prompt_only" else budget - prompt_left
+    decode_left = 0 if config.mode in ("corpus", "prompt_only") else budget - prompt_left
     source = config.trace_model if config.mode == "off_policy" else model
     for m, prompt in enumerate(prompts):
         if prompt_left == 0 and decode_left == 0:

@@ -9,7 +9,9 @@ fixed offsets (the model generator uses the seed itself, decode sampling uses
 seed + 1). Given identical flags and seeds a command overwrites its outputs
 with byte-identical artifacts; wall-clock data goes to a ``<output>.log``
 sidecar, never into artifact bodies. An optional ``--config <json>`` supplies
-defaults for any flag, with explicit flags taking precedence.
+defaults for any flag, with explicit flags taking precedence; its keys are
+the flag names without the leading dashes, other dashes turned into
+underscores (``--t-max`` is ``"t_max"``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .calibration import (
     CalibrationConfig,
@@ -73,21 +76,33 @@ _DECODE_SEED_OFFSET = 1
 _REQUIRED = object()
 
 
+class _Flag(NamedTuple):
+    """One command-line flag; ``dest`` is its attribute and ``--config`` key."""
+
+    name: str
+    default: object = None
+    type: Callable | None = None
+    choices: tuple | None = None
+    repeat: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    flags: tuple[_Flag, ...]
+
+
+# Every command takes --seed and --config as well as its own flags.
+_SEED = _Flag("--seed", 0, int)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; remap to the validation exit code.
-
-    ``flags`` maps each argument's dest to (action, repeatable), so that
-    ``--config`` values can be parsed like the flags they stand for.
-    """
-
-    def __init__(self, *args, **kwargs):
-        self.flags = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.flags[action.dest] = (action, kwargs.get("action") == "append")
-        return action
+    """argparse exits 2 on bad usage; remap to the validation exit code."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -105,53 +120,64 @@ def _write_sidecar(target, payload: dict) -> None:
     )
 
 
-def _config_value(path, key: str, value, action, repeatable: bool):
+def _command_flags(command: str) -> tuple[_Flag, ...]:
+    return _COMMANDS[command].flags + (_SEED,)
+
+
+def _config_value(path, key: str, value, flag: _Flag):
     """One ``--config`` value, parsed as argparse parses the flag's text."""
-    if repeatable and isinstance(value, list):
-        return [_config_value(path, key, item, action, False) for item in value]
+    if flag.repeat and isinstance(value, list):
+        return [_config_value(path, key, item, flag._replace(repeat=False))
+                for item in value]
     if isinstance(value, (dict, list)):
         raise ValidationError(f"--config {path}: {key} must be a single value, got {value!r}")
     try:
-        parsed = action.type(str(value)) if action.type is not None else str(value)
+        parsed = flag.type(str(value)) if flag.type is not None else str(value)
     except ValueError:
         raise ValidationError(
-            f"--config {path}: {key}: invalid {action.type.__name__} value {value!r}"
+            f"--config {path}: {key}: invalid {flag.type.__name__} value {value!r}"
         ) from None
-    if action.choices is not None and parsed not in action.choices:
+    if flag.choices is not None and parsed not in flag.choices:
         raise ValidationError(
             f"--config {path}: {key}: invalid choice {value!r} "
-            f"(choose from {', '.join(map(str, action.choices))})"
+            f"(choose from {', '.join(map(str, flag.choices))})"
         )
     return parsed
 
 
-def _merge_config(args, parser, defaults: dict) -> None:
-    """Fill unset flags from --config, then from built-in defaults.
+def _merge_config(args) -> None:
+    """Fill unset flags from --config, then from the command table's defaults.
 
     A JSON null in the file counts as not given.
     """
+    flags = {flag.dest: flag for flag in _command_flags(args.command)}
     cfg = {}
     if args.config is not None:
-        raw = Path(args.config).read_text()
+        try:
+            raw = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"--config {args.config}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
         try:
             cfg = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"--config {args.config}: bad JSON ({exc})") from exc
         if not isinstance(cfg, dict):
             raise ValidationError(f"--config {args.config}: expected a JSON object")
-        unknown = sorted(set(cfg) - set(defaults))
+        unknown = sorted(set(cfg) - set(flags))
         if unknown:
             raise ValidationError(
                 f"--config {args.config}: unknown keys {unknown}; "
-                f"allowed: {sorted(defaults)}"
+                f"allowed: {sorted(flags)}"
             )
-        cfg = {key: _config_value(args.config, key, value, *parser.flags[key])
+        cfg = {key: _config_value(args.config, key, value, flags[key])
                for key, value in cfg.items() if value is not None}
-    for key, default in defaults.items():
+    for key, flag in flags.items():
         if getattr(args, key) is None:
-            value = cfg.get(key, default)
+            value = cfg.get(key, flag.default)
             if value is _REQUIRED:
-                parser.error(f"the following argument is required: --{key.replace('_', '-')}")
+                args.command_parser.error(f"the following argument is required: {flag.name}")
             setattr(args, key, value)
 
 
@@ -197,20 +223,7 @@ def _check_input_files(*paths) -> None:
 # ---------------------------------------------------------------------------
 # gen-model
 
-_GEN_DEFAULTS = {
-    "d_model": _REQUIRED,
-    "layers": _REQUIRED,
-    "heads": _REQUIRED,
-    "d_mlp": None,
-    "max_positions": 256,
-    "ln_eps": 1e-5,
-    "seed": 0,
-    "out": _REQUIRED,
-}
-
-
-def _cmd_gen_model(args, parser) -> tuple[int, object, dict]:
-    _merge_config(args, parser, _GEN_DEFAULTS)
+def _cmd_gen_model(args) -> tuple[int, object, dict]:
     d_mlp = args.d_mlp if args.d_mlp is not None else 4 * args.d_model
     config = ModelConfig(
         d_model=args.d_model,
@@ -236,25 +249,7 @@ def _cmd_gen_model(args, parser) -> tuple[int, object, dict]:
 # ---------------------------------------------------------------------------
 # calibrate
 
-_CAL_DEFAULTS = {
-    "model": _REQUIRED,
-    "mode": _REQUIRED,
-    "prompts": None,
-    "corpus": None,
-    "t_max": 0,
-    "sampler": "greedy",
-    "temperature": 1.0,
-    "seed": 0,
-    "trace_model": None,
-    "token_budget": None,
-    "layers": None,
-    "slots": None,
-    "out": _REQUIRED,
-}
-
-
-def _cmd_calibrate(args, parser) -> tuple[int, object, dict]:
-    _merge_config(args, parser, _CAL_DEFAULTS)
+def _cmd_calibrate(args) -> tuple[int, object, dict]:
     mode = str(args.mode).replace("-", "_")
     _check_input_files(args.model, args.prompts, args.corpus, args.trace_model)
     model = load_model(args.model)
@@ -298,25 +293,6 @@ def _cmd_calibrate(args, parser) -> tuple[int, object, dict]:
 # ---------------------------------------------------------------------------
 # prune
 
-_PRUNE_DEFAULTS = {
-    "model": _REQUIRED,
-    "calib": _REQUIRED,
-    "method": _REQUIRED,
-    "sparsity": None,
-    "nm": None,
-    "bits": None,
-    "group_size": None,
-    "block_size": DEFAULT_BLOCK_SIZE,
-    "damp": DEFAULT_DAMP_FRACTION,
-    "calib_mode": None,
-    "layers": None,
-    "slots": None,
-    "out": _REQUIRED,
-    "report": None,
-    "seed": 0,
-}
-
-
 def _pattern_from_flags(args) -> SparsityPattern:
     chosen = [name for name, value in
               (("--sparsity", args.sparsity), ("--nm", args.nm), ("--bits", args.bits))
@@ -338,8 +314,7 @@ def _pattern_from_flags(args) -> SparsityPattern:
     return SparsityPattern.quantize(args.bits, group_size=args.group_size)
 
 
-def _cmd_prune(args, parser) -> tuple[int, object, dict]:
-    _merge_config(args, parser, _PRUNE_DEFAULTS)
+def _cmd_prune(args) -> tuple[int, object, dict]:
     _check_input_files(args.model, args.calib)
     pattern = _pattern_from_flags(args)
     model = load_model(args.model)
@@ -397,16 +372,6 @@ def _cmd_prune(args, parser) -> tuple[int, object, dict]:
 # ---------------------------------------------------------------------------
 # diagnose
 
-_DIAG_DEFAULTS = {
-    "dense": _REQUIRED,
-    "compressed": _REQUIRED,
-    "prompts": _REQUIRED,
-    "t_max": 128,
-    "out_dir": _REQUIRED,
-    "seed": 0,
-}
-
-
 def _parse_labeled_models(specs) -> list[tuple[str, str]]:
     if isinstance(specs, str):
         specs = [specs]
@@ -424,8 +389,7 @@ def _parse_labeled_models(specs) -> list[tuple[str, str]]:
     return pairs
 
 
-def _cmd_diagnose(args, parser) -> tuple[int, object, dict]:
-    _merge_config(args, parser, _DIAG_DEFAULTS)
+def _cmd_diagnose(args) -> tuple[int, object, dict]:
     pairs = _parse_labeled_models(args.compressed)
     if not 1 <= len(pairs) <= 2:
         raise ValidationError(
@@ -480,17 +444,7 @@ def _cmd_diagnose(args, parser) -> tuple[int, object, dict]:
 # ---------------------------------------------------------------------------
 # eval
 
-_EVAL_DEFAULTS = {
-    "model": _REQUIRED,
-    "text": _REQUIRED,
-    "budget": 4096,
-    "out": None,
-    "seed": 0,
-}
-
-
-def _cmd_eval(args, parser) -> tuple[int, object, dict]:
-    _merge_config(args, parser, _EVAL_DEFAULTS)
+def _cmd_eval(args) -> tuple[int, object, dict]:
     _check_input_files(args.model, args.text)
     model = load_model(args.model)
     result = eval_nll(model, Path(args.text).read_bytes(), args.budget)
@@ -505,86 +459,84 @@ def _cmd_eval(args, parser) -> tuple[int, object, dict]:
 
 # ---------------------------------------------------------------------------
 
+# The one declaration of each command: its handler, its help line and its
+# flags in --help order, each with its default (or _REQUIRED) and its type.
+_COMMANDS = {
+    "gen-model": _Command(_cmd_gen_model, "generate a seeded random model", (
+        _Flag("--d-model", _REQUIRED, int),
+        _Flag("--layers", _REQUIRED, int),
+        _Flag("--heads", _REQUIRED, int),
+        _Flag("--d-mlp", None, int),
+        _Flag("--max-positions", 256, int),
+        _Flag("--ln-eps", 1e-5, float),
+        _Flag("--out", _REQUIRED),
+    )),
+    "calibrate": _Command(_cmd_calibrate, "collect per-layer Gram statistics", (
+        _Flag("--model", _REQUIRED),
+        _Flag("--mode", _REQUIRED, choices=("corpus", "prompt-only", "rac", "off-policy")),
+        _Flag("--prompts"),
+        _Flag("--corpus"),
+        _Flag("--t-max", 0, int),
+        _Flag("--sampler", "greedy", choices=("greedy", "temperature")),
+        _Flag("--temperature", 1.0, float),
+        _Flag("--trace-model"),
+        _Flag("--token-budget", None, int),
+        _Flag("--layers"),
+        _Flag("--slots"),
+        _Flag("--out", _REQUIRED),
+    )),
+    "prune": _Command(_cmd_prune, "compress a model against calibration data", (
+        _Flag("--model", _REQUIRED),
+        _Flag("--calib", _REQUIRED),
+        _Flag("--method", _REQUIRED, choices=("magnitude", "wanda", "obs", "obs-quant")),
+        _Flag("--sparsity", None, float),
+        _Flag("--nm"),
+        _Flag("--bits", None, int),
+        _Flag("--group-size", None, int),
+        _Flag("--block-size", DEFAULT_BLOCK_SIZE, int),
+        _Flag("--damp", DEFAULT_DAMP_FRACTION, float),
+        _Flag("--calib-mode", choices=("prompt-only", "rac", "corpus")),
+        _Flag("--layers"),
+        _Flag("--slots"),
+        _Flag("--out", _REQUIRED),
+        _Flag("--report"),
+    )),
+    "diagnose": _Command(_cmd_diagnose, "tokenwise error traces on held-out rollouts", (
+        _Flag("--dense", _REQUIRED),
+        _Flag("--compressed", _REQUIRED, repeat=True,
+              help="label=path; repeat for a second model"),
+        _Flag("--prompts", _REQUIRED),
+        _Flag("--t-max", 128, int),
+        _Flag("--out-dir", _REQUIRED),
+    )),
+    "eval": _Command(_cmd_eval, "teacher-forced NLL over a byte stream", (
+        _Flag("--model", _REQUIRED),
+        _Flag("--text", _REQUIRED),
+        _Flag("--budget", 4096, int),
+        _Flag("--out"),
+    )),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rackit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    # dest also names the command argument in argparse's usage errors.
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    gen = sub.add_parser("gen-model", help="generate a seeded random model")
-    gen.add_argument("--d-model", dest="d_model", type=int)
-    gen.add_argument("--layers", type=int)
-    gen.add_argument("--heads", type=int)
-    gen.add_argument("--d-mlp", dest="d_mlp", type=int)
-    gen.add_argument("--max-positions", dest="max_positions", type=int)
-    gen.add_argument("--ln-eps", dest="ln_eps", type=float)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--out")
-    gen.add_argument("--config")
-    gen.set_defaults(handler=_cmd_gen_model, command_parser=gen)
-
-    cal = sub.add_parser("calibrate", help="collect per-layer Gram statistics")
-    cal.add_argument("--model")
-    cal.add_argument("--mode", choices=["corpus", "prompt-only", "rac", "off-policy"])
-    cal.add_argument("--prompts")
-    cal.add_argument("--corpus")
-    cal.add_argument("--t-max", dest="t_max", type=int)
-    cal.add_argument("--sampler", choices=["greedy", "temperature"])
-    cal.add_argument("--temperature", type=float)
-    cal.add_argument("--seed", type=int)
-    cal.add_argument("--trace-model", dest="trace_model")
-    cal.add_argument("--token-budget", dest="token_budget", type=int)
-    cal.add_argument("--layers")
-    cal.add_argument("--slots")
-    cal.add_argument("--out")
-    cal.add_argument("--config")
-    cal.set_defaults(handler=_cmd_calibrate, command_parser=cal)
-
-    prn = sub.add_parser("prune", help="compress a model against calibration data")
-    prn.add_argument("--model")
-    prn.add_argument("--calib")
-    prn.add_argument("--method", choices=["magnitude", "wanda", "obs", "obs-quant"])
-    prn.add_argument("--sparsity", type=float)
-    prn.add_argument("--nm")
-    prn.add_argument("--bits", type=int)
-    prn.add_argument("--group-size", dest="group_size", type=int)
-    prn.add_argument("--block-size", dest="block_size", type=int)
-    prn.add_argument("--damp", type=float)
-    prn.add_argument("--calib-mode", dest="calib_mode",
-                     choices=["prompt-only", "rac", "corpus"])
-    prn.add_argument("--layers")
-    prn.add_argument("--slots")
-    prn.add_argument("--out")
-    prn.add_argument("--report")
-    prn.add_argument("--seed", type=int)
-    prn.add_argument("--config")
-    prn.set_defaults(handler=_cmd_prune, command_parser=prn)
-
-    dia = sub.add_parser("diagnose", help="tokenwise error traces on held-out rollouts")
-    dia.add_argument("--dense")
-    dia.add_argument("--compressed", action="append",
-                     help="label=path; repeat for a second model")
-    dia.add_argument("--prompts")
-    dia.add_argument("--t-max", dest="t_max", type=int)
-    dia.add_argument("--out-dir", dest="out_dir")
-    dia.add_argument("--seed", type=int)
-    dia.add_argument("--config")
-    dia.set_defaults(handler=_cmd_diagnose, command_parser=dia)
-
-    ev = sub.add_parser("eval", help="teacher-forced NLL over a byte stream")
-    ev.add_argument("--model")
-    ev.add_argument("--text")
-    ev.add_argument("--budget", type=int)
-    ev.add_argument("--out")
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--config")
-    ev.set_defaults(handler=_cmd_eval, command_parser=ev)
-
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for flag in _command_flags(name):
+            cmd.add_argument(flag.name, type=flag.type, choices=flag.choices,
+                             action="append" if flag.repeat else "store", help=flag.help)
+        cmd.add_argument("--config")
+        cmd.set_defaults(command_parser=cmd)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
+    Unset flags are filled from ``--config`` and the command table first.
     Each handler returns (exit code, sidecar target or None, extra sidecar
     fields); the timing fields every sidecar carries are recorded here.
     """
@@ -593,7 +545,8 @@ def main(argv=None) -> int:
     started = _utc_now()
     t0 = time.perf_counter()
     try:
-        code, target, extra = args.handler(args, args.command_parser)
+        _merge_config(args)
+        code, target, extra = _COMMANDS[args.command].handler(args)
         if target is not None:
             _write_sidecar(target, {
                 "command": args.command,

@@ -45,6 +45,7 @@ from .model import (
     apply_compressed,
     get_weight,
     model_content_hash,
+    slot_input_dim,
     sort_refs,
 )
 from .numkernel import SymMatrix, cholesky, dampen, inverse_via_cholesky
@@ -525,6 +526,17 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         raise ValidationError(f"calibration set lacks refs: {missing}")
     for ref in refs:
         st = calib.stats[ref]
+        if ref.layer_index >= model.config.n_layers:
+            raise ValidationError(
+                f"calibration ref {ref} is out of range for a "
+                f"{model.config.n_layers}-layer model"
+            )
+        width = slot_input_dim(model.config, ref.slot)
+        if st.gram_prompt.dim != width:
+            raise ValidationError(
+                f"calibration ref {ref} has a {st.gram_prompt.dim}-wide Gram, "
+                f"but the model's {ref.slot} input is {width} wide"
+            )
         if mode == "rac" and st.n_decode == 0:
             raise ValidationError(
                 f"mode 'rac' requires decode columns, but {ref} has none"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -68,8 +69,9 @@ class ModelConfig:
             raise ValidationError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"
             )
-        if self.layernorm_epsilon <= 0:
-            raise ValidationError("layernorm_epsilon must be positive")
+        eps = self.layernorm_epsilon
+        if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
+            raise ValidationError(f"layernorm_epsilon must be finite and positive, got {eps!r}")
 
     @property
     def head_dim(self) -> int:

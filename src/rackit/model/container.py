@@ -110,7 +110,10 @@ def save_model(bundle: ModelBundle, path) -> None:
     write_container(path, MAGIC, manifest, parts)
 
 
-def _read_tensor(blob: bytes, directory: dict, name: str, expected_shape) -> np.ndarray:
+def _read_tensor(blob: bytes, directory: dict, name: str, expected_shape,
+                 expected_offset: int) -> np.ndarray:
+    """One tensor, which must sit at ``expected_offset``: tensors are packed
+    in ``tensor_schema`` order, as :func:`save_model` writes them."""
     entry = directory.get(name)
     if entry is None:
         raise ContainerError(f"tensor {name!r} missing from container")
@@ -123,6 +126,10 @@ def _read_tensor(blob: bytes, directory: dict, name: str, expected_shape) -> np.
     if entry.get("length") != count * 4:
         raise ContainerError(f"tensor {name!r} length does not match its shape")
     offset = manifest_count(entry, "offset", f"tensor {name!r}")
+    if offset != expected_offset:
+        raise ContainerError(
+            f"tensor {name!r} at offset {offset}, expected {expected_offset}"
+        )
     if offset + count * 4 > len(blob):
         raise ContainerError(f"tensor {name!r} overruns the data blob")
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
@@ -140,9 +147,11 @@ def load_model(path) -> ModelBundle:
         raise ContainerError(f"{path}: tensor directory must be an object")
 
     top, blocks = {}, {}
+    offset = 0
     for name, layer, field, shape in tensor_schema(config):
         owner = top if layer is None else blocks.setdefault(layer, {})
-        owner[field] = _read_tensor(blob, directory, name, shape)
+        owner[field] = _read_tensor(blob, directory, name, shape, offset)
+        offset += owner[field].size * 4
     bundle = ModelBundle(
         config=config,
         layers=[LayerWeights(**fields) for fields in blocks.values()],

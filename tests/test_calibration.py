@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 from dataclasses import replace
@@ -9,7 +10,6 @@ from rackit.calibration import (
     CalibrationConfig,
     CalibrationSet,
     collect,
-    collect_corpus,
     load_prompt_file,
     merged_gram,
 )
@@ -38,6 +38,11 @@ def _materialized_gram(model, sequences, ref, start_at=0):
         g = rows.T @ rows
         total = g if total is None else total + g
     return total
+
+
+def _corpus(model, data, refs, token_budget):
+    return collect(model, CalibrationConfig(mode="corpus", token_budget=token_budget),
+                   refs, corpus=data)
 
 
 def _prompt_only(model, prompts, refs, token_budget=None):
@@ -293,11 +298,35 @@ class TestSinglePass:
         assert got.content_digest() == _PINNED_DIGESTS[(mode, sampler, budget)]
 
 
+# sha256 of the saved .racc of collect(corpus) over all refs of the tiny
+# model, keyed by (stream length, token budget); the stream is
+# default_rng(length).integers(0, 256, length). Computed with the separate
+# corpus collector that corpus mode used to run.
+_PINNED_CORPUS = {
+    (500, 200): "0efeefb2394b7b5da69f27350efe776b5c463676c31e883e711d0f6c227a49c3",
+    (130, 1000): "2540c46d25928d3ece059e95766509c7cc74baeaaa20dd6a2737a29fa9a56878",
+    (64, None): "1b6ae64f6b5e00e7a95eb7c0e15206243796b18c1bd96b77b96e22eee1249a4e",
+    (65, None): "fc507a50c4aa61885ccb2a69b4d001752dc842cf567909ff937bb30c18c5b85e",
+    (300, 65): "716766df0c94d088b3b69101c6aaffef1c207329bb7ccab447e4ae3e1db1cf93",
+    (1, None): "2d405560823b988c2de3ea00b7d89b187947a0eb962ea23c7add5bc7eebc3e9f",
+    (128, 128): "cb273135ec40d83c075a58d6f228e9eb532fbcbbaf311d0bfb0426a7246ab93a",
+}
+
+
 class TestCorpus:
+    @pytest.mark.parametrize("length, budget", sorted(_PINNED_CORPUS, key=str))
+    def test_saved_bytes_are_pinned(self, tiny_model, tmp_path, length, budget):
+        data = bytes(np.random.default_rng(length).integers(0, 256, size=length).tolist())
+        calib = _corpus(tiny_model, data, all_refs(tiny_model.config), budget)
+        calib.save(tmp_path / "c.racc")
+        digest = hashlib.sha256((tmp_path / "c.racc").read_bytes()).hexdigest()
+        assert digest == _PINNED_CORPUS[(length, budget)]
+        assert calib.provenance["prompt_hashes"] == []
+
     def test_budget_arithmetic_is_exact(self, tiny_model, rng):
         data = bytes(rng.integers(1, 256, size=500).tolist())
         refs = all_refs(tiny_model.config)[:2]
-        calib = collect_corpus(tiny_model, data, refs, token_budget=200)
+        calib = _corpus(tiny_model, data, refs, token_budget=200)
         st = calib.stats[refs[0]]
         assert st.n_prompt == 200
         assert st.n_decode == 0
@@ -312,14 +341,17 @@ class TestCorpus:
         data = bytes(rng.integers(1, 256, size=130).tolist())
         refs = all_refs(tiny_model.config)[:1]
         with caplog.at_level(logging.WARNING):
-            calib = collect_corpus(tiny_model, data, refs, token_budget=1000)
+            calib = _corpus(tiny_model, data, refs, token_budget=1000)
         assert calib.stats[refs[0]].n_prompt == 130
-        assert calib.provenance["warnings"]
+        assert calib.provenance["warnings"] == [
+            "corpus exhausted after 130 of 1000 requested columns"]
         assert any("130" in r.message for r in caplog.records)
 
     def test_empty_stream_rejected(self, tiny_model):
         with pytest.raises(ValidationError):
-            collect_corpus(tiny_model, b"", all_refs(tiny_model.config), 10)
+            _corpus(tiny_model, b"", all_refs(tiny_model.config), 10)
+        with pytest.raises(ValidationError):
+            _corpus(tiny_model, None, all_refs(tiny_model.config), 10)
 
     def test_collect_mode_corpus_round_trip(self, tiny_model, rng):
         data = bytes(rng.integers(1, 256, size=100).tolist())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rackit.calibration import CalibrationSet
-from rackit.cli import main
+from rackit.cli import _COMMANDS, _REQUIRED, _command_flags, _merge_config, build_parser, main
 from rackit.model import load_model, model_content_hash
 
 
@@ -67,6 +67,11 @@ class TestGenModel:
         assert run(["gen-model", "--d-model", "10", "--layers", "1",
                     "--heads", "4", "--out", str(tmp_path / "x.tmc")]) == 1
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_ln_eps_must_be_finite_and_positive(self, tmp_path, eps):
+        assert run(["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2",
+                    "--ln-eps", eps, "--out", str(tmp_path / "x.tmc")]) == 1
+
     def test_unknown_subcommand(self):
         assert run(["transmogrify"]) == 1
 
@@ -126,6 +131,55 @@ class TestConfigFile:
         assert run([command, *flags, "--config", str(path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(path) in err[0] and next(iter(cfg)) in err[0]
+
+    def test_config_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert run(["gen-model", "--config", str(cfg),
+                    "--out", str(tmp_path / "x.tmc")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(cfg) in err[0]
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in _COMMANDS for flag in _command_flags(command)
+    ], ids=lambda item: getattr(item, "name", item))
+    def test_every_flag_can_come_from_config(self, tmp_path, command, flag):
+        """--config {key: value}, with the value as JSON or as its text,
+        parses to the namespace that --flag value gives."""
+        others = [arg for other in _command_flags(command)
+                  if other.default is _REQUIRED and other != flag
+                  for arg in _flag_argv(other, _sample_value(other))]
+        value = _sample_value(flag)
+
+        def parsed(argv):
+            args = build_parser().parse_args([command, *others, *argv])
+            _merge_config(args)
+            del args.command_parser, args.config
+            return vars(args)
+
+        def from_config(value):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag.dest: value}))
+            return parsed(["--config", str(cfg)])
+
+        direct = parsed(_flag_argv(flag, value))
+        assert direct[flag.dest] not in (None, flag.default)
+        assert from_config(value) == direct
+        assert from_config(value if flag.repeat else str(value)) == direct
+
+
+def _sample_value(flag):
+    """A valid JSON value for the flag that differs from its default."""
+    if flag.repeat:
+        return ["a=x.tmc", "b=y.tmc"]
+    if flag.choices is not None:
+        return flag.choices[-1]
+    return {int: 3, float: 0.25, None: "text"}[flag.type]
+
+
+def _flag_argv(flag, value):
+    return [arg for item in (value if flag.repeat else [value])
+            for arg in (flag.name, str(item))]
 
 
 class TestCalibrate:
@@ -277,6 +331,22 @@ class TestPrune:
                     "--method", "obs", "--sparsity", "0.5",
                     "--out", str(tmp_path / "x.tmc")]) == 1
 
+    def test_calibration_ref_width_checked_against_model(self, ws, tmp_path, capsys):
+        """A .racc without a model hash, from a narrower model, fails before
+        compressing, with the ref named."""
+        wide = tmp_path / "wide.tmc"
+        assert run(["gen-model", "--d-model", "32", "--layers", "1", "--heads", "2",
+                    "--max-positions", "64", "--out", str(wide)]) == 0
+        calib = CalibrationSet.load(ws["calib"])
+        del calib.provenance["model_hash"]
+        calib.save(tmp_path / "anon.racc")
+        capsys.readouterr()
+        assert run(["prune", "--model", str(wide), "--calib", str(tmp_path / "anon.racc"),
+                    "--method", "magnitude", "--sparsity", "0.5",
+                    "--out", str(tmp_path / "x.tmc")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "0.attn_q" in err[0]
+
     def test_singular_gram_without_damping_is_numerical_error(self, ws, tmp_path):
         assert run(["prune", "--model", str(ws["model"]), "--calib",
                     str(ws["calib"]), "--method", "obs", "--sparsity", "0.5",
@@ -294,13 +364,16 @@ class TestPrune:
         ("model", lambda m, blob: m.update(tensors=list(m["tensors"].values()))),
         ("model", lambda m, blob: m["config"].update(d_model=7)),
         ("model", lambda m, blob: m["config"].update(d_model=16.0)),
+        ("model", lambda m, blob: m["config"].update(layernorm_epsilon=float("nan"))),
+        ("model", lambda m, blob: m["tensors"]["layers.0.attn_q"].update(offset=0)),
         ("calib", lambda m, blob: m["refs"][0].pop("layer")),
         ("calib", lambda m, blob: m["refs"].__setitem__(1, dict(m["refs"][0]))),
         ("calib", lambda m, blob: blob.__setitem__(
             slice(m["refs"][0]["offset_prompt"], m["refs"][0]["offset_prompt"] + 8),
             struct.pack("<d", float("nan")))),
     ], ids=["tmc-negative-offset", "tmc-missing-shape", "tmc-tensors-list",
-            "tmc-heads-do-not-divide", "tmc-float-d-model", "racc-ref-without-layer",
+            "tmc-heads-do-not-divide", "tmc-float-d-model", "tmc-nan-ln-eps",
+            "tmc-offset-off-layout", "racc-ref-without-layer",
             "racc-duplicate-ref", "racc-nan-gram"])
     def test_malformed_manifest_exits_3(self, ws, tmp_path, capsys, which, mutate):
         """Each mutation of a good container exits 3 with a one-line message.

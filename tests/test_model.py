@@ -46,6 +46,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             small_config(n_layers=0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_layernorm_epsilon_finite_and_positive(self, eps):
+        with pytest.raises(ValidationError):
+            small_config(layernorm_epsilon=eps)
+
 
 class TestGenerate:
     def test_same_seed_same_weights(self):
