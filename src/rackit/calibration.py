@@ -44,7 +44,13 @@ from .model import (
     slot_input_dim,
     sort_refs,
 )
-from .model.container import manifest_count, read_container, write_container
+from .model.container import (
+    manifest_count,
+    pack_arrays,
+    read_container,
+    unpack_array,
+    write_container,
+)
 from .model.runtime import GREEDY, Sampler
 from .numkernel import SymMatrix, accumulate_gram
 
@@ -130,24 +136,21 @@ class CalibrationSet:
         return h.hexdigest()
 
     def save(self, path) -> None:
-        refs_meta = []
-        parts = []
-        offset = 0
-        for ref, st in self.stats.items():
-            bp = np.ascontiguousarray(st.gram_prompt.data, dtype="<f8").tobytes()
-            bd = np.ascontiguousarray(st.gram_decode.data, dtype="<f8").tobytes()
-            refs_meta.append({
+        grams = [g.data for st in self.stats.values() for g in (st.gram_prompt, st.gram_decode)]
+        parts, offsets = pack_arrays(grams, "<f8")
+        refs_meta = [
+            {
                 "layer": ref.layer_index,
                 "slot": ref.slot,
                 "dim": st.gram_prompt.dim,
                 "n_prompt": st.n_prompt,
                 "n_decode": st.n_decode,
-                "offset_prompt": offset,
-                "offset_decode": offset + len(bp),
-                "length": len(bp),
-            })
-            parts.extend((bp, bd))
-            offset += len(bp) + len(bd)
+                "offset_prompt": offsets[2 * i],
+                "offset_decode": offsets[2 * i + 1],
+                "length": len(parts[2 * i]),
+            }
+            for i, (ref, st) in enumerate(self.stats.items())
+        ]
         manifest = {
             "format": "RACC",
             "version": 1,
@@ -163,6 +166,7 @@ class CalibrationSet:
         if not isinstance(refs_meta, list):
             raise ContainerError(f"{path}: refs must be a list")
         stats = {}
+        end = 0
         for i, meta in enumerate(refs_meta):
             what = f"{path}: ref entry {i}"
             try:
@@ -172,25 +176,17 @@ class CalibrationSet:
             if ref in stats:
                 raise ContainerError(f"{path}: duplicate ref {ref}")
             dim = manifest_count(meta, "dim", what)
-            need = dim * dim * 8
-            if meta.get("length") != need:
-                raise ContainerError(f"{path}: Gram size mismatch for {ref}")
-
-            def gram(key):
-                off = manifest_count(meta, key, what)
-                if off + need > len(blob):
-                    raise ContainerError(f"{path}: Gram data for {ref} overruns blob")
-                data = np.frombuffer(blob, dtype="<f8", count=dim * dim, offset=off)
-                data = data.reshape(dim, dim).copy()
+            grams = []
+            for key in ("offset_prompt", "offset_decode"):
+                data, end = unpack_array(blob, meta, key, end, (dim, dim), "<f8",
+                                         f"{path}: Gram for {ref}")
                 if not (np.isfinite(data).all() and (data == data.T).all()):
                     raise ContainerError(
                         f"{path}: Gram for {ref} is not finite and symmetric"
                     )
-                return SymMatrix(dim, data)
-
+                grams.append(SymMatrix(dim, data.copy()))
             stats[ref] = LayerStats(
-                gram_prompt=gram("offset_prompt"),
-                gram_decode=gram("offset_decode"),
+                *grams,
                 n_prompt=manifest_count(meta, "n_prompt", what),
                 n_decode=manifest_count(meta, "n_decode", what),
             )

@@ -80,7 +80,6 @@ class SparsityPattern:
     n: int = 0
     m: int = 0
     bits: int = 0
-    symmetric: bool = True
     group_size: int | None = None
 
     def __post_init__(self):
@@ -109,17 +108,16 @@ class SparsityPattern:
         return cls(kind="semi_structured", n=int(n), m=int(m))
 
     @classmethod
-    def quantize(cls, bits: int, symmetric: bool = True,
-                 group_size: int | None = None) -> "SparsityPattern":
-        return cls(kind="quantize", bits=int(bits), symmetric=bool(symmetric),
-                   group_size=group_size)
+    def quantize(cls, bits: int, group_size: int | None = None) -> "SparsityPattern":
+        return cls(kind="quantize", bits=int(bits), group_size=group_size)
 
     def describe(self) -> dict:
         if self.kind == "unstructured":
             return {"kind": self.kind, "sparsity": self.sparsity}
         if self.kind == "semi_structured":
             return {"kind": self.kind, "n": self.n, "m": self.m}
-        return {"kind": self.kind, "bits": self.bits, "symmetric": self.symmetric,
+        # Every grid is symmetric; the key stays so reports and provenance keep their bytes.
+        return {"kind": self.kind, "bits": self.bits, "symmetric": True,
                 "group_size": self.group_size}
 
 
@@ -358,8 +356,6 @@ def _quantize_obs_impl(weights, gram: SymMatrix, pattern: SparsityPattern,
         raise ValidationError(f"weights must be 2-D, got shape {W.shape}")
     if pattern.kind != "quantize":
         raise ValidationError("quantize_obs requires a quantize pattern")
-    if not pattern.symmetric:
-        raise ValidationError("only symmetric quantization grids are supported")
     _check_obs_args(W, gram, pattern, block_size)
     d_in = W.shape[1]
     gs = pattern.group_size

@@ -195,45 +195,21 @@ def generate_model(config: ModelConfig, seed: int) -> ModelBundle:
 
     Matrix weights are standard normal scaled by 1/sqrt(d_model) and snapped
     to float32 so container round-trips are lossless; norm gains start at one
-    and biases at zero. The draw order below is part of the determinism
-    contract and must not change.
+    and biases at zero. Matrices are drawn in ``tensor_schema`` order; that
+    draw order is part of the determinism contract and must not change.
     """
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(config.d_model)
 
-    def draw(*shape):
+    def make(name, field, shape):
+        if field.endswith("_gain"):
+            return np.ones(shape)
+        if field.endswith("_bias"):
+            return np.zeros(shape)
         w = rng.standard_normal(shape) * scale
         return w.astype(np.float32).astype(np.float64)
 
-    token_embedding = draw(config.vocab_size, config.d_model)
-    position_embedding = draw(config.max_positions, config.d_model)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerWeights(
-                ln1_gain=np.ones(config.d_model),
-                ln1_bias=np.zeros(config.d_model),
-                attn_q=draw(config.d_model, config.d_model),
-                attn_k=draw(config.d_model, config.d_model),
-                attn_v=draw(config.d_model, config.d_model),
-                attn_out=draw(config.d_model, config.d_model),
-                ln2_gain=np.ones(config.d_model),
-                ln2_bias=np.zeros(config.d_model),
-                mlp_up=draw(config.d_mlp, config.d_model),
-                mlp_down=draw(config.d_model, config.d_mlp),
-            )
-        )
-    output_projection = draw(config.vocab_size, config.d_model)
-    return ModelBundle(
-        config=config,
-        token_embedding=token_embedding,
-        position_embedding=position_embedding,
-        layers=layers,
-        final_norm_gain=np.ones(config.d_model),
-        final_norm_bias=np.zeros(config.d_model),
-        output_projection=output_projection,
-        provenance={"kind": "random", "seed": int(seed)},
-    )
+    return assemble_bundle(config, make, {"kind": "random", "seed": int(seed)})
 
 
 # Per-block tensors in canonical order: (name suffix, LayerWeights field).
@@ -268,6 +244,22 @@ def tensor_schema(config: ModelConfig):
     yield "final_norm.gain", None, "final_norm_gain", (d,)
     yield "final_norm.bias", None, "final_norm_bias", (d,)
     yield "output_projection", None, "output_projection", (vocab, d)
+
+
+def assemble_bundle(config: ModelConfig, make, provenance: dict) -> ModelBundle:
+    """Bundle whose tensors are ``make(name, field, shape)``, called once per
+    tensor in ``tensor_schema`` order; blocks are filled as the walk goes, so
+    a ``make`` that raises stops at that tensor."""
+    top, blocks = {}, {}
+    for name, layer, field, shape in tensor_schema(config):
+        owner = top if layer is None else blocks.setdefault(layer, {})
+        owner[field] = make(name, field, shape)
+    return ModelBundle(
+        config=config,
+        layers=[LayerWeights(**fields) for fields in blocks.values()],
+        provenance=provenance,
+        **top,
+    )
 
 
 def named_tensors(bundle: ModelBundle):

@@ -4,17 +4,20 @@ Layout: magic ``TMC1``, an unsigned 64-bit little-endian manifest length, the
 UTF-8 JSON manifest, then one blob of little-endian float32 tensor data. The
 manifest records the model config, a tensor directory mapping each name to
 {shape, offset, length} (offsets relative to the blob start, tensors
-concatenated in directory order), and free-form provenance. Tensors are
-row-major. Saving is atomic (temp file + rename) and re-saving a loaded
+concatenated in ``tensor_schema`` order), and free-form provenance. Tensors
+are row-major. Saving is atomic (temp file + rename) and re-saving a loaded
 bundle reproduces the input bytes exactly.
 
-The calibration container (``RACC``) shares this framing; ``write_container``
-and ``read_container`` implement it for both.
+The calibration container (``RACC``) shares this framing, which
+``write_container`` and ``read_container`` implement, and the packing rule
+of the blob, which ``pack_arrays`` and ``unpack_array`` implement: arrays
+back to back in table order, so a stored offset off that layout is an error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -23,12 +26,11 @@ import numpy as np
 
 from ..errors import ContainerError, ValidationError
 from .bundle import (
-    LayerWeights,
     ModelBundle,
     ModelConfig,
+    assemble_bundle,
     config_as_dict,
     named_tensors,
-    tensor_schema,
     validate_bundle,
 )
 
@@ -39,6 +41,8 @@ __all__ = [
     "write_container",
     "read_container",
     "manifest_count",
+    "pack_arrays",
+    "unpack_array",
 ]
 
 MAGIC = b"TMC1"
@@ -91,15 +95,48 @@ def manifest_count(entry, key: str, what: str) -> int:
     return value
 
 
+def pack_arrays(arrays, dtype: str) -> tuple[list[bytes], list[int]]:
+    """The packing rule of both containers: arrays sit back to back in the
+    order given, as raw ``dtype`` bytes. Returns (parts, offset of each part
+    in the blob)."""
+    parts, offsets, offset = [], [], 0
+    for arr in arrays:
+        parts.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        offsets.append(offset)
+        offset += len(parts[-1])
+    return parts, offsets
+
+
+def unpack_array(blob: bytes, entry, key: str, expected_offset: int, shape, dtype: str,
+                 what: str) -> tuple[np.ndarray, int]:
+    """The read-only array that ``entry[key]`` locates in ``blob``, and the
+    offset where the next array must start.
+
+    Under :func:`pack_arrays` the array sits at ``expected_offset``, the end
+    of the one before it; ``entry["length"]`` must be its byte size and it
+    must fit in the blob. ``what`` names the array and starts with the file
+    path, as every error raised here does.
+    """
+    offset = manifest_count(entry, key, what)
+    if offset != expected_offset:
+        raise ContainerError(f"{what}: {key!r} is {offset}, expected {expected_offset}")
+    count = math.prod(shape)
+    size = count * np.dtype(dtype).itemsize
+    if entry.get("length") != size:
+        raise ContainerError(f"{what}: length does not match shape {tuple(shape)}")
+    if offset + size > len(blob):
+        raise ContainerError(f"{what} overruns the data blob")
+    array = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
+    return array, offset + size
+
+
 def save_model(bundle: ModelBundle, path) -> None:
-    directory = {}
-    parts = []
-    offset = 0
-    for name, arr in named_tensors(bundle):
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        directory[name] = {"shape": list(arr.shape), "offset": offset, "length": len(raw)}
-        parts.append(raw)
-        offset += len(raw)
+    names, arrays = zip(*named_tensors(bundle))
+    parts, offsets = pack_arrays(arrays, "<f4")
+    directory = {
+        name: {"shape": list(arr.shape), "offset": offset, "length": len(raw)}
+        for name, arr, raw, offset in zip(names, arrays, parts, offsets)
+    }
     manifest = {
         "format": "TMC",
         "version": 1,
@@ -108,32 +145,6 @@ def save_model(bundle: ModelBundle, path) -> None:
         "provenance": bundle.provenance,
     }
     write_container(path, MAGIC, manifest, parts)
-
-
-def _read_tensor(blob: bytes, directory: dict, name: str, expected_shape,
-                 expected_offset: int) -> np.ndarray:
-    """One tensor, which must sit at ``expected_offset``: tensors are packed
-    in ``tensor_schema`` order, as :func:`save_model` writes them."""
-    entry = directory.get(name)
-    if entry is None:
-        raise ContainerError(f"tensor {name!r} missing from container")
-    shape = entry.get("shape") if isinstance(entry, dict) else None
-    if shape != list(expected_shape):
-        raise ContainerError(
-            f"tensor {name!r} has shape {shape}, expected {tuple(expected_shape)}"
-        )
-    count = int(np.prod(expected_shape))
-    if entry.get("length") != count * 4:
-        raise ContainerError(f"tensor {name!r} length does not match its shape")
-    offset = manifest_count(entry, "offset", f"tensor {name!r}")
-    if offset != expected_offset:
-        raise ContainerError(
-            f"tensor {name!r} at offset {offset}, expected {expected_offset}"
-        )
-    if offset + count * 4 > len(blob):
-        raise ContainerError(f"tensor {name!r} overruns the data blob")
-    flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    return flat.astype(np.float64).reshape(expected_shape)
 
 
 def load_model(path) -> ModelBundle:
@@ -145,19 +156,21 @@ def load_model(path) -> ModelBundle:
     directory = manifest.get("tensors", {})
     if not isinstance(directory, dict):
         raise ContainerError(f"{path}: tensor directory must be an object")
+    end = 0
 
-    top, blocks = {}, {}
-    offset = 0
-    for name, layer, field, shape in tensor_schema(config):
-        owner = top if layer is None else blocks.setdefault(layer, {})
-        owner[field] = _read_tensor(blob, directory, name, shape, offset)
-        offset += owner[field].size * 4
-    bundle = ModelBundle(
-        config=config,
-        layers=[LayerWeights(**fields) for fields in blocks.values()],
-        provenance=manifest.get("provenance", {}),
-        **top,
-    )
+    def read(name, field, shape):
+        nonlocal end
+        what = f"{path}: tensor {name!r}"
+        entry = directory.get(name)
+        if entry is None:
+            raise ContainerError(f"{what} missing from container")
+        stored = entry.get("shape") if isinstance(entry, dict) else None
+        if stored != list(shape):
+            raise ContainerError(f"{what} has shape {stored}, expected {shape}")
+        array, end = unpack_array(blob, entry, "offset", end, shape, "<f4", what)
+        return array.astype(np.float64)
+
+    bundle = assemble_bundle(config, read, manifest.get("provenance", {}))
     try:
         validate_bundle(bundle)
     except ValidationError as exc:

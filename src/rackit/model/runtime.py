@@ -53,14 +53,13 @@ GREEDY = Sampler()
 
 
 class DecodeState:
-    """Single-owner incremental state: tokens so far plus per-layer KV cache.
+    """Single-owner incremental state: the position reached plus per-layer KV cache.
 
     The cache holds exactly ``position`` filled rows per layer.
     """
 
     def __init__(self, model: ModelBundle):
         cfg = model.config
-        self.tokens: list[int] = []
         self.position = 0
         shape = (cfg.max_positions, cfg.n_heads, cfg.head_dim)
         self._k = [np.empty(shape) for _ in range(cfg.n_layers)]
@@ -126,7 +125,6 @@ def _advance(model: ModelBundle, state: DecodeState, token: int, collect=None):
                 sink.append(act.copy())
         x = x + lw.mlp_down @ act
 
-    state.tokens.append(int(token))
     state.position = pos + 1
     final = _layer_norm(x, model.final_norm_gain, model.final_norm_bias,
                         cfg.layernorm_epsilon)

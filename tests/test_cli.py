@@ -371,12 +371,15 @@ class TestPrune:
         ("calib", lambda m, blob: blob.__setitem__(
             slice(m["refs"][0]["offset_prompt"], m["refs"][0]["offset_prompt"] + 8),
             struct.pack("<d", float("nan")))),
+        ("calib", lambda m, blob: m["refs"][0].update(
+            offset_decode=m["refs"][0]["offset_prompt"])),
     ], ids=["tmc-negative-offset", "tmc-missing-shape", "tmc-tensors-list",
             "tmc-heads-do-not-divide", "tmc-float-d-model", "tmc-nan-ln-eps",
             "tmc-offset-off-layout", "racc-ref-without-layer",
-            "racc-duplicate-ref", "racc-nan-gram"])
+            "racc-duplicate-ref", "racc-nan-gram", "racc-offset-off-layout"])
     def test_malformed_manifest_exits_3(self, ws, tmp_path, capsys, which, mutate):
-        """Each mutation of a good container exits 3 with a one-line message.
+        """Each mutation of a good container exits 3 with a one-line message
+        that names the damaged file.
 
         The framing (4-byte magic, u64 LE manifest length, JSON, blob) is
         unpacked here by hand, not through rackit's reader.
@@ -398,7 +401,7 @@ class TestPrune:
                     "--calib", str(inputs["calib"]), "--method", "magnitude",
                     "--sparsity", "0.5", "--out", str(tmp_path / "x.tmc")]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("i/o failure:")
+        assert len(err) == 1 and err[0].startswith(f"i/o failure: {inputs[which]}: ")
 
 
 @pytest.fixture(scope="module")

@@ -256,11 +256,6 @@ class TestQuantize:
         with pytest.raises(ValidationError):
             SparsityPattern.quantize(5)
 
-    def test_asymmetric_grids_rejected(self, rng):
-        pat = SparsityPattern.quantize(4, symmetric=False)
-        with pytest.raises(ValidationError):
-            quantize_obs(rng.standard_normal((2, 4)), identity_gram(4), pat)
-
     def test_group_size_must_divide_width(self, rng):
         pat = SparsityPattern.quantize(4, group_size=3)
         with pytest.raises(ValidationError):

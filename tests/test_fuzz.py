@@ -3,7 +3,8 @@
 Two kinds of damage: the file cut at any length, and one manifest field
 deleted or given another type, sign, NaN or size. Either the loader still
 accepts the file or it raises ContainerError; any other exception escapes
-and fails the test.
+and fails the test. Arrays are packed back to back, so a changed offset
+must always raise.
 """
 
 import json
@@ -19,6 +20,7 @@ from rackit.model import ModelConfig, all_refs, generate_model, load_model, save
 
 _HEADER = struct.Struct("<Q")
 _OTHER_VALUES = ["x", None, True, [], {}, 1.5]
+_OFFSET_KEYS = ("offset", "offset_prompt", "offset_decode")
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +99,18 @@ def test_manifest_mutation_raises_only_container_error(containers, kind, data):
     for key in path[:-1]:
         parent = parent[key]
     action = data.draw(st.sampled_from(["delete", "type", "sign", "nan", "size"]))
+    old = parent[path[-1]]
     if action == "delete":
         del parent[path[-1]]
+        changed = True
     else:
-        parent[path[-1]] = _mutated(parent[path[-1]], action, data.draw)
+        new = parent[path[-1]] = _mutated(old, action, data.draw)
+        changed = type(new) is not type(old) or new != old
     body = json.dumps(manifest).encode()
     damaged = containers["scratch"]
     damaged.write_bytes(magic + _HEADER.pack(len(body)) + body + blob)
     try:
         loader(damaged)
     except ContainerError:
-        pass
+        return
+    assert not (changed and path[-1] in _OFFSET_KEYS), f"{path} loaded after {action}"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -256,6 +257,13 @@ class TestContainer:
         save_model(tiny_model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_saved_bytes_are_pinned(self, tiny_model, tmp_path):
+        """sha256 of the saved tiny model, computed with the loop-based writer
+        that predates the shared packing rule."""
+        save_model(tiny_model, tmp_path / "m.tmc")
+        digest = hashlib.sha256((tmp_path / "m.tmc").read_bytes()).hexdigest()
+        assert digest == "24c05631053907216333953a5cc6b86d7ebec1b79acb7a21a01545af2bfb1b1c"
 
     def test_bad_magic_rejected(self, tiny_model, tmp_path):
         path = tmp_path / "m.tmc"
