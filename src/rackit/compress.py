@@ -13,7 +13,10 @@ error ||(W - W') X||_F^2 summed over rows. Methods:
   single-weight elimination (saliency w^2 / [H^-1]_cc on the downdated
   inverse over still-free columns), push each column's error onto the
   columns that have not been processed yet, then polish survivors with an
-  exact least-squares refit on the final support.
+  exact least-squares refit on the final support. The greedy step removes
+  one weight from every row at once, on a stack of per-row inverse copies
+  (rows in slices of about 8 MB); each row sees the float operations of a
+  one-row walk, so the masks equal that walk's bit for bit.
 * ``quantize_obs``    - same machinery, but every column is snapped to a
   symmetric per-row (or per-group) grid and the rounding error compensated.
 * ``refit_fixed_mask`` - exact least-squares weights for a given mask.
@@ -234,8 +237,13 @@ def _obs_walk(W: np.ndarray, U: np.ndarray, block_size: int, choose) -> None:
             W[:, i2:] -= err_block @ U[i1:i2, i2:]
 
 
+# Float64 entries (rows * cols**2) in one row slice of the greedy mask's
+# inverse stack: about 8 MB, or one row's copy for blocks over 1024 wide.
+_STACK_ENTRIES = 2 ** 20
+
+
 def _greedy_block_mask(W_block: np.ndarray, ub: np.ndarray, quota: int) -> np.ndarray:
-    """Per-row greedy elimination of ``quota`` weights inside one block.
+    """Greedy elimination of ``quota`` weights per row inside one block.
 
     ``ub.T @ ub`` is the inverse Hessian over all not-yet-frozen columns,
     restricted to the block, so the saliency w^2 / M_cc prices each removal
@@ -243,27 +251,48 @@ def _greedy_block_mask(W_block: np.ndarray, ub: np.ndarray, quota: int) -> np.nd
     inverse is Sherman-Morrison downdated and the row's working copy absorbs
     the compensation, so later picks see the true conditional state. Tied
     saliencies drop the higher column, matching the magnitude tie rule.
+
+    Rows are independent, so every step eliminates one weight in every row at
+    once, on a stack of per-row inverse copies that keeps eliminated columns
+    in place instead of deleting them. Eliminated columns read as inf
+    saliency, and an entry of a live row and live column of the stack is
+    downdated only from live entries, so each live entry sees the same float
+    operations as a one-row walk on the shrinking inverse and the masks are
+    that walk's bit for bit; what the downdate leaves in eliminated entries
+    of the stack and of the working rows is never read. Rows go through in slices of at most
+    ``max(1, _STACK_ENTRIES // cols**2)``, which bounds the stack at about
+    8 MB (plus one reused buffer of the same size) for blocks up to 1024
+    wide, and at one row's ``cols x cols`` copy beyond that.
     """
     d_out, cols = W_block.shape
     M0 = ub.T @ ub
     mask = np.ones((d_out, cols), dtype=bool)
-    for r in range(d_out):
-        live = np.arange(cols)
-        M = M0.copy()
-        w = W_block[r].copy()
-        for _ in range(quota):
-            sal = w[live] ** 2 / np.diag(M)
-            k = sal.size - 1 - int(np.argmin(sal[::-1]))
-            c = live[k]
-            mask[r, c] = False
-            pivot = M[k, k]
-            col = M[:, k].copy()
-            w[live] -= (w[c] / pivot) * col
-            w[c] = 0.0
-            M -= np.outer(col, col) / pivot
-            M = np.delete(np.delete(M, k, axis=0), k, axis=1)
-            live = np.delete(live, k)
+    step = max(1, _STACK_ENTRIES // cols**2)
+    for r0 in range(0, d_out, step):
+        mask[r0 : r0 + step] = _greedy_rows(W_block[r0 : r0 + step], M0, quota)
     return mask
+
+
+def _greedy_rows(W_rows: np.ndarray, M0: np.ndarray, quota: int) -> np.ndarray:
+    """Row-batched body of :func:`_greedy_block_mask`; returns the kept mask."""
+    rows, cols = W_rows.shape
+    M = np.broadcast_to(M0, (rows, cols, cols)).copy()
+    outer = np.empty_like(M)
+    w = W_rows.copy()
+    live = np.ones((rows, cols), dtype=bool)
+    at = np.arange(rows)
+    for _ in range(quota):
+        sal = np.divide(w**2, np.diagonal(M, axis1=1, axis2=2),
+                        out=np.full((rows, cols), np.inf), where=live)
+        c = cols - 1 - np.argmin(sal[:, ::-1], axis=1)
+        live[at, c] = False
+        pivot = M[at, c, c]
+        col = M[at, :, c]
+        w -= (w[at, c] / pivot)[:, None] * col
+        np.multiply(col[:, :, None], col[:, None, :], out=outer)
+        outer /= pivot[:, None, None]
+        M -= outer
+    return live
 
 
 def _solve_on_support(H_SS: np.ndarray, rhs: np.ndarray, row: int) -> np.ndarray:

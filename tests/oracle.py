@@ -104,3 +104,32 @@ def direct_loss(original, compressed, X):
     """Reconstruction objective straight from its definition on materialized X."""
     D = np.atleast_2d(np.asarray(original) - np.asarray(compressed))
     return float(np.linalg.norm(D @ X, ord="fro") ** 2)
+
+
+def greedy_block_mask_per_row(W_block, ub, quota):
+    """One row at a time, on an inverse that shrinks by ``np.delete``.
+
+    The greedy in-block OBS elimination as a plain per-row loop: saliency
+    w^2 / M_cc over the live columns, the higher column on ties, then the
+    Sherman-Morrison downdate and removal of the victim's row and column.
+    """
+    d_out, cols = W_block.shape
+    M0 = ub.T @ ub
+    mask = np.ones((d_out, cols), dtype=bool)
+    for r in range(d_out):
+        live = np.arange(cols)
+        M = M0.copy()
+        w = W_block[r].copy()
+        for _ in range(quota):
+            sal = w[live] ** 2 / np.diag(M)
+            k = sal.size - 1 - int(np.argmin(sal[::-1]))
+            c = live[k]
+            mask[r, c] = False
+            pivot = M[k, k]
+            col = M[:, k].copy()
+            w[live] -= (w[c] / pivot) * col
+            w[c] = 0.0
+            M -= np.outer(col, col) / pivot
+            M = np.delete(np.delete(M, k, axis=0), k, axis=1)
+            live = np.delete(live, k)
+    return mask

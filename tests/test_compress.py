@@ -7,7 +7,10 @@ from hypothesis import given, strategies as st
 
 from rackit.calibration import CalibrationConfig, collect
 from rackit.compress import (
+    _STACK_ENTRIES,
     SparsityPattern,
+    _greedy_block_mask,
+    _upper_inverse_factor,
     compress_model,
     prune_magnitude,
     prune_obs,
@@ -19,12 +22,26 @@ from rackit.compress import (
 )
 from rackit.errors import CholeskyError, NumericalError, ValidationError
 from rackit.model import all_refs, generate_model, get_weight, model_content_hash
-from rackit.numkernel import SymMatrix
+from rackit.numkernel import SymMatrix, dampen
 
 from .helpers import random_gram, small_config
-from .oracle import direct_loss, rtn_quantize
+from .oracle import direct_loss, greedy_block_mask_per_row, rtn_quantize
 
 HALF = SparsityPattern.unstructured(0.5)
+
+
+def obs_inverse_factor(rng, dim):
+    """The upper factor ``prune_obs`` walks with, for a random Gram."""
+    gram, _ = random_gram(rng, dim)
+    return _upper_inverse_factor(dampen(gram, 0.01))
+
+
+def assert_greedy_matches_oracle(W, ub, quotas):
+    for quota in quotas:
+        got = _greedy_block_mask(W, ub, quota)
+        want = greedy_block_mask_per_row(W, ub, quota)
+        assert np.array_equal(got, want), f"quota {quota}"
+        assert (got.sum(axis=1) == W.shape[1] - quota).all()
 
 
 def identity_gram(dim):
@@ -211,6 +228,45 @@ class TestObs:
         with pytest.raises(CholeskyError):
             prune_obs(np.ones((2, 4)), gram, HALF, damp_fraction=0.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rows, cols, quotas", [
+        (256, 32, (1, 2, 16, 31, 32)),
+        (64, 32, (8, 16)),
+        (9, 12, range(1, 13)),
+    ])
+    def test_greedy_mask_equals_per_row_oracle(self, seed, rows, cols, quotas):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((rows, cols))
+        assert_greedy_matches_oracle(W, obs_inverse_factor(rng, cols), quotas)
+
+    def test_greedy_mask_ties_match_per_row_oracle(self):
+        # An identity inverse keeps saliencies at w^2, so small integer
+        # weights and two equal columns tie exactly at every step.
+        rng = np.random.default_rng(11)
+        W = rng.integers(-2, 3, size=(40, 8)).astype(np.float64)
+        W[:, 5] = W[:, 2]
+        assert_greedy_matches_oracle(W, np.eye(8), range(1, 9))
+        assert_greedy_matches_oracle(W, 2.0 * np.eye(8), (3, 4))
+        W = rng.standard_normal((40, 8))
+        W[:, 6] = W[:, 1]
+        assert_greedy_matches_oracle(W, np.eye(8), range(1, 9))
+
+    def test_greedy_mask_edge_shapes_match_per_row_oracle(self):
+        rng = np.random.default_rng(12)
+        ub = obs_inverse_factor(rng, 16)
+        assert_greedy_matches_oracle(rng.standard_normal((1, 16)), ub, (1, 8, 16))
+        assert _greedy_block_mask(np.zeros((0, 16)), ub, 4).shape == (0, 16)
+        W = rng.standard_normal((6, 16))
+        W[3] = 0.0
+        assert_greedy_matches_oracle(W, ub, (1, 8, 16))
+
+    def test_greedy_mask_spans_row_slices(self):
+        rng = np.random.default_rng(13)
+        cols = 128
+        per_slice = _STACK_ENTRIES // cols**2
+        W = rng.standard_normal((2 * per_slice + 3, cols))
+        assert_greedy_matches_oracle(W, obs_inverse_factor(rng, cols), (5,))
+
     @given(seed=st.integers(0, 5_000),
            d_in=st.sampled_from([8, 12, 16]),
            s=st.sampled_from([0.25, 0.5, 0.75]),
@@ -373,6 +429,16 @@ class TestCompressModel:
         a, _ = compress_model(model, calib, "rac", "obs", HALF)
         b, _ = compress_model(model, calib, "prompt_only", "obs", HALF)
         assert model_content_hash(a) != model_content_hash(b)
+
+    def test_obs_output_is_pinned(self, rac_setup):
+        model, calib, _ = rac_setup
+        pinned = {
+            "rac": "4eb2ca1c805786386a676010255391879276ac3a8a3decae8f8b078dfcf37862",
+            "prompt_only": "75e682b6ee92106521cc00823e41174a6d3e4152dfdc6d571cfad896235feab1",
+        }
+        for mode, digest in pinned.items():
+            out, _ = compress_model(model, calib, mode, "obs", HALF)
+            assert model_content_hash(out) == digest, mode
 
     def test_ref_subset_only_touches_selected_layers(self, rac_setup):
         model, calib, refs = rac_setup
