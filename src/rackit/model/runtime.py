@@ -1,10 +1,14 @@
 """Incremental transformer runtime with activation capture and KV caching.
 
-Every forward pass, teacher-forced or sampled, advances one position at a
-time through the same step routine. Position t therefore never sees data
-from later positions and its arithmetic does not depend on total sequence
-length, which makes causality and cache consistency hold bit-for-bit by
-construction rather than by masking.
+One step routine, :func:`_advance`, moves a chunk of T known tokens through
+the model against the KV cache: one matrix product per weight over the
+chunk's rows and causal attention inside the chunk. Known sequences that
+are only scored go through as one chunk. Captures and generation go one
+token at a time, so every capture row and every sampled token depends on
+its prefix alone and not on how long the sequence is. A multi-row product
+can round differently from a one-row product, so whole-sequence scores are
+deterministic per (model, sequence) but not per prefix; they stay within
+about 1e-15 relative of a token-by-token pass.
 """
 
 from __future__ import annotations
@@ -67,9 +71,11 @@ class DecodeState:
 
 
 def _layer_norm(v, gain, bias, eps):
-    mu = v.mean()
+    # add.reduce / n, not mean(axis=-1): the same bits as a 1-D mean, cheaper
+    n = v.shape[-1]
+    mu = np.add.reduce(v, axis=-1, keepdims=True) / n
     centered = v - mu
-    var = np.mean(centered * centered)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     return centered * (gain / np.sqrt(var + eps)) + bias
 
 
@@ -77,59 +83,65 @@ def _gelu(v):
     return 0.5 * v * (1.0 + erf(v * _SQRT1_2))
 
 
-def _advance(model: ModelBundle, state: DecodeState, token: int, collect=None):
-    """Process one token; returns (logits, last-block hidden state)."""
+def _attend(q, keys, vals, scale):
+    """Causal softmax attention of the T queries ``q`` at the last T cache rows.
+
+    One query goes through ``einsum``, which keeps per-token decoding and
+    every capture bit-identical to the one-token runtime; more go through
+    batched ``matmul`` with the future masked out.
+    """
+    t, p = q.shape[0], keys.shape[0]
+    if t == 1:
+        scores = np.einsum("phd,thd->thp", keys, q) * scale
+    else:
+        scores = (q.transpose(1, 0, 2) @ keys.transpose(1, 2, 0)) * scale
+        scores[:, np.triu(np.ones((t, p), dtype=bool), p - t + 1)] = -np.inf
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    if t == 1:
+        return np.einsum("thp,phd->thd", scores, vals)
+    return (scores @ vals.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def _advance(model: ModelBundle, state: DecodeState, tokens, collect):
+    """Process a chunk of T valid tokens; returns (logits, last-block states), T rows each.
+
+    ``collect`` maps (layer, slot) to a list that receives the chunk's slot
+    inputs as one (T, d_in) array, or is None.
+    """
     cfg = model.config
     pos = state.position
-    if not 0 <= token < cfg.vocab_size:
-        raise ValidationError(f"token {token} outside byte vocabulary")
-    if pos >= cfg.max_positions:
-        raise ValidationError(
-            f"sequence exceeds max_positions={cfg.max_positions}"
-        )
+    t = len(tokens)
     heads, hd = cfg.n_heads, cfg.head_dim
+    eps = cfg.layernorm_epsilon
     inv_sqrt_hd = 1.0 / math.sqrt(hd)
 
-    x = model.token_embedding[token] + model.position_embedding[pos]
-    for li, lw in enumerate(model.layers):
-        u = _layer_norm(x, lw.ln1_gain, lw.ln1_bias, cfg.layernorm_epsilon)
-        if collect is not None:
-            for slot in ("attn_q", "attn_k", "attn_v"):
-                sink = collect.get((li, slot))
-                if sink is not None:
-                    sink.append(u.copy())
-        q = (lw.attn_q @ u).reshape(heads, hd)
-        state._k[li][pos] = (lw.attn_k @ u).reshape(heads, hd)
-        state._v[li][pos] = (lw.attn_v @ u).reshape(heads, hd)
-        keys = state._k[li][: pos + 1]
-        vals = state._v[li][: pos + 1]
-        scores = np.einsum("phd,hd->hp", keys, q) * inv_sqrt_hd
-        scores -= scores.max(axis=1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=1, keepdims=True)
-        ctx = np.einsum("hp,phd->hd", scores, vals).reshape(cfg.d_model)
-        if collect is not None:
-            sink = collect.get((li, "attn_out"))
-            if sink is not None:
-                sink.append(ctx.copy())
-        x = x + lw.attn_out @ ctx
-        u2 = _layer_norm(x, lw.ln2_gain, lw.ln2_bias, cfg.layernorm_epsilon)
-        if collect is not None:
-            sink = collect.get((li, "mlp_up"))
-            if sink is not None:
-                sink.append(u2.copy())
-        act = _gelu(lw.mlp_up @ u2)
-        if collect is not None:
-            sink = collect.get((li, "mlp_down"))
-            if sink is not None:
-                sink.append(act.copy())
-        x = x + lw.mlp_down @ act
+    def keep(li, slot, rows):
+        if collect is not None and (li, slot) in collect:
+            collect[(li, slot)].append(rows)
 
-    state.position = pos + 1
-    final = _layer_norm(x, model.final_norm_gain, model.final_norm_bias,
-                        cfg.layernorm_epsilon)
-    logits = model.output_projection @ final
-    return logits, x
+    x = model.token_embedding[tokens] + model.position_embedding[pos : pos + t]
+    for li, lw in enumerate(model.layers):
+        u = _layer_norm(x, lw.ln1_gain, lw.ln1_bias, eps)
+        for slot in ("attn_q", "attn_k", "attn_v"):
+            keep(li, slot, u)
+        q = (u @ lw.attn_q.T).reshape(t, heads, hd)
+        state._k[li][pos : pos + t] = (u @ lw.attn_k.T).reshape(t, heads, hd)
+        state._v[li][pos : pos + t] = (u @ lw.attn_v.T).reshape(t, heads, hd)
+        ctx = _attend(q, state._k[li][: pos + t], state._v[li][: pos + t],
+                      inv_sqrt_hd).reshape(t, cfg.d_model)
+        keep(li, "attn_out", ctx)
+        x = x + ctx @ lw.attn_out.T
+        u2 = _layer_norm(x, lw.ln2_gain, lw.ln2_bias, eps)
+        keep(li, "mlp_up", u2)
+        act = _gelu(u2 @ lw.mlp_up.T)
+        keep(li, "mlp_down", act)
+        x = x + act @ lw.mlp_down.T
+
+    state.position = pos + t
+    final = _layer_norm(x, model.final_norm_gain, model.final_norm_bias, eps)
+    return final @ model.output_projection.T, x
 
 
 def _sample(logits, sampler: Sampler, rng):
@@ -144,23 +156,29 @@ def _sample(logits, sampler: Sampler, rng):
 
 def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
          sampler: Sampler = GREEDY):
-    """The one stepwise driver: advance ``tokens``, then sample up to ``max_new`` more.
+    """The one driver: advance ``tokens``, then sample up to ``max_new`` more.
 
     Generation ends after ``max_new`` tokens or at the stop byte 0x00, which
     is kept. Returns (tokens, logits, hidden states, captures), with one row
     per advanced position. The last sampled token is advanced only when
     ``refs`` asks for captures, so that its slot inputs are recorded too.
+    A sequence that is neither captured nor extended goes through as one
+    chunk; otherwise every position is its own chunk.
     """
     refs = sort_refs(refs)
+    cfg = model.config
     for r in refs:
-        if r.layer_index >= model.config.n_layers:
+        if r.layer_index >= cfg.n_layers:
             raise ValidationError(f"capture ref {r} out of range")
     seq = [int(t) for t in tokens]
     if not seq:
         raise ValidationError("token sequence must be nonempty")
+    bad = [t for t in seq if not 0 <= t < cfg.vocab_size]
+    if bad:
+        raise ValidationError(f"token {bad[0]} outside byte vocabulary")
     if max_new < 0:
         raise ValidationError(f"max_new must be >= 0, got {max_new}")
-    cap = model.config.max_positions
+    cap = cfg.max_positions
     if len(seq) + max_new > cap:
         what = (f"prompt ({len(seq)}) + max_new ({max_new})" if max_new
                 else f"sequence length {len(seq)}")
@@ -170,26 +188,29 @@ def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
     logits_rows = []
     hidden_rows = []
 
-    def step(tok):
-        logits, hidden = _advance(model, state, tok, collect)
+    def step(chunk):
+        logits, hidden = _advance(model, state, chunk, collect)
         logits_rows.append(logits)
         hidden_rows.append(hidden)
 
-    for tok in seq:
-        step(tok)
+    if collect is None and max_new == 0:
+        step(seq)
+    else:
+        for tok in seq:
+            step([tok])
     rng = np.random.default_rng(sampler.seed) if sampler.kind == "temperature" else None
     for i in range(max_new):
-        tok = _sample(logits_rows[-1], sampler, rng)
+        tok = _sample(logits_rows[-1][-1], sampler, rng)
         seq.append(tok)
         done = tok == STOP_BYTE or i == max_new - 1
         if collect is not None or not done:
-            step(tok)
+            step([tok])
         if done:
             break
     captures = {
-        r: np.array(collect[(r.layer_index, r.slot)]) for r in refs
+        r: np.concatenate(collect[(r.layer_index, r.slot)]) for r in refs
     } if collect else {}
-    return seq, np.array(logits_rows), np.array(hidden_rows), captures
+    return seq, np.concatenate(logits_rows), np.concatenate(hidden_rows), captures
 
 
 def forward_teacher_forced(model: ModelBundle, tokens, capture=()):

@@ -1,15 +1,30 @@
 """Independent reference implementations used only to check the package.
 
-Everything here is written in a deliberately different style from the
+Most of this is written in a deliberately different style from the
 library: full-sequence vectorized forward with an explicit causal mask, no
 KV cache, no incremental state. Agreement between the two is evidence, not
-tautology.
+tautology. The exceptions are older library loops kept verbatim, so that
+their replacements can be held to their bits: the one-token runtime driver
+(``stepwise_run``) and the per-row greedy OBS mask.
 """
+
+import math
 
 import numpy as np
 from scipy.special import erf
 
-from rackit.model import PrunableLayerRef
+from rackit.errors import ValidationError
+from rackit.model import (
+    GREEDY,
+    STOP_BYTE,
+    DecodeState,
+    ModelBundle,
+    PrunableLayerRef,
+    Sampler,
+    sort_refs,
+)
+
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 def _ln_rows(x, gain, bias, eps):
@@ -133,3 +148,131 @@ def greedy_block_mask_per_row(W_block, ub, quota):
             M = np.delete(np.delete(M, k, axis=0), k, axis=1)
             live = np.delete(live, k)
     return mask
+
+
+def _step_layer_norm(v, gain, bias, eps):
+    mu = v.mean()
+    centered = v - mu
+    var = np.mean(centered * centered)
+    return centered * (gain / np.sqrt(var + eps)) + bias
+
+
+def _step_gelu(v):
+    return 0.5 * v * (1.0 + erf(v * _SQRT1_2))
+
+
+def _step_advance(model: ModelBundle, state: DecodeState, token: int, collect=None):
+    """Process one token; returns (logits, last-block hidden state)."""
+    cfg = model.config
+    pos = state.position
+    if not 0 <= token < cfg.vocab_size:
+        raise ValidationError(f"token {token} outside byte vocabulary")
+    if pos >= cfg.max_positions:
+        raise ValidationError(
+            f"sequence exceeds max_positions={cfg.max_positions}"
+        )
+    heads, hd = cfg.n_heads, cfg.head_dim
+    inv_sqrt_hd = 1.0 / math.sqrt(hd)
+
+    x = model.token_embedding[token] + model.position_embedding[pos]
+    for li, lw in enumerate(model.layers):
+        u = _step_layer_norm(x, lw.ln1_gain, lw.ln1_bias, cfg.layernorm_epsilon)
+        if collect is not None:
+            for slot in ("attn_q", "attn_k", "attn_v"):
+                sink = collect.get((li, slot))
+                if sink is not None:
+                    sink.append(u.copy())
+        q = (lw.attn_q @ u).reshape(heads, hd)
+        state._k[li][pos] = (lw.attn_k @ u).reshape(heads, hd)
+        state._v[li][pos] = (lw.attn_v @ u).reshape(heads, hd)
+        keys = state._k[li][: pos + 1]
+        vals = state._v[li][: pos + 1]
+        scores = np.einsum("phd,hd->hp", keys, q) * inv_sqrt_hd
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+        ctx = np.einsum("hp,phd->hd", scores, vals).reshape(cfg.d_model)
+        if collect is not None:
+            sink = collect.get((li, "attn_out"))
+            if sink is not None:
+                sink.append(ctx.copy())
+        x = x + lw.attn_out @ ctx
+        u2 = _step_layer_norm(x, lw.ln2_gain, lw.ln2_bias, cfg.layernorm_epsilon)
+        if collect is not None:
+            sink = collect.get((li, "mlp_up"))
+            if sink is not None:
+                sink.append(u2.copy())
+        act = _step_gelu(lw.mlp_up @ u2)
+        if collect is not None:
+            sink = collect.get((li, "mlp_down"))
+            if sink is not None:
+                sink.append(act.copy())
+        x = x + lw.mlp_down @ act
+
+    state.position = pos + 1
+    final = _step_layer_norm(x, model.final_norm_gain, model.final_norm_bias,
+                             cfg.layernorm_epsilon)
+    logits = model.output_projection @ final
+    return logits, x
+
+
+def _sample(logits, sampler: Sampler, rng):
+    if sampler.kind == "greedy":
+        return int(np.argmax(logits))
+    z = logits / sampler.temperature
+    z = z - z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    return int(rng.choice(p.size, p=p))
+
+
+def stepwise_run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
+                 sampler: Sampler = GREEDY):
+    """The one-token-at-a-time runtime driver, kept as the reference.
+
+    Advance ``tokens``, then sample up to ``max_new`` more.
+
+    Generation ends after ``max_new`` tokens or at the stop byte 0x00, which
+    is kept. Returns (tokens, logits, hidden states, captures), with one row
+    per advanced position. The last sampled token is advanced only when
+    ``refs`` asks for captures, so that its slot inputs are recorded too.
+    """
+    refs = sort_refs(refs)
+    for r in refs:
+        if r.layer_index >= model.config.n_layers:
+            raise ValidationError(f"capture ref {r} out of range")
+    seq = [int(t) for t in tokens]
+    if not seq:
+        raise ValidationError("token sequence must be nonempty")
+    if max_new < 0:
+        raise ValidationError(f"max_new must be >= 0, got {max_new}")
+    cap = model.config.max_positions
+    if len(seq) + max_new > cap:
+        what = (f"prompt ({len(seq)}) + max_new ({max_new})" if max_new
+                else f"sequence length {len(seq)}")
+        raise ValidationError(f"{what} exceeds max_positions={cap}")
+    collect = {(r.layer_index, r.slot): [] for r in refs} or None
+    state = DecodeState(model)
+    logits_rows = []
+    hidden_rows = []
+
+    def step(tok):
+        logits, hidden = _step_advance(model, state, tok, collect)
+        logits_rows.append(logits)
+        hidden_rows.append(hidden)
+
+    for tok in seq:
+        step(tok)
+    rng = np.random.default_rng(sampler.seed) if sampler.kind == "temperature" else None
+    for i in range(max_new):
+        tok = _sample(logits_rows[-1], sampler, rng)
+        seq.append(tok)
+        done = tok == STOP_BYTE or i == max_new - 1
+        if collect is not None or not done:
+            step(tok)
+        if done:
+            break
+    captures = {
+        r: np.array(collect[(r.layer_index, r.slot)]) for r in refs
+    } if collect else {}
+    return seq, np.array(logits_rows), np.array(hidden_rows), captures

@@ -28,7 +28,7 @@ from rackit.model import (
 )
 
 from .helpers import small_config
-from .oracle import reference_forward, uncached_greedy_decode
+from .oracle import reference_forward, stepwise_run, uncached_greedy_decode
 
 
 class TestConfig:
@@ -144,11 +144,68 @@ class TestForward:
     def test_rejects_bad_tokens_and_lengths(self, tiny_model):
         with pytest.raises(ValidationError):
             forward_teacher_forced(tiny_model, [])
-        with pytest.raises(ValidationError):
-            forward_teacher_forced(tiny_model, [256])
+        for bad in ([256], [1, -1, 3], [1, 2, 256]):
+            with pytest.raises(ValidationError, match="outside byte vocabulary"):
+                forward_teacher_forced(tiny_model, bad)
+            with pytest.raises(ValidationError, match="outside byte vocabulary"):
+                last_layer_states(tiny_model, bad)
         too_long = [1] * (tiny_model.config.max_positions + 1)
         with pytest.raises(ValidationError):
             forward_teacher_forced(tiny_model, too_long)
+
+
+def _c06_shaped_model():
+    cfg = ModelConfig(d_model=64, n_layers=4, n_heads=4, d_mlp=256,
+                      max_positions=192)
+    return generate_model(cfg, seed=6000)
+
+
+@pytest.fixture(scope="module", params=["tiny", "c06"])
+def oracle_model(request, tiny_model):
+    return tiny_model if request.param == "tiny" else _c06_shaped_model()
+
+
+class TestStepwiseOracle:
+    """The runtime against the one-token driver it replaced (tests/oracle.py).
+
+    Whole sequences that are only scored go through one chunk and may round
+    differently, within 1e-12 of the largest magnitude. Captures and
+    generation go token by token and must keep the oracle's bits.
+    """
+
+    @pytest.mark.parametrize("length", [1, 2, 17, "max"])
+    def test_whole_sequence_within_tolerance(self, oracle_model, length, rng):
+        cfg = oracle_model.config
+        n = cfg.max_positions if length == "max" else length
+        tokens = [int(t) for t in rng.integers(0, 256, size=n)]
+        _, want_logits, want_hidden, _ = stepwise_run(oracle_model, tokens)
+        logits, _ = forward_teacher_forced(oracle_model, tokens)
+        hidden = last_layer_states(oracle_model, tokens)
+        for got, want in ((logits, want_logits), (hidden, want_hidden)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_captured_forward_is_bit_exact(self, oracle_model, rng):
+        refs = all_refs(oracle_model.config)
+        tokens = [int(t) for t in rng.integers(0, 256, size=40)]
+        _, want_logits, _, want_caps = stepwise_run(oracle_model, tokens, refs)
+        logits, caps = forward_teacher_forced(oracle_model, tokens, refs)
+        assert np.array_equal(logits, want_logits)
+        for r in refs:
+            assert np.array_equal(caps[r], want_caps[r]), str(r)
+
+    @pytest.mark.parametrize("sampler", [GREEDY, Sampler("temperature", 1.5, seed=5)])
+    def test_decode_and_rollout_are_bit_exact(self, oracle_model, sampler, rng):
+        refs = all_refs(oracle_model.config)
+        prompt = [int(t) for t in rng.integers(1, 256, size=9)]
+        want_tokens = stepwise_run(oracle_model, prompt, (), 50, sampler)[0]
+        assert decode(oracle_model, prompt, 50, sampler) == want_tokens
+        want_tokens, _, _, want_caps = stepwise_run(
+            oracle_model, prompt, refs, 50, sampler)
+        tokens, caps = rollout(oracle_model, prompt, 50, sampler, refs)
+        assert tokens == want_tokens
+        for r in refs:
+            assert np.array_equal(caps[r], want_caps[r]), str(r)
 
 
 class TestDecode:
