@@ -14,10 +14,12 @@ Four ways to gather them, all reading activations from the target model:
   are still the target's own activations.
 
 Every prompt or corpus chunk makes one pass through the target. Only Gram
-matrices and column counts are stored, never raw activation matrices; within
-a sequence columns are accumulated one at a time in position order, and
-sequences are consumed in input order, so a given collection is
-bit-reproducible.
+matrices and column counts are stored, never raw activation matrices. Each
+phase of a sequence goes to a Gram as one block of columns in position
+order, whose bits equal those of one rank-1 update per column, and sequences
+are consumed in input order, so a given collection is bit-reproducible. The
+refs that read the same activation (``attn_q``, ``attn_k`` and ``attn_v``
+all take the first layer norm's output) get that Gram computed once.
 Prompt-phase and decode-phase Grams are kept separate so one collection pass
 can later serve both prompt-only and decode-aware compression.
 """
@@ -259,11 +261,17 @@ def _accumulate(dest: CalibrationSet, captures, start: int, stop: int,
     take = min(stop - start, limit)
     if take <= 0:
         return 0
+    prev_cols = prev_gram = None
     for ref, st in dest.stats.items():
         gram = st.gram_prompt if phase == "prompt" else st.gram_decode
         cols = captures[ref]
-        for t in range(start, start + take):
-            accumulate_gram(gram, cols[t])
+        if cols is prev_cols:
+            # The refs that read one activation (attn_q/k/v) share their
+            # capture array and so have received the same columns.
+            np.copyto(gram.data, prev_gram.data)
+        else:
+            accumulate_gram(gram, cols[start : start + take])
+        prev_cols, prev_gram = cols, gram
         if phase == "prompt":
             st.n_prompt += take
         else:

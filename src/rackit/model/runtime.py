@@ -207,9 +207,15 @@ def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
             step([tok])
         if done:
             break
-    captures = {
-        r: np.concatenate(collect[(r.layer_index, r.slot)]) for r in refs
-    } if collect else {}
+    captures = {}
+    joined = {}
+    for r in refs:
+        # attn_q, attn_k and attn_v record the same arrays: join them once
+        parts = collect[(r.layer_index, r.slot)]
+        key = tuple(map(id, parts))
+        if key not in joined:
+            joined[key] = np.concatenate(parts)
+        captures[r] = joined[key]
     return seq, np.concatenate(logits_rows), np.concatenate(hidden_rows), captures
 
 
@@ -218,7 +224,8 @@ def forward_teacher_forced(model: ModelBundle, tokens, capture=()):
 
     ``capture`` is an iterable of :class:`PrunableLayerRef`. For each ref the
     result holds one row per position: the vector that the slot's weight
-    matrix multiplied at that position, in position order.
+    matrix multiplied at that position, in position order. Refs whose slots
+    read the same vector (``attn_q``, ``attn_k``, ``attn_v``) share one array.
     """
     _, logits, _, captures = _run(model, tokens, capture)
     return logits, captures

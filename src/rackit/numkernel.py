@@ -1,9 +1,12 @@
 """Symmetric-matrix primitives backing the layerwise solvers.
 
-Gram accumulators are plain float64 arrays built one activation column at a
-time; factorization and inversion go through LAPACK (dpotrf/dpotri) so the
-solvers only ever see explicitly symmetric matrices. Every routine works in
-64-bit floats regardless of how model weights are stored.
+Gram accumulators are plain float64 arrays that take blocks of activation
+columns in arrival order. A block updates each entry as the sum of one
+product per column, added left to right, so the bits never depend on how a
+column sequence is cut into blocks. Factorization and inversion go through
+LAPACK (dpotrf/dpotri) so the solvers only ever see explicitly symmetric
+matrices. Every routine works in 64-bit floats regardless of how model
+weights are stored.
 
 Accumulators are single-writer: nothing here locks, callers must not share a
 matrix between concurrent updates.
@@ -76,22 +79,64 @@ class CholeskyFactor:
         return self.lower @ self.lower.T
 
 
-def accumulate_gram(acc: SymMatrix, column) -> SymMatrix:
-    """Rank-1 update ``acc += column @ column.T``, in place.
+# Row strip height and columns per chunk of the tiled Gram update; one strip
+# buffer holds (_CHUNK_COLS + 1) * (_STRIP_ROWS + 1) * dim floats, 1.2 MB at
+# dim 512.
+_STRIP_ROWS = 8
+_CHUNK_COLS = 32
 
-    The outer product of a column with itself is elementwise symmetric, so the
-    exact-symmetry invariant survives without any mirroring step. Updates are
-    applied in arrival order; the same column sequence always reproduces the
-    same bits.
+
+def accumulate_gram(acc: SymMatrix, columns) -> SymMatrix:
+    """Add ``x xᵀ`` for each column ``x`` of ``columns`` to ``acc``, in place.
+
+    ``columns`` is one column of length ``acc.dim`` or a ``(T, acc.dim)``
+    block of T columns in arrival order. Every entry gets the left fold
+    ``((H + x1_i x1_j) + x2_i x2_j) + ...``, the bits of one rank-1 update
+    per column, so a column sequence gives the same Gram however it is cut
+    into blocks. An empty block changes nothing. A block with a wrong shape
+    or a non-finite entry raises :class:`ValidationError` before ``acc`` is
+    touched.
+
+    Only the upper triangle is computed, in strips of ``_STRIP_ROWS`` rows
+    from the diagonal rightwards. For each chunk of ``_CHUNK_COLS`` columns a
+    buffer holds the strip followed by the chunk's products, and one
+    ``np.add.reduce`` over the buffer's first axis adds them in order into
+    the strip. The strip is then mirrored into the lower triangle, which is
+    exact because ``x_i x_j == x_j x_i`` in IEEE arithmetic.
+
+    No strip may be a single 1x1 tile, the last row on its own when ``dim``
+    is 1 more than a multiple of ``_STRIP_ROWS``: numpy would then reduce
+    the one-element rows as a contiguous run, summing pairwise instead of
+    left to right, and the diagonal entry would change bits. That last row
+    joins the strip above it, and a 1-wide Gram takes one update per column.
     """
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1 or col.shape[0] != acc.dim:
+    x = np.asarray(columns, dtype=np.float64)
+    block = x[None, :] if x.ndim == 1 else x
+    if block.ndim != 2 or block.shape[1] != acc.dim:
         raise ValidationError(
-            f"column has shape {col.shape}, accumulator dimension is {acc.dim}"
+            f"columns have shape {x.shape}, accumulator dimension is {acc.dim}"
         )
-    if not np.isfinite(col).all():
+    if not np.isfinite(block).all():
         raise ValidationError("column entries must be finite")
-    acc.data += col[:, None] * col[None, :]
+    h, d = acc.data, acc.dim
+    if d == 1:
+        for col in block:
+            h += col[:, None] * col[None, :]
+        return acc
+    starts = list(range(0, d, _STRIP_ROWS))
+    if d % _STRIP_ROWS == 1:
+        del starts[-1]
+    buf = np.empty((min(_CHUNK_COLS, len(block)) + 1) * (_STRIP_ROWS + 1) * d)
+    for i0, i1 in zip(starts, starts[1:] + [d]):
+        strip = h[i0:i1, i0:]
+        for t0 in range(0, len(block), _CHUNK_COLS):
+            chunk = block[t0 : t0 + _CHUNK_COLS]
+            n = len(chunk)
+            tile = buf[: (n + 1) * strip.size].reshape(n + 1, *strip.shape)
+            tile[0] = strip
+            np.multiply(chunk[:, i0:i1, None], chunk[:, None, i0:], out=tile[1:])
+            np.add.reduce(tile, axis=0, out=strip)
+        h[i1:, i0:i1] = h[i0:i1, i1:].T
     return acc
 
 

@@ -5,7 +5,8 @@ library: full-sequence vectorized forward with an explicit causal mask, no
 KV cache, no incremental state. Agreement between the two is evidence, not
 tautology. The exceptions are older library loops kept verbatim, so that
 their replacements can be held to their bits: the one-token runtime driver
-(``stepwise_run``) and the per-row greedy OBS mask.
+(``stepwise_run``), the per-row greedy OBS mask and the per-column Gram
+update.
 """
 
 import math
@@ -23,6 +24,7 @@ from rackit.model import (
     Sampler,
     sort_refs,
 )
+from rackit.numkernel import SymMatrix
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -119,6 +121,25 @@ def direct_loss(original, compressed, X):
     """Reconstruction objective straight from its definition on materialized X."""
     D = np.atleast_2d(np.asarray(original) - np.asarray(compressed))
     return float(np.linalg.norm(D @ X, ord="fro") ** 2)
+
+
+def accumulate_gram_per_column(acc: SymMatrix, column) -> SymMatrix:
+    """Rank-1 update ``acc += column @ column.T``, in place.
+
+    The outer product of a column with itself is elementwise symmetric, so the
+    exact-symmetry invariant survives without any mirroring step. Updates are
+    applied in arrival order; the same column sequence always reproduces the
+    same bits.
+    """
+    col = np.asarray(column, dtype=np.float64)
+    if col.ndim != 1 or col.shape[0] != acc.dim:
+        raise ValidationError(
+            f"column has shape {col.shape}, accumulator dimension is {acc.dim}"
+        )
+    if not np.isfinite(col).all():
+        raise ValidationError("column entries must be finite")
+    acc.data += col[:, None] * col[None, :]
+    return acc
 
 
 def greedy_block_mask_per_row(W_block, ub, quota):

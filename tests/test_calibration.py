@@ -16,15 +16,16 @@ from rackit.calibration import (
 from rackit.errors import ContainerError, ValidationError
 from rackit.model import (
     GREEDY,
+    PrunableLayerRef,
     Sampler,
     all_refs,
     decode,
     forward_teacher_forced,
     generate_model,
 )
-from rackit.numkernel import accumulate_gram
 
 from .helpers import random_prompts, small_config
+from .oracle import accumulate_gram_per_column
 
 PROMPTS = ((10, 20, 30), (40, 50, 60, 70))
 
@@ -180,6 +181,35 @@ class TestCollect:
         assert st.n_prompt == 7
         assert st.n_decode == 3
 
+    # Budget 5 stops inside the second prompt, 10 inside the first rollout.
+    @pytest.mark.parametrize("budget", [None, 5, 10])
+    def test_shared_input_grams_are_bit_identical(self, tiny_model, budget):
+        calib = collect(tiny_model, self._config(t_max=16, token_budget=budget),
+                        all_refs(tiny_model.config))
+        for layer in range(tiny_model.config.n_layers):
+            q, k, v = (calib.stats[PrunableLayerRef(layer, slot)]
+                       for slot in ("attn_q", "attn_k", "attn_v"))
+            assert q.gram_prompt.data.any()
+            for st in (k, v):
+                assert (st.n_prompt, st.n_decode) == (q.n_prompt, q.n_decode)
+                assert np.array_equal(st.gram_prompt.data, q.gram_prompt.data)
+                assert np.array_equal(st.gram_decode.data, q.gram_decode.data)
+
+    @pytest.mark.parametrize("budget", [None, 5, 10])
+    @pytest.mark.parametrize("slots", [("attn_k",), ("attn_v", "attn_out")])
+    def test_ref_subset_gives_the_grams_of_every_ref(self, tiny_model, slots, budget):
+        config = self._config(t_max=16, token_budget=budget)
+        every = collect(tiny_model, config, all_refs(tiny_model.config))
+        refs = [PrunableLayerRef(layer, slot)
+                for layer in range(tiny_model.config.n_layers) for slot in slots]
+        part = collect(tiny_model, config, refs)
+        assert part.refs == tuple(refs)
+        for r in refs:
+            a, b = part.stats[r], every.stats[r]
+            assert (a.n_prompt, a.n_decode) == (b.n_prompt, b.n_decode)
+            assert a.gram_prompt.data.tobytes() == b.gram_prompt.data.tobytes()
+            assert a.gram_decode.data.tobytes() == b.gram_decode.data.tobytes()
+
     def test_decode_distribution_differs_from_prompt_distribution(self, tiny_model):
         refs = all_refs(tiny_model.config)
         calib = collect(tiny_model, self._config(t_max=16), refs)
@@ -221,9 +251,9 @@ class TestCollect:
 
 def _two_pass_oracle(target, config, refs):
     """Today's contract spelled out the slow way: per prompt, ``decode`` and
-    then ``forward_teacher_forced`` of the whole sequence; columns go through
-    ``accumulate_gram`` in order, all prompt columns first, then decode
-    columns, until the token budget runs out."""
+    then ``forward_teacher_forced`` of the whole sequence; columns go one by
+    one through the per-column Gram update in order, all prompt columns
+    first, then decode columns, until the token budget runs out."""
     source = config.trace_model or target
     sequences = []
     for m, prompt in enumerate(config.prompts):
@@ -246,10 +276,10 @@ def _two_pass_oracle(target, config, refs):
                 for r in refs:
                     st = dest.stats[r]
                     if phase == "prompt":
-                        accumulate_gram(st.gram_prompt, caps[r][t])
+                        accumulate_gram_per_column(st.gram_prompt, caps[r][t])
                         st.n_prompt += 1
                     else:
-                        accumulate_gram(st.gram_decode, caps[r][t])
+                        accumulate_gram_per_column(st.gram_decode, caps[r][t])
                         st.n_decode += 1
     return dest
 
@@ -296,6 +326,23 @@ class TestSinglePass:
             assert np.array_equal(a.gram_prompt.data, b.gram_prompt.data), str(r)
             assert np.array_equal(a.gram_decode.data, b.gram_decode.data), str(r)
         assert got.content_digest() == _PINNED_DIGESTS[(mode, sampler, budget)]
+
+    def test_width_one_past_a_strip_is_pinned(self):
+        # Every slot width is 1 more than a multiple of the Gram kernel's
+        # 8-row strip (9 and 33), the case that must not leave a 1x1 tile.
+        model = generate_model(small_config(d_model=9, n_heads=3, d_mlp=33), seed=7)
+        config = CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=16)
+        refs = all_refs(model.config)
+        got = collect(model, config, refs)
+        want = _two_pass_oracle(model, config, refs)
+        for r in refs:
+            assert np.array_equal(got.stats[r].gram_prompt.data,
+                                  want.stats[r].gram_prompt.data), str(r)
+            assert np.array_equal(got.stats[r].gram_decode.data,
+                                  want.stats[r].gram_decode.data), str(r)
+        # computed with one rank-1 update per column, before block updates
+        assert got.content_digest() == (
+            "91bec5e6b630e5dde085201ff50910c2bbad5abc8db9017adc8e339b2dd5add7")
 
 
 # sha256 of the saved .racc of collect(corpus) over all refs of the tiny

@@ -12,6 +12,25 @@ from rackit.numkernel import (
     inverse_via_cholesky,
 )
 
+from .oracle import accumulate_gram_per_column
+
+# Widths around multiples of the 8-row strip (a width 1 more than a multiple
+# would leave a 1x1 tile) and block lengths around the 32-column chunk.
+_WIDTHS = [*range(1, 42), 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513]
+_LENGTHS = [1, 2, 7, 9, 31, 32, 33, 129, 300]
+
+
+def _symmetric_start(rng, dim, scale=1.0):
+    a = rng.standard_normal((dim, dim + 2)) * scale
+    return SymMatrix.from_array(a @ a.T)
+
+
+def _per_column(start, block):
+    ref = start.copy()
+    for col in block:
+        accumulate_gram_per_column(ref, col)
+    return ref
+
 
 class TestSymMatrix:
     def test_zeros(self):
@@ -72,6 +91,47 @@ class TestAccumulate:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             accumulate_gram(SymMatrix.zeros(2), np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("dim", _WIDTHS)
+    def test_block_equals_per_column_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        start = _symmetric_start(rng, dim)
+        for length in _LENGTHS:
+            block = rng.standard_normal((length, dim))
+            want = _per_column(start, block)
+            got = accumulate_gram(start.copy(), block)
+            assert np.array_equal(got.data, want.data), length
+            assert np.array_equal(got.data, got.data.T)
+
+    @given(dim=st.integers(1, 80), length=st.integers(1, 100),
+           exponent=st.integers(-8, 8), seed=st.integers(0, 10_000))
+    def test_block_equals_per_column_oracle_at_any_scale(self, dim, length, exponent, seed):
+        rng = np.random.default_rng(seed)
+        start = _symmetric_start(rng, dim, 10.0 ** exponent)
+        block = rng.standard_normal((length, dim)) * 10.0 ** exponent
+        want = _per_column(start, block)
+        assert np.array_equal(accumulate_gram(start.copy(), block).data, want.data)
+
+    def test_empty_block_is_a_no_op(self):
+        acc = _symmetric_start(np.random.default_rng(2), 5)
+        before = acc.data.copy()
+        accumulate_gram(acc, np.zeros((0, 5)))
+        assert np.array_equal(acc.data, before)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "width", "3d"])
+    def test_rejected_block_leaves_accumulator_untouched(self, bad):
+        rng = np.random.default_rng(4)
+        acc = _symmetric_start(rng, 6)
+        before = acc.data.copy()
+        block = {
+            "nan": np.vstack([rng.standard_normal((40, 6)), np.full((1, 6), np.nan)]),
+            "inf": np.vstack([rng.standard_normal((3, 6)), [[0, 0, 0, 0, 0, -np.inf]]]),
+            "width": rng.standard_normal((4, 7)),
+            "3d": rng.standard_normal((2, 4, 6)),
+        }[bad]
+        with pytest.raises(ValidationError):
+            accumulate_gram(acc, block)
+        assert np.array_equal(acc.data, before)
 
 
 class TestDampen:
