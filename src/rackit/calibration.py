@@ -92,6 +92,8 @@ class CalibrationConfig:
             raise ValidationError(f"mode {self.mode!r} requires t_max > 0")
         if self.mode == "off_policy" and self.trace_model is None:
             raise ValidationError("off_policy mode requires a trace model")
+        if self.mode != "off_policy" and self.trace_model is not None:
+            raise ValidationError(f"mode {self.mode!r} takes no trace model; only off_policy does")
         if self.token_budget is not None and self.token_budget <= 0:
             raise ValidationError("token_budget must be positive when set")
 
@@ -266,7 +268,7 @@ def _accumulate(dest: CalibrationSet, captures, start: int, stop: int,
         gram = st.gram_prompt if phase == "prompt" else st.gram_decode
         cols = captures[ref]
         if cols is prev_cols:
-            # The refs that read one activation (attn_q/k/v) share their
+            # Refs that read one activation (SLOT_INPUT) share their
             # capture array and so have received the same columns.
             np.copyto(gram.data, prev_gram.data)
         else:

@@ -301,6 +301,8 @@ def _pattern_from_flags(args) -> SparsityPattern:
         raise ValidationError(
             f"exactly one of --sparsity, --nm, --bits must be given (got {chosen or 'none'})"
         )
+    if args.group_size is not None and args.bits is None:
+        raise ValidationError("--group-size requires --bits")
     if args.sparsity is not None:
         return SparsityPattern.unstructured(args.sparsity)
     if args.nm is not None:
@@ -413,7 +415,6 @@ def _cmd_diagnose(args) -> tuple[int, object, dict]:
         traces.append(DiagnosticTrace(
             problem_id=f"p{idx}",
             boundary=len(prompt),
-            length=len(rollout),
             errors=errors,
         ))
 

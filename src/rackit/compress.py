@@ -19,7 +19,8 @@ error ||(W - W') X||_F^2 summed over rows. Methods:
   one-row walk, so the masks equal that walk's bit for bit.
 * ``quantize_obs``    - same machinery, but every column is snapped to a
   symmetric per-row (or per-group) grid and the rounding error compensated.
-* ``refit_fixed_mask`` - exact least-squares weights for a given mask.
+* ``refit_fixed_mask`` - exact least-squares weights for a given mask, from
+  the same per-row refit that polishes ``prune_obs`` survivors.
 
 The factorized-inverse trick: with U the upper Cholesky factor of the damped
 H^-1 (so H^-1 = U^T U), the running inverse needed after freezing columns
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -148,16 +149,38 @@ def _keep_mask(scores: np.ndarray, keep: int) -> np.ndarray:
     return mask
 
 
-def _validate_pruning_inputs(weights, pattern: SparsityPattern):
+def _check_inputs(weights, pattern: SparsityPattern | None, gram: SymMatrix | None = None,
+                  block_size: int | None = None, quantize: bool = False) -> np.ndarray:
+    """The one input check of every entry point; returns ``weights`` as float64.
+
+    ``pattern`` must be a quantize pattern when ``quantize`` is set and a
+    pruning pattern otherwise; None (the refit) skips the pattern checks, as
+    a None ``gram`` or ``block_size`` skips theirs.
+    """
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
         raise ValidationError(f"weights must be 2-D, got shape {W.shape}")
-    if pattern.kind == "quantize":
-        raise ValidationError("pruning requires an unstructured or semi_structured pattern")
-    if pattern.kind == "semi_structured" and W.shape[1] % pattern.m != 0:
-        raise ValidationError(
-            f"input width {W.shape[1]} is not a multiple of m={pattern.m}"
-        )
+    d_in = W.shape[1]
+    m = 1
+    if pattern is not None:
+        if quantize and pattern.kind != "quantize":
+            raise ValidationError("quantize_obs requires a quantize pattern")
+        if not quantize and pattern.kind == "quantize":
+            raise ValidationError("pruning requires an unstructured or semi_structured pattern")
+        if pattern.kind == "semi_structured":
+            m = pattern.m
+            if d_in % m != 0:
+                raise ValidationError(f"input width {d_in} is not a multiple of m={m}")
+        gs = pattern.group_size
+        if gs is not None and d_in % gs != 0:
+            raise ValidationError(f"group_size {gs} does not divide input width {d_in}")
+    if gram is not None and gram.dim != d_in:
+        raise ValidationError(f"gram dimension {gram.dim} does not match input width {d_in}")
+    if block_size is not None:
+        if block_size < 1:
+            raise ValidationError("block_size must be >= 1")
+        if block_size % m != 0:
+            raise ValidationError(f"block_size {block_size} must be a multiple of m={m}")
     return W
 
 
@@ -173,7 +196,7 @@ def _score_mask(W: np.ndarray, scores: np.ndarray, pattern: SparsityPattern) -> 
 
 def prune_magnitude(weights, pattern: SparsityPattern):
     """Keep the largest-magnitude weights; returns (mask, masked weights)."""
-    W = _validate_pruning_inputs(weights, pattern)
+    W = _check_inputs(weights, pattern)
     mask = _score_mask(W, np.abs(W), pattern)
     return mask, np.where(mask, W, 0.0)
 
@@ -183,11 +206,7 @@ def prune_wanda(weights, gram: SymMatrix, pattern: SparsityPattern):
 
     Mask only; surviving weights are returned unchanged.
     """
-    W = _validate_pruning_inputs(weights, pattern)
-    if gram.dim != W.shape[1]:
-        raise ValidationError(
-            f"gram dimension {gram.dim} does not match input width {W.shape[1]}"
-        )
+    W = _check_inputs(weights, pattern, gram)
     diag = np.diag(gram.data)
     if (diag < 0).any():
         raise ValidationError("gram diagonal must be nonnegative")
@@ -198,19 +217,6 @@ def prune_wanda(weights, gram: SymMatrix, pattern: SparsityPattern):
 def _upper_inverse_factor(damped: SymMatrix) -> np.ndarray:
     """Upper-triangular U with damped^-1 == U.T @ U."""
     return np.ascontiguousarray(cholesky(inverse_via_cholesky(damped)).lower.T)
-
-
-def _check_obs_args(W, gram, pattern, block_size):
-    if gram.dim != W.shape[1]:
-        raise ValidationError(
-            f"gram dimension {gram.dim} does not match input width {W.shape[1]}"
-        )
-    if block_size < 1:
-        raise ValidationError("block_size must be >= 1")
-    if pattern.kind == "semi_structured" and block_size % pattern.m != 0:
-        raise ValidationError(
-            f"block_size {block_size} must be a multiple of m={pattern.m}"
-        )
 
 
 def _obs_walk(W: np.ndarray, U: np.ndarray, block_size: int, choose) -> None:
@@ -295,24 +301,15 @@ def _greedy_rows(W_rows: np.ndarray, M0: np.ndarray, quota: int) -> np.ndarray:
     return live
 
 
-def _solve_on_support(H_SS: np.ndarray, rhs: np.ndarray, row: int) -> np.ndarray:
-    """Solve H_SS x = rhs by Cholesky for one row's support."""
-    try:
-        factor = scipy.linalg.cho_factor(H_SS, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular support submatrix for row {row} (increase dampening)"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, rhs)
-
-
 def _refit_survivors(W_orig: np.ndarray, walked: np.ndarray, mask: np.ndarray,
                      damped: np.ndarray) -> np.ndarray:
     """Exact per-row least squares on the final support, in residual form.
 
     Correcting the walked weights by H_SS^-1 (H_SS w_S - H_S,: w_orig) lands
     on the refit optimum while leaving already-optimal rows bit-identical
-    (their residual is exactly zero).
+    (their residual is exactly zero). From all-zero walked weights this is
+    the direct solve of H_SS w'_S = H_S,: w_orig bit for bit, because
+    ``0 - b`` is exactly ``-b`` and the solve is odd in its right-hand side.
     """
     out = walked.copy()
     for r in range(out.shape[0]):
@@ -323,7 +320,13 @@ def _refit_survivors(W_orig: np.ndarray, walked: np.ndarray, mask: np.ndarray,
         resid = H_SS @ out[r, s] - damped[s] @ W_orig[r]
         if not resid.any():
             continue
-        out[r, s] -= _solve_on_support(H_SS, resid, r)
+        try:
+            factor = scipy.linalg.cho_factor(H_SS, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"singular support submatrix for row {r} (increase dampening)"
+            ) from exc
+        out[r, s] -= scipy.linalg.cho_solve(factor, resid)
     return out
 
 
@@ -341,8 +344,7 @@ def prune_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
     factor of the damped inverse Gram, and the survivors finally get an exact
     least-squares polish on their support.
     """
-    W = _validate_pruning_inputs(weights, pattern).copy()
-    _check_obs_args(W, gram, pattern, block_size)
+    W = _check_inputs(weights, pattern, gram, block_size).copy()
     d_out, d_in = W.shape
     damped = dampen(gram, damp_fraction)
     U = _upper_inverse_factor(damped)
@@ -380,16 +382,8 @@ def _grid_snap(W_cols: np.ndarray, scale: np.ndarray, qmax: int) -> np.ndarray:
 
 def _quantize_obs_impl(weights, gram: SymMatrix, pattern: SparsityPattern,
                        block_size: int, damp_fraction: float):
-    W = np.asarray(weights, dtype=np.float64).copy()
-    if W.ndim != 2:
-        raise ValidationError(f"weights must be 2-D, got shape {W.shape}")
-    if pattern.kind != "quantize":
-        raise ValidationError("quantize_obs requires a quantize pattern")
-    _check_obs_args(W, gram, pattern, block_size)
-    d_in = W.shape[1]
+    W = _check_inputs(weights, pattern, gram, block_size, quantize=True).copy()
     gs = pattern.group_size
-    if gs is not None and d_in % gs != 0:
-        raise ValidationError(f"group_size {gs} does not divide input width {d_in}")
     qmax = 2 ** (pattern.bits - 1) - 1
 
     U = _upper_inverse_factor(dampen(gram, damp_fraction))
@@ -424,29 +418,17 @@ def quantize_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
 def refit_fixed_mask(weights, gram: SymMatrix, mask) -> np.ndarray:
     """Least-squares optimal weights on a fixed support.
 
-    Per row, the surviving coefficients solve H_SS w'_S = H_S,: w. Rows with
-    empty support come back all zero.
+    Per row, the surviving coefficients solve H_SS w'_S = H_S,: w, through
+    the refit that polishes :func:`prune_obs` output. Rows with empty
+    support come back all zero.
     """
-    W = np.asarray(weights, dtype=np.float64)
+    W = _check_inputs(weights, None, gram)
     M = np.asarray(mask, dtype=bool)
-    if W.ndim != 2 or M.shape != W.shape:
+    if M.shape != W.shape:
         raise ValidationError(
             f"mask shape {M.shape} does not match weights shape {W.shape}"
         )
-    if gram.dim != W.shape[1]:
-        raise ValidationError(
-            f"gram dimension {gram.dim} does not match input width {W.shape[1]}"
-        )
-    H = gram.data
-    out = np.zeros_like(W)
-    for r in range(W.shape[0]):
-        support = np.flatnonzero(M[r])
-        if support.size == 0:
-            continue
-        out[r, support] = _solve_on_support(
-            H[np.ix_(support, support)], H[support, :] @ W[r], r
-        )
-    return out
+    return _refit_survivors(W, np.zeros_like(W), M, gram.data)
 
 
 def trace_form_loss(original, compressed, gram: SymMatrix) -> float:
@@ -511,15 +493,6 @@ def _prune_audit(mask: np.ndarray, pattern: SparsityPattern) -> dict:
     return audit
 
 
-def _select_gram(calib: CalibrationSet, ref: PrunableLayerRef, mode: str) -> SymMatrix:
-    if mode == "rac":
-        return merged_gram(calib, ref)
-    st = calib.stats.get(ref)
-    if st is None:
-        raise ValidationError(f"ref {ref} not present in calibration set")
-    return st.gram_prompt.copy()
-
-
 def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
                    method: str, pattern: SparsityPattern, refs=None,
                    block_size: int = DEFAULT_BLOCK_SIZE,
@@ -574,7 +547,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     def solve(ref: PrunableLayerRef):
         start = time.perf_counter()
         W = get_weight(model, ref)
-        gram = _select_gram(calib, ref, mode)
+        gram = merged_gram(calib, ref) if mode == "rac" else calib.stats[ref].gram_prompt
         if method == "magnitude":
             mask, W_new = prune_magnitude(W, pattern)
             achieved = _prune_audit(mask, pattern)

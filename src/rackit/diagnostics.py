@@ -44,7 +44,6 @@ class DiagnosticTrace:
 
     problem_id: str
     boundary: int
-    length: int
     errors: dict[str, np.ndarray]
 
 

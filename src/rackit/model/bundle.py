@@ -23,6 +23,7 @@ from ..errors import ValidationError
 
 __all__ = [
     "SLOTS",
+    "SLOT_INPUT",
     "ModelConfig",
     "PrunableLayerRef",
     "LayerWeights",
@@ -42,6 +43,12 @@ __all__ = [
 ]
 
 SLOTS = ("attn_q", "attn_k", "attn_v", "attn_out", "mlp_up", "mlp_down")
+
+# The activation each slot's weight multiplies, per block: the first layer
+# norm's output, the attention context, the second layer norm's output and
+# the GELU output. Slots that read one activation share its captures.
+SLOT_INPUT = {"attn_q": "ln1", "attn_k": "ln1", "attn_v": "ln1",
+              "attn_out": "ctx", "mlp_up": "ln2", "mlp_down": "gelu"}
 
 BYTE_VOCAB = 256
 

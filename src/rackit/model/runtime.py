@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from ..errors import ValidationError
-from .bundle import ModelBundle, PrunableLayerRef, sort_refs
+from .bundle import SLOT_INPUT, ModelBundle, PrunableLayerRef, sort_refs
 
 __all__ = [
     "STOP_BYTE",
@@ -107,8 +107,9 @@ def _attend(q, keys, vals, scale):
 def _advance(model: ModelBundle, state: DecodeState, tokens, collect):
     """Process a chunk of T valid tokens; returns (logits, last-block states), T rows each.
 
-    ``collect`` maps (layer, slot) to a list that receives the chunk's slot
-    inputs as one (T, d_in) array, or is None.
+    ``collect`` maps (layer, activation), activations named as in
+    :data:`SLOT_INPUT`, to a list that receives the chunk's rows of that
+    activation as one (T, d_in) array, or is None.
     """
     cfg = model.config
     pos = state.position
@@ -117,26 +118,25 @@ def _advance(model: ModelBundle, state: DecodeState, tokens, collect):
     eps = cfg.layernorm_epsilon
     inv_sqrt_hd = 1.0 / math.sqrt(hd)
 
-    def keep(li, slot, rows):
-        if collect is not None and (li, slot) in collect:
-            collect[(li, slot)].append(rows)
+    def keep(li, activation, rows):
+        if collect is not None and (li, activation) in collect:
+            collect[(li, activation)].append(rows)
 
     x = model.token_embedding[tokens] + model.position_embedding[pos : pos + t]
     for li, lw in enumerate(model.layers):
         u = _layer_norm(x, lw.ln1_gain, lw.ln1_bias, eps)
-        for slot in ("attn_q", "attn_k", "attn_v"):
-            keep(li, slot, u)
+        keep(li, "ln1", u)
         q = (u @ lw.attn_q.T).reshape(t, heads, hd)
         state._k[li][pos : pos + t] = (u @ lw.attn_k.T).reshape(t, heads, hd)
         state._v[li][pos : pos + t] = (u @ lw.attn_v.T).reshape(t, heads, hd)
         ctx = _attend(q, state._k[li][: pos + t], state._v[li][: pos + t],
                       inv_sqrt_hd).reshape(t, cfg.d_model)
-        keep(li, "attn_out", ctx)
+        keep(li, "ctx", ctx)
         x = x + ctx @ lw.attn_out.T
         u2 = _layer_norm(x, lw.ln2_gain, lw.ln2_bias, eps)
-        keep(li, "mlp_up", u2)
+        keep(li, "ln2", u2)
         act = _gelu(u2 @ lw.mlp_up.T)
-        keep(li, "mlp_down", act)
+        keep(li, "gelu", act)
         x = x + act @ lw.mlp_down.T
 
     state.position = pos + t
@@ -183,7 +183,7 @@ def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
         what = (f"prompt ({len(seq)}) + max_new ({max_new})" if max_new
                 else f"sequence length {len(seq)}")
         raise ValidationError(f"{what} exceeds max_positions={cap}")
-    collect = {(r.layer_index, r.slot): [] for r in refs} or None
+    collect = {(r.layer_index, SLOT_INPUT[r.slot]): [] for r in refs} or None
     state = DecodeState(model)
     logits_rows = []
     hidden_rows = []
@@ -207,15 +207,8 @@ def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
             step([tok])
         if done:
             break
-    captures = {}
-    joined = {}
-    for r in refs:
-        # attn_q, attn_k and attn_v record the same arrays: join them once
-        parts = collect[(r.layer_index, r.slot)]
-        key = tuple(map(id, parts))
-        if key not in joined:
-            joined[key] = np.concatenate(parts)
-        captures[r] = joined[key]
+    joined = {key: np.concatenate(parts) for key, parts in (collect or {}).items()}
+    captures = {r: joined[(r.layer_index, SLOT_INPUT[r.slot])] for r in refs}
     return seq, np.concatenate(logits_rows), np.concatenate(hidden_rows), captures
 
 
@@ -225,7 +218,7 @@ def forward_teacher_forced(model: ModelBundle, tokens, capture=()):
     ``capture`` is an iterable of :class:`PrunableLayerRef`. For each ref the
     result holds one row per position: the vector that the slot's weight
     matrix multiplied at that position, in position order. Refs whose slots
-    read the same vector (``attn_q``, ``attn_k``, ``attn_v``) share one array.
+    read the same activation (:data:`SLOT_INPUT`) share one array.
     """
     _, logits, _, captures = _run(model, tokens, capture)
     return logits, captures

@@ -171,12 +171,7 @@ def cholesky(m: SymMatrix) -> CholeskyFactor:
 
 def inverse_via_cholesky(m: SymMatrix) -> SymMatrix:
     """Inverse of a symmetric positive definite matrix via its Cholesky factor."""
-    c, info = dpotrf(m.data, lower=1, clean=0, overwrite_a=0)
-    if info > 0:
-        raise CholeskyError(info - 1)
-    if info < 0:
-        raise NumericalError(f"dpotrf rejected argument {-info}")
-    inv, info = dpotri(c, lower=1)
+    inv, info = dpotri(cholesky(m).lower, lower=1)
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
     # dpotri fills one triangle only; mirror it so symmetry is exact.

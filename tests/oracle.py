@@ -5,16 +5,17 @@ library: full-sequence vectorized forward with an explicit causal mask, no
 KV cache, no incremental state. Agreement between the two is evidence, not
 tautology. The exceptions are older library loops kept verbatim, so that
 their replacements can be held to their bits: the one-token runtime driver
-(``stepwise_run``), the per-row greedy OBS mask and the per-column Gram
-update.
+(``stepwise_run``), the per-row greedy OBS mask, the per-column Gram update
+and the direct fixed-mask refit.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.special import erf
 
-from rackit.errors import ValidationError
+from rackit.errors import NumericalError, ValidationError
 from rackit.model import (
     GREEDY,
     STOP_BYTE,
@@ -169,6 +170,45 @@ def greedy_block_mask_per_row(W_block, ub, quota):
             M = np.delete(np.delete(M, k, axis=0), k, axis=1)
             live = np.delete(live, k)
     return mask
+
+
+def _solve_on_support(H_SS: np.ndarray, rhs: np.ndarray, row: int) -> np.ndarray:
+    """Solve H_SS x = rhs by Cholesky for one row's support."""
+    try:
+        factor = scipy.linalg.cho_factor(H_SS, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"singular support submatrix for row {row} (increase dampening)"
+        ) from exc
+    return scipy.linalg.cho_solve(factor, rhs)
+
+
+def refit_fixed_mask_direct(weights, gram: SymMatrix, mask) -> np.ndarray:
+    """Least-squares optimal weights on a fixed support, one direct solve per row.
+
+    Per row, the surviving coefficients solve H_SS w'_S = H_S,: w. Rows with
+    empty support come back all zero.
+    """
+    W = np.asarray(weights, dtype=np.float64)
+    M = np.asarray(mask, dtype=bool)
+    if W.ndim != 2 or M.shape != W.shape:
+        raise ValidationError(
+            f"mask shape {M.shape} does not match weights shape {W.shape}"
+        )
+    if gram.dim != W.shape[1]:
+        raise ValidationError(
+            f"gram dimension {gram.dim} does not match input width {W.shape[1]}"
+        )
+    H = gram.data
+    out = np.zeros_like(W)
+    for r in range(W.shape[0]):
+        support = np.flatnonzero(M[r])
+        if support.size == 0:
+            continue
+        out[r, support] = _solve_on_support(
+            H[np.ix_(support, support)], H[support, :] @ W[r], r
+        )
+    return out
 
 
 def _step_layer_norm(v, gain, bias, eps):

@@ -247,6 +247,8 @@ class TestCollect:
             CalibrationConfig(mode="off_policy", prompts=PROMPTS, t_max=4)
         with pytest.raises(ValidationError):
             CalibrationConfig(mode="prompt_only", prompts=PROMPTS, token_budget=0)
+        with pytest.raises(ValidationError, match="takes no trace model"):
+            CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=4, trace_model=tiny_model)
 
 
 def _two_pass_oracle(target, config, refs):

@@ -240,6 +240,16 @@ class TestCalibrate:
                     "--prompts", str(ws["prompts"]),
                     "--out", str(tmp_path / "x.racc")]) == 3
 
+    def test_trace_model_needs_off_policy_mode(self, ws, tmp_path, capsys):
+        base = ["calibrate", "--model", str(ws["model"]), "--prompts", str(ws["prompts"]),
+                "--t-max", "4", "--trace-model", str(ws["model"])]
+        out = tmp_path / "x.racc"
+        assert run(base + ["--mode", "rac", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "takes no trace model" in err[0]
+        assert not out.exists()
+        assert run(base + ["--mode", "off-policy", "--out", str(out)]) == 0
+
     def test_layer_slot_selection(self, ws, tmp_path, capsys):
         out = tmp_path / "sub.racc"
         assert run(["calibrate", "--model", str(ws["model"]), "--mode",
@@ -321,6 +331,15 @@ class TestPrune:
                     "--group-size", "8", "--out", str(out)]) == 0
         body = out_json(capsys)
         assert body["method"] == "obs_quant"
+
+    def test_group_size_needs_bits(self, ws, tmp_path, capsys):
+        out = tmp_path / "x.tmc"
+        assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                    "--method", "obs", "--sparsity", "0.5", "--group-size", "7",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --group-size requires --bits"]
+        assert not out.exists()
 
     def test_model_calibration_mismatch_detected(self, ws, tmp_path):
         other = tmp_path / "other.tmc"

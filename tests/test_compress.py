@@ -25,7 +25,12 @@ from rackit.model import all_refs, generate_model, get_weight, model_content_has
 from rackit.numkernel import SymMatrix, dampen
 
 from .helpers import random_gram, small_config
-from .oracle import direct_loss, greedy_block_mask_per_row, rtn_quantize
+from .oracle import (
+    direct_loss,
+    greedy_block_mask_per_row,
+    refit_fixed_mask_direct,
+    rtn_quantize,
+)
 
 HALF = SparsityPattern.unstructured(0.5)
 
@@ -369,6 +374,70 @@ class TestRefit:
         gram, _ = random_gram(rng, 4)
         with pytest.raises(ValidationError):
             refit_fixed_mask(np.ones((2, 4)), gram, np.ones((3, 4), dtype=bool))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_direct_solve_oracle(self, seed):
+        """The residual-form refit from zero weights is the direct solve bit
+        for bit, including rows with an empty support and all-zero rows."""
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 25))
+            gram, _ = random_gram(rng, cols)
+            W = rng.standard_normal((rows, cols))
+            mask = rng.random((rows, cols)) < rng.choice([0.0, 0.3, 0.7, 1.0])
+            W[rng.random(rows) < 0.25] = 0.0
+            mask[rng.random(rows) < 0.25] = False
+            got = refit_fixed_mask(W, gram, mask)
+            want = refit_fixed_mask_direct(W, gram, mask)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _bad_inputs():
+    """(entry point, call, message) for every input an entry point rejects."""
+    g6, g8 = identity_gram(6), identity_gram(8)
+    W = np.ones((2, 8))
+    nm24, q4 = SparsityPattern.semi_structured(2, 4), SparsityPattern.quantize(4)
+    flat = "weights must be 2-D"
+    kind = "pruning requires an unstructured or semi_structured pattern"
+    width = "input width 6 is not a multiple of m=4"
+    gram = "gram dimension 6 does not match input width 8"
+    block = "block_size must be >= 1"
+    block_m = "block_size 6 must be a multiple of m=4"
+    return [
+        ("prune_magnitude", lambda: prune_magnitude(np.ones(8), HALF), flat),
+        ("prune_magnitude", lambda: prune_magnitude(W, q4), kind),
+        ("prune_magnitude", lambda: prune_magnitude(np.ones((2, 6)), nm24), width),
+        ("prune_wanda", lambda: prune_wanda(np.ones(8), g8, HALF), flat),
+        ("prune_wanda", lambda: prune_wanda(W, g8, q4), kind),
+        ("prune_wanda", lambda: prune_wanda(np.ones((2, 6)), g6, nm24), width),
+        ("prune_wanda", lambda: prune_wanda(W, g6, HALF), gram),
+        ("prune_obs", lambda: prune_obs(np.ones(8), g8, HALF), flat),
+        ("prune_obs", lambda: prune_obs(W, g8, q4), kind),
+        ("prune_obs", lambda: prune_obs(np.ones((2, 6)), g6, nm24), width),
+        ("prune_obs", lambda: prune_obs(W, g6, HALF), gram),
+        ("prune_obs", lambda: prune_obs(W, g8, HALF, block_size=0), block),
+        ("prune_obs", lambda: prune_obs(W, g8, nm24, block_size=6), block_m),
+        ("quantize_obs", lambda: quantize_obs(np.ones(8), g8, q4), flat),
+        ("quantize_obs", lambda: quantize_obs(W, g8, HALF),
+         "quantize_obs requires a quantize pattern"),
+        ("quantize_obs", lambda: quantize_obs(W, g8, SparsityPattern.quantize(4, 3)),
+         "group_size 3 does not divide input width 8"),
+        ("quantize_obs", lambda: quantize_obs(W, g6, q4), gram),
+        ("quantize_obs", lambda: quantize_obs(W, g8, q4, block_size=0), block),
+        ("refit_fixed_mask", lambda: refit_fixed_mask(W, g8, np.ones((3, 8), bool)),
+         "mask shape"),
+        ("refit_fixed_mask", lambda: refit_fixed_mask(W, g6, np.ones((2, 8), bool)), gram),
+    ]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(call, message, id=f"{entry}-{i}")
+    for i, (entry, call, message) in enumerate(_bad_inputs())
+])
+def test_entry_points_reject_bad_inputs(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 class TestTraceFormLoss:

@@ -95,7 +95,7 @@ class TestSummarize:
     def _trace(self, errs, boundary, pid="p0", method="obs"):
         errs = np.asarray(errs, dtype=np.float64)
         return DiagnosticTrace(problem_id=pid, boundary=boundary,
-                               length=errs.size, errors={method: errs})
+                               errors={method: errs})
 
     def test_hand_example(self):
         summary = summarize_phase_errors([self._trace([1.0, 2.0, 4.0], 1)])
@@ -159,11 +159,11 @@ class TestEvalNll:
 class TestWriters:
     def _traces(self):
         return [
-            DiagnosticTrace("p0", 1, 3, {
+            DiagnosticTrace("p0", 1, {
                 "prompt_only": np.array([1.0, 2.0, 3.0]),
                 "rac": np.array([1.0, 1.5, 2.0]),
             }),
-            DiagnosticTrace("p1", 2, 2, {
+            DiagnosticTrace("p1", 2, {
                 "prompt_only": np.array([0.5, 0.25]),
                 "rac": np.array([0.5, 0.125]),
             }),

@@ -1,0 +1,34 @@
+"""Checks on the benchmark's tooling that need no benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from rackit.calibration import CalibrationSet
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """``bench/tracer.py`` imported with ``bench/`` on the path, writing no bytecode."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.modules.pop("workloads", None)
+
+
+def test_every_traced_name_resolves(tracer):
+    """The tracer replaces functions by name; a renamed one would go untraced."""
+    for owner, attr, _, _ in tracer.PUBLIC:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+    for attr, _, _ in tracer.METHODS:
+        assert attr in CalibrationSet.__dict__, attr
+        assert callable(getattr(CalibrationSet, attr)), attr
