@@ -39,10 +39,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .calibration import CalibrationSet, merged_gram
-from .errors import NumericalError, ValidationError
+from .errors import CholeskyError, NumericalError, ValidationError
 from .model import (
     ModelBundle,
     PrunableLayerRef,
@@ -52,7 +51,14 @@ from .model import (
     slot_input_dim,
     sort_refs,
 )
-from .numkernel import SymMatrix, cholesky, dampen, inverse_via_cholesky
+from .numkernel import (
+    SymMatrix,
+    cholesky,
+    dampen,
+    inverse_via_cholesky,
+    single_blas_thread,
+    solve_spd,
+)
 
 __all__ = [
     "SparsityPattern",
@@ -160,6 +166,8 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram: SymMatrix | No
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
         raise ValidationError(f"weights must be 2-D, got shape {W.shape}")
+    if not np.isfinite(W).all():
+        raise ValidationError("weights must be finite")
     d_in = W.shape[1]
     m = 1
     if pattern is not None:
@@ -321,12 +329,11 @@ def _refit_survivors(W_orig: np.ndarray, walked: np.ndarray, mask: np.ndarray,
         if not resid.any():
             continue
         try:
-            factor = scipy.linalg.cho_factor(H_SS, lower=True)
-        except np.linalg.LinAlgError as exc:
+            out[r, s] -= solve_spd(H_SS, resid)
+        except CholeskyError as exc:
             raise NumericalError(
                 f"singular support submatrix for row {r} (increase dampening)"
             ) from exc
-        out[r, s] -= scipy.linalg.cho_solve(factor, resid)
     return out
 
 
@@ -501,8 +508,10 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
 
     ``mode`` picks the statistic: ``rac`` uses prompt + decode, ``prompt_only``
     and ``corpus`` use the prompt-phase Gram alone. Reported losses are
-    evaluated on the same (undamped) Gram the solver consumed. Returns
-    (compressed bundle, :class:`CompressionReport`).
+    evaluated on the same (undamped) Gram the solver consumed. The solvers
+    run with BLAS on one thread (:func:`single_blas_thread`), which is faster
+    on these small matrices and keeps the result independent of the caller's
+    thread count. Returns (compressed bundle, :class:`CompressionReport`).
     """
     mode = mode.replace("-", "_")
     if mode not in ("prompt_only", "rac", "corpus"):
@@ -571,7 +580,8 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         loss = trace_form_loss(W, W_new, gram)
         return RefReport(ref, loss, time.perf_counter() - start, achieved), W_new
 
-    solved = [solve(ref) for ref in refs]
+    with single_blas_thread():
+        solved = [solve(ref) for ref in refs]
 
     bundle = model
     for (ref_report, W_new), ref in zip(solved, refs):

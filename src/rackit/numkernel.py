@@ -3,10 +3,13 @@
 Gram accumulators are plain float64 arrays that take blocks of activation
 columns in arrival order. A block updates each entry as the sum of one
 product per column, added left to right, so the bits never depend on how a
-column sequence is cut into blocks. Factorization and inversion go through
-LAPACK (dpotrf/dpotri) so the solvers only ever see explicitly symmetric
-matrices. Every routine works in 64-bit floats regardless of how model
-weights are stored.
+column sequence is cut into blocks. Factorization, solves and inversion go
+through LAPACK (dpotrf/dpotrs/dpotri) so the solvers only ever see explicitly
+symmetric matrices. Every routine works in 64-bit floats regardless of how
+model weights are stored. :func:`single_blas_thread` runs a block with the
+loaded OpenBLAS builds on one thread. OpenBLAS's dpotrf and dpotri round
+differently at different thread counts, so inside the block their bits no
+longer depend on the count the host would pick.
 
 Accumulators are single-writer: nothing here locks, callers must not share a
 matrix between concurrent updates.
@@ -14,10 +17,16 @@ matrix between concurrent updates.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri
+import scipy
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import CholeskyError, NumericalError, ValidationError
 
@@ -27,7 +36,9 @@ __all__ = [
     "accumulate_gram",
     "dampen",
     "cholesky",
+    "solve_spd",
     "inverse_via_cholesky",
+    "single_blas_thread",
 ]
 
 
@@ -155,18 +166,40 @@ def dampen(m: SymMatrix, fraction: float) -> SymMatrix:
     return SymMatrix(m.dim, out)
 
 
+def _lower_factor(a: np.ndarray) -> np.ndarray:
+    """dpotrf's lower factor of ``a``, upper triangle zeroed.
+
+    Raises :class:`CholeskyError` carrying the 0-based index of the first
+    non-positive pivot.
+    """
+    c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
+    if info > 0:
+        raise CholeskyError(info - 1)
+    if info < 0:
+        raise NumericalError(f"dpotrf rejected argument {-info}")
+    return c
+
+
 def cholesky(m: SymMatrix) -> CholeskyFactor:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Raises :class:`CholeskyError` carrying the 0-based index of the first
     non-positive pivot.
     """
-    c, info = dpotrf(m.data, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise CholeskyError(info - 1)
-    if info < 0:
-        raise NumericalError(f"dpotrf rejected argument {-info}")
-    return CholeskyFactor(m.dim, c)
+    return CholeskyFactor(m.dim, _lower_factor(m.data))
+
+
+def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` for a symmetric positive definite ``a`` (dpotrf, dpotrs).
+
+    Only the lower triangle of ``a`` is read. ``b`` is one right-hand side or
+    a ``(n, k)`` block of them; ``x`` has its shape. A factorization that
+    fails raises :class:`CholeskyError` as :func:`cholesky` does.
+    """
+    x, info = dpotrs(_lower_factor(a), b, lower=1)
+    if info != 0:
+        raise NumericalError(f"dpotrs rejected argument {-info}")
+    return x
 
 
 def inverse_via_cholesky(m: SymMatrix) -> SymMatrix:
@@ -180,3 +213,56 @@ def inverse_via_cholesky(m: SymMatrix) -> SymMatrix:
     if not np.isfinite(full).all():
         raise NumericalError("inverse contains non-finite entries")
     return SymMatrix(m.dim, full)
+
+
+# The OpenBLAS builds that numpy and scipy wheels bundle sit in the
+# ``numpy.libs`` and ``scipy.libs`` directories next to the packages, as
+# ``libscipy_openblas*.so``. Each is opened with RTLD_NOLOAD, which only
+# returns a handle to a library the process has already loaded (and raises
+# OSError otherwise), so the lookup never loads anything. numpy's ILP64 build
+# exports the thread setter and getter with a ``64_`` suffix, scipy's without.
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(setter, getter) of every loaded OpenBLAS; looked up once, on first use."""
+    controls = []
+    for package in (np, scipy):
+        libdir = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libdir.glob("libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:
+                continue
+            for set_name, get_name in _THREAD_SYMBOLS:
+                if hasattr(lib, set_name) and hasattr(lib, get_name):
+                    setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    controls.append((setter, getter))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    Each library gets its own thread count back on exit, also when the block
+    raises. Where no library or symbol is found this does nothing. On the
+    small matrices of the layerwise solvers, handing work to a second thread
+    costs more than it saves.
+    """
+    controls = _openblas_thread_controls()
+    saved = [getter() for _, getter in controls]
+    try:
+        for setter, _ in controls:
+            setter(1)
+        yield
+    finally:
+        for (setter, _), count in zip(controls, saved):
+            setter(count)

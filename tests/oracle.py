@@ -5,8 +5,8 @@ library: full-sequence vectorized forward with an explicit causal mask, no
 KV cache, no incremental state. Agreement between the two is evidence, not
 tautology. The exceptions are older library loops kept verbatim, so that
 their replacements can be held to their bits: the one-token runtime driver
-(``stepwise_run``), the per-row greedy OBS mask, the per-column Gram update
-and the direct fixed-mask refit.
+(``stepwise_run``), the per-row greedy OBS mask, the per-column Gram update,
+the direct fixed-mask refit and scipy's Cholesky solve wrappers.
 """
 
 import math
@@ -172,15 +172,19 @@ def greedy_block_mask_per_row(W_block, ub, quota):
     return mask
 
 
+def cho_solve_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b through scipy.linalg's Cholesky wrappers."""
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+
+
 def _solve_on_support(H_SS: np.ndarray, rhs: np.ndarray, row: int) -> np.ndarray:
     """Solve H_SS x = rhs by Cholesky for one row's support."""
     try:
-        factor = scipy.linalg.cho_factor(H_SS, lower=True)
+        return cho_solve_scipy(H_SS, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"singular support submatrix for row {row} (increase dampening)"
         ) from exc
-    return scipy.linalg.cho_solve(factor, rhs)
 
 
 def refit_fixed_mask_direct(weights, gram: SymMatrix, mask) -> np.ndarray:

@@ -10,9 +10,10 @@ from rackit.numkernel import (
     cholesky,
     dampen,
     inverse_via_cholesky,
+    solve_spd,
 )
 
-from .oracle import accumulate_gram_per_column
+from .oracle import accumulate_gram_per_column, cho_solve_scipy
 
 # Widths around multiples of the 8-row strip (a width 1 more than a multiple
 # would leave a 1x1 tile) and block lengths around the 32-column chunk.
@@ -199,6 +200,29 @@ class TestCholesky:
         f = cholesky(m)
         np.testing.assert_allclose(f.reconstruct(), m.data, rtol=1e-9, atol=1e-9)
         assert np.array_equal(np.triu(f.lower, 1), np.zeros((dim, dim)))
+
+
+class TestSolveSpd:
+    def test_equals_scipy_cho_solve_oracle(self):
+        """dpotrf and dpotrs called directly give the bits of scipy's wrappers."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            a = _symmetric_start(rng, int(rng.integers(1, 65))).data
+            b = rng.standard_normal(a.shape[0])
+            for rhs in (b, -b):
+                got = solve_spd(a, rhs)
+                assert got.shape == rhs.shape
+                assert np.array_equal(got, cho_solve_scipy(a, rhs))
+
+    def test_reads_only_the_lower_triangle(self, rng):
+        a = _symmetric_start(rng, 7).data
+        b = rng.standard_normal((7, 3))
+        assert np.array_equal(solve_spd(np.tril(a), b), solve_spd(a, b))
+
+    def test_indefinite_matrix_reports_failing_pivot(self):
+        with pytest.raises(CholeskyError) as exc:
+            solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        assert exc.value.index == 1
 
 
 class TestInverse:
