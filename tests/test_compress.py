@@ -112,6 +112,10 @@ class TestMagnitude:
         with pytest.raises(ValidationError):
             SparsityPattern(kind="mystery")
 
+    def test_group_width_must_divide_input(self):
+        with pytest.raises(ValidationError):
+            prune_magnitude(np.ones((2, 6)), SparsityPattern.semi_structured(2, 4))
+
     @given(seed=st.integers(0, 10_000),
            d_out=st.integers(1, 6),
            d_in=st.integers(4, 40),
@@ -222,6 +226,17 @@ class TestObs:
         mask, out = prune_obs(W, gram, HALF)
         assert (out[~mask] == 0.0).all()
 
+    def test_block_size_must_align_with_groups(self, rng):
+        W = rng.standard_normal((2, 8))
+        gram, _ = random_gram(rng, 8)
+        with pytest.raises(ValidationError):
+            prune_obs(W, gram, SparsityPattern.semi_structured(2, 4), block_size=6)
+
+    def test_gram_dimension_checked(self, rng):
+        gram, _ = random_gram(rng, 6)
+        with pytest.raises(ValidationError):
+            prune_obs(np.ones((2, 8)), gram, HALF)
+
     def test_singular_gram_without_damping_raises(self):
         gram = SymMatrix.zeros(4)
         with pytest.raises(CholeskyError):
@@ -311,6 +326,11 @@ class TestQuantize:
         with pytest.raises(ValidationError):
             SparsityPattern.quantize(5)
 
+    def test_group_size_must_divide_width(self, rng):
+        pat = SparsityPattern.quantize(4, group_size=3)
+        with pytest.raises(ValidationError):
+            quantize_obs(rng.standard_normal((2, 8)), identity_gram(8), pat)
+
     def test_compensation_reduces_loss_on_correlated_inputs(self):
         rng = np.random.default_rng(8)
         W = rng.standard_normal((6, 16))
@@ -358,6 +378,11 @@ class TestRefit:
         gram = SymMatrix.from_array(np.ones((2, 2)))
         with pytest.raises(NumericalError, match="singular"):
             refit_fixed_mask(np.ones((1, 2)), gram, np.ones((1, 2), dtype=bool))
+
+    def test_mask_shape_checked(self, rng):
+        gram, _ = random_gram(rng, 4)
+        with pytest.raises(ValidationError):
+            refit_fixed_mask(np.ones((2, 4)), gram, np.ones((3, 4), dtype=bool))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_direct_solve_oracle(self, seed):
