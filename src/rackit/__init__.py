@@ -14,8 +14,6 @@ from .errors import (
     ValidationError,
 )
 from .numkernel import (
-    CholeskyFactor,
-    SymMatrix,
     accumulate_gram,
     cholesky,
     dampen,
@@ -78,8 +76,6 @@ __all__ = [
     "NumericalError",
     "RackitError",
     "ValidationError",
-    "CholeskyFactor",
-    "SymMatrix",
     "accumulate_gram",
     "cholesky",
     "dampen",

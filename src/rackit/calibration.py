@@ -54,7 +54,7 @@ from .model.container import (
     write_container,
 )
 from .model.runtime import GREEDY, Sampler
-from .numkernel import SymMatrix, accumulate_gram
+from .numkernel import accumulate_gram
 
 logger = logging.getLogger(__name__)
 
@@ -100,10 +100,11 @@ class CalibrationConfig:
 
 @dataclass
 class LayerStats:
-    """Per-ref statistics: separate prompt and decode Grams plus column counts."""
+    """Per-ref statistics: separate prompt and decode Grams (square float64
+    arrays) plus column counts."""
 
-    gram_prompt: SymMatrix
-    gram_decode: SymMatrix
+    gram_prompt: np.ndarray
+    gram_decode: np.ndarray
     n_prompt: int = 0
     n_decode: int = 0
 
@@ -123,7 +124,7 @@ class CalibrationSet:
         stats = {}
         for r in refs:
             dim = slot_input_dim(config, r.slot)
-            stats[r] = LayerStats(SymMatrix.zeros(dim), SymMatrix.zeros(dim))
+            stats[r] = LayerStats(np.zeros((dim, dim)), np.zeros((dim, dim)))
         return cls(stats, provenance)
 
     @property
@@ -135,18 +136,18 @@ class CalibrationSet:
         h = hashlib.sha256()
         for ref, st in self.stats.items():
             h.update(f"{ref}:{st.n_prompt}:{st.n_decode}".encode())
-            h.update(np.ascontiguousarray(st.gram_prompt.data, dtype="<f8").tobytes())
-            h.update(np.ascontiguousarray(st.gram_decode.data, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(st.gram_prompt, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(st.gram_decode, dtype="<f8").tobytes())
         return h.hexdigest()
 
     def save(self, path) -> None:
-        grams = [g.data for st in self.stats.values() for g in (st.gram_prompt, st.gram_decode)]
+        grams = [g for st in self.stats.values() for g in (st.gram_prompt, st.gram_decode)]
         parts, offsets = pack_arrays(grams, "<f8")
         refs_meta = [
             {
                 "layer": ref.layer_index,
                 "slot": ref.slot,
-                "dim": st.gram_prompt.dim,
+                "dim": st.gram_prompt.shape[0],
                 "n_prompt": st.n_prompt,
                 "n_decode": st.n_decode,
                 "offset_prompt": offsets[2 * i],
@@ -188,7 +189,7 @@ class CalibrationSet:
                     raise ContainerError(
                         f"{path}: Gram for {ref} is not finite and symmetric"
                     )
-                grams.append(SymMatrix(dim, data.copy()))
+                grams.append(data.copy())
             stats[ref] = LayerStats(
                 *grams,
                 n_prompt=manifest_count(meta, "n_prompt", what),
@@ -199,12 +200,12 @@ class CalibrationSet:
         return cls(stats, manifest.get("provenance", {}))
 
 
-def merged_gram(calib: CalibrationSet, ref: PrunableLayerRef) -> SymMatrix:
+def merged_gram(calib: CalibrationSet, ref: PrunableLayerRef) -> np.ndarray:
     """Prompt Gram + decode Gram; the statistic for decode-aware compression."""
     st = calib.stats.get(ref)
     if st is None:
         raise ValidationError(f"ref {ref} not present in calibration set")
-    return SymMatrix(st.gram_prompt.dim, st.gram_prompt.data + st.gram_decode.data)
+    return st.gram_prompt + st.gram_decode
 
 
 def prompt_digest(prompt) -> str:
@@ -270,7 +271,7 @@ def _accumulate(dest: CalibrationSet, captures, start: int, stop: int,
         if cols is prev_cols:
             # Refs that read one activation (SLOT_INPUT) share their
             # capture array and so have received the same columns.
-            np.copyto(gram.data, prev_gram.data)
+            np.copyto(gram, prev_gram)
         else:
             accumulate_gram(gram, cols[start : start + take])
         prev_cols, prev_gram = cols, gram

@@ -52,7 +52,6 @@ from .model import (
     sort_refs,
 )
 from .numkernel import (
-    SymMatrix,
     cholesky,
     dampen,
     inverse_via_cholesky,
@@ -155,13 +154,15 @@ def _keep_mask(scores: np.ndarray, keep: int) -> np.ndarray:
     return mask
 
 
-def _check_inputs(weights, pattern: SparsityPattern | None, gram: SymMatrix | None = None,
-                  block_size: int | None = None, quantize: bool = False) -> np.ndarray:
-    """The one input check of every entry point; returns ``weights`` as float64.
+def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
+                  block_size: int | None = None, quantize: bool = False):
+    """The one input check of every entry point.
 
-    ``pattern`` must be a quantize pattern when ``quantize`` is set and a
-    pruning pattern otherwise; None (the refit) skips the pattern checks, as
-    a None ``gram`` or ``block_size`` skips theirs.
+    Returns ``weights`` and ``gram`` as float64 arrays (``gram`` stays None
+    when not given). ``pattern`` must be a quantize pattern when ``quantize``
+    is set and a pruning pattern otherwise; None (the refit) skips the
+    pattern checks, as a None ``gram`` or ``block_size`` skips theirs. A Gram
+    must be square, finite, exactly symmetric and as wide as the weights.
     """
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
@@ -182,14 +183,25 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram: SymMatrix | No
         gs = pattern.group_size
         if gs is not None and d_in % gs != 0:
             raise ValidationError(f"group_size {gs} does not divide input width {d_in}")
-    if gram is not None and gram.dim != d_in:
-        raise ValidationError(f"gram dimension {gram.dim} does not match input width {d_in}")
+    H = None
+    if gram is not None:
+        H = np.asarray(gram, dtype=np.float64)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValidationError(f"expected a square matrix, got shape {H.shape}")
+        if not np.isfinite(H).all():
+            raise ValidationError("matrix entries must be finite")
+        if not (H == H.T).all():
+            raise ValidationError("matrix is not exactly symmetric")
+        if H.shape[0] != d_in:
+            raise ValidationError(
+                f"gram dimension {H.shape[0]} does not match input width {d_in}"
+            )
     if block_size is not None:
         if block_size < 1:
             raise ValidationError("block_size must be >= 1")
         if block_size % m != 0:
             raise ValidationError(f"block_size {block_size} must be a multiple of m={m}")
-    return W
+    return W, H
 
 
 def _score_mask(W: np.ndarray, scores: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -204,27 +216,27 @@ def _score_mask(W: np.ndarray, scores: np.ndarray, pattern: SparsityPattern) -> 
 
 def prune_magnitude(weights, pattern: SparsityPattern):
     """Keep the largest-magnitude weights; returns (mask, masked weights)."""
-    W = _check_inputs(weights, pattern)
+    W, _ = _check_inputs(weights, pattern)
     mask = _score_mask(W, np.abs(W), pattern)
     return mask, np.where(mask, W, 0.0)
 
 
-def prune_wanda(weights, gram: SymMatrix, pattern: SparsityPattern):
+def prune_wanda(weights, gram: np.ndarray, pattern: SparsityPattern):
     """Activation-aware magnitude pruning: score |w_ij| * sqrt(H_jj).
 
     Mask only; surviving weights are returned unchanged.
     """
-    W = _check_inputs(weights, pattern, gram)
-    diag = np.diag(gram.data)
+    W, H = _check_inputs(weights, pattern, gram)
+    diag = np.diag(H)
     if (diag < 0).any():
         raise ValidationError("gram diagonal must be nonnegative")
     mask = _score_mask(W, np.abs(W) * np.sqrt(diag)[None, :], pattern)
     return mask, np.where(mask, W, 0.0)
 
 
-def _upper_inverse_factor(damped: SymMatrix) -> np.ndarray:
+def _upper_inverse_factor(damped: np.ndarray) -> np.ndarray:
     """Upper-triangular U with damped^-1 == U.T @ U."""
-    return np.ascontiguousarray(cholesky(inverse_via_cholesky(damped)).lower.T)
+    return np.ascontiguousarray(cholesky(inverse_via_cholesky(damped)).T)
 
 
 def _obs_walk(W: np.ndarray, U: np.ndarray, block_size: int, choose) -> None:
@@ -337,7 +349,7 @@ def _refit_survivors(W_orig: np.ndarray, walked: np.ndarray, mask: np.ndarray,
     return out
 
 
-def prune_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
+def prune_obs(weights, gram: np.ndarray, pattern: SparsityPattern,
               block_size: int = DEFAULT_BLOCK_SIZE,
               damp_fraction: float = DEFAULT_DAMP_FRACTION):
     """Blockwise OBS pruning; returns (mask, compensated weights).
@@ -351,9 +363,10 @@ def prune_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
     factor of the damped inverse Gram, and the survivors finally get an exact
     least-squares polish on their support.
     """
-    W = _check_inputs(weights, pattern, gram, block_size).copy()
+    W, H = _check_inputs(weights, pattern, gram, block_size)
+    W = W.copy()
     d_out, d_in = W.shape
-    damped = dampen(gram, damp_fraction)
+    damped = dampen(H, damp_fraction)
     U = _upper_inverse_factor(damped)
     diag = np.diag(U)
 
@@ -376,7 +389,7 @@ def prune_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
         return np.where(mask[:, c], W[:, c], 0.0)
 
     _obs_walk(W, U, block_size, choose)
-    return mask, _refit_survivors(W_orig, W, mask, damped.data)
+    return mask, _refit_survivors(W_orig, W, mask, damped)
 
 
 def _grid_snap(W_cols: np.ndarray, scale: np.ndarray, qmax: int) -> np.ndarray:
@@ -387,13 +400,14 @@ def _grid_snap(W_cols: np.ndarray, scale: np.ndarray, qmax: int) -> np.ndarray:
     return np.clip(np.round(levels), -qmax, qmax) * scale[:, None]
 
 
-def _quantize_obs_impl(weights, gram: SymMatrix, pattern: SparsityPattern,
+def _quantize_obs_impl(weights, gram: np.ndarray, pattern: SparsityPattern,
                        block_size: int, damp_fraction: float):
-    W = _check_inputs(weights, pattern, gram, block_size, quantize=True).copy()
+    W, H = _check_inputs(weights, pattern, gram, block_size, quantize=True)
+    W = W.copy()
     gs = pattern.group_size
     qmax = 2 ** (pattern.bits - 1) - 1
 
-    U = _upper_inverse_factor(dampen(gram, damp_fraction))
+    U = _upper_inverse_factor(dampen(H, damp_fraction))
     scales = []
     if gs is None:
         scales.append(np.abs(W).max(axis=1) / qmax)
@@ -409,7 +423,7 @@ def _quantize_obs_impl(weights, gram: SymMatrix, pattern: SparsityPattern,
     return W, np.stack(scales, axis=1)
 
 
-def quantize_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
+def quantize_obs(weights, gram: np.ndarray, pattern: SparsityPattern,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  damp_fraction: float = DEFAULT_DAMP_FRACTION) -> np.ndarray:
     """Error-compensated rounding onto a symmetric per-row (or per-group) grid.
@@ -422,30 +436,36 @@ def quantize_obs(weights, gram: SymMatrix, pattern: SparsityPattern,
     return W
 
 
-def refit_fixed_mask(weights, gram: SymMatrix, mask) -> np.ndarray:
+def refit_fixed_mask(weights, gram: np.ndarray, mask) -> np.ndarray:
     """Least-squares optimal weights on a fixed support.
 
     Per row, the surviving coefficients solve H_SS w'_S = H_S,: w, through
     the refit that polishes :func:`prune_obs` output. Rows with empty
     support come back all zero.
     """
-    W = _check_inputs(weights, None, gram)
+    W, H = _check_inputs(weights, None, gram)
     M = np.asarray(mask, dtype=bool)
     if M.shape != W.shape:
         raise ValidationError(
             f"mask shape {M.shape} does not match weights shape {W.shape}"
         )
-    return _refit_survivors(W, np.zeros_like(W), M, gram.data)
+    return _refit_survivors(W, np.zeros_like(W), M, H)
 
 
-def trace_form_loss(original, compressed, gram: SymMatrix) -> float:
-    """Sum over rows of (w - w')^T H (w - w'); equals ||(W - W') X||_F^2."""
-    D = np.asarray(original, dtype=np.float64) - np.asarray(compressed, dtype=np.float64)
-    if D.ndim == 1:
-        D = D[None, :]
-    if gram.dim != D.shape[1]:
-        raise ValidationError("gram dimension does not match weight width")
-    return float(np.einsum("ij,ij->", D @ gram.data, D))
+def trace_form_loss(original, compressed, gram: np.ndarray) -> float:
+    """Sum over rows of (w - w')^T H (w - w'); equals ||(W - W') X||_F^2.
+
+    ``original`` and ``compressed`` have one shape: a matrix, or one row.
+    """
+    A = np.atleast_2d(np.asarray(original, dtype=np.float64))
+    B = np.atleast_2d(np.asarray(compressed, dtype=np.float64))
+    if A.shape != B.shape:
+        raise ValidationError(
+            f"compressed shape {B.shape} does not match original shape {A.shape}"
+        )
+    _, H = _check_inputs(A, None, gram)
+    D = A - B
+    return float(np.einsum("ij,ij->", D @ H, D))
 
 
 @dataclass
@@ -539,9 +559,9 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
                 f"{model.config.n_layers}-layer model"
             )
         width = slot_input_dim(model.config, ref.slot)
-        if st.gram_prompt.dim != width:
+        if st.gram_prompt.shape[0] != width:
             raise ValidationError(
-                f"calibration ref {ref} has a {st.gram_prompt.dim}-wide Gram, "
+                f"calibration ref {ref} has a {st.gram_prompt.shape[0]}-wide Gram, "
                 f"but the model's {ref.slot} input is {width} wide"
             )
         if mode == "rac" and st.n_decode == 0:

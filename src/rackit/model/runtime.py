@@ -49,8 +49,8 @@ class Sampler:
     def __post_init__(self):
         if self.kind not in ("greedy", "temperature"):
             raise ValidationError(f"unknown sampler kind {self.kind!r}")
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValidationError("temperature must be finite and positive")
 
 
 GREEDY = Sampler()

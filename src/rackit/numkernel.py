@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,6 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from .errors import CholeskyError, NumericalError, ValidationError
 
 __all__ = [
-    "SymMatrix",
-    "CholeskyFactor",
     "accumulate_gram",
     "dampen",
     "cholesky",
@@ -42,54 +40,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class SymMatrix:
-    """Square symmetric float64 matrix.
-
-    ``data`` is row-major with ``data[i, j] == data[j, i]`` exactly. The plain
-    constructor trusts its inputs; use :meth:`from_array` for untrusted data.
-    """
-
-    dim: int
-    data: np.ndarray
-
-    @classmethod
-    def zeros(cls, dim: int) -> "SymMatrix":
-        if dim < 1:
-            raise ValidationError(f"matrix dimension must be >= 1, got {dim}")
-        return cls(dim, np.zeros((dim, dim), dtype=np.float64))
-
-    @classmethod
-    def from_array(cls, arr) -> "SymMatrix":
-        """Validated constructor: square, finite, exactly symmetric."""
-        data = np.array(arr, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {data.shape}")
-        if not np.isfinite(data).all():
-            raise ValidationError("matrix entries must be finite")
-        if not (data == data.T).all():
-            raise ValidationError("matrix is not exactly symmetric")
-        return cls(data.shape[0], data)
-
-    def copy(self) -> "SymMatrix":
-        return SymMatrix(self.dim, self.data.copy())
-
-
-@dataclass
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T reconstructing the source."""
-
-    dim: int
-    lower: np.ndarray
-
-    def __post_init__(self):
-        if not (np.diag(self.lower) > 0).all():
-            raise NumericalError("Cholesky factor must have positive diagonal")
-
-    def reconstruct(self) -> np.ndarray:
-        return self.lower @ self.lower.T
-
-
 # Row strip height and columns per chunk of the tiled Gram update; one strip
 # buffer holds (_CHUNK_COLS + 1) * (_STRIP_ROWS + 1) * dim floats, 1.2 MB at
 # dim 512.
@@ -97,16 +47,17 @@ _STRIP_ROWS = 8
 _CHUNK_COLS = 32
 
 
-def accumulate_gram(acc: SymMatrix, columns) -> SymMatrix:
+def accumulate_gram(acc: np.ndarray, columns) -> np.ndarray:
     """Add ``x xᵀ`` for each column ``x`` of ``columns`` to ``acc``, in place.
 
-    ``columns`` is one column of length ``acc.dim`` or a ``(T, acc.dim)``
-    block of T columns in arrival order. Every entry gets the left fold
+    ``acc`` is a square float64 array of width ``d``. ``columns`` is one
+    column of length ``d`` or a ``(T, d)`` block of T columns in arrival
+    order. Every entry gets the left fold
     ``((H + x1_i x1_j) + x2_i x2_j) + ...``, the bits of one rank-1 update
     per column, so a column sequence gives the same Gram however it is cut
-    into blocks. An empty block changes nothing. A block with a wrong shape
-    or a non-finite entry raises :class:`ValidationError` before ``acc`` is
-    touched.
+    into blocks. An empty block changes nothing. An ``acc`` that is not a
+    square float64 array, or a block with a wrong shape or a non-finite
+    entry, raises :class:`ValidationError` before ``acc`` is touched.
 
     Only the upper triangle is computed, in strips of ``_STRIP_ROWS`` rows
     from the diagonal rightwards. For each chunk of ``_CHUNK_COLS`` columns a
@@ -115,31 +66,34 @@ def accumulate_gram(acc: SymMatrix, columns) -> SymMatrix:
     the strip. The strip is then mirrored into the lower triangle, which is
     exact because ``x_i x_j == x_j x_i`` in IEEE arithmetic.
 
-    No strip may be a single 1x1 tile, the last row on its own when ``dim``
+    No strip may be a single 1x1 tile, the last row on its own when ``d``
     is 1 more than a multiple of ``_STRIP_ROWS``: numpy would then reduce
     the one-element rows as a contiguous run, summing pairwise instead of
     left to right, and the diagonal entry would change bits. That last row
     joins the strip above it, and a 1-wide Gram takes one update per column.
     """
+    if not (isinstance(acc, np.ndarray) and acc.dtype == np.float64
+            and acc.ndim == 2 and acc.shape[0] == acc.shape[1]):
+        raise ValidationError("accumulator must be a square float64 array")
+    d = acc.shape[0]
     x = np.asarray(columns, dtype=np.float64)
     block = x[None, :] if x.ndim == 1 else x
-    if block.ndim != 2 or block.shape[1] != acc.dim:
+    if block.ndim != 2 or block.shape[1] != d:
         raise ValidationError(
-            f"columns have shape {x.shape}, accumulator dimension is {acc.dim}"
+            f"columns have shape {x.shape}, accumulator dimension is {d}"
         )
     if not np.isfinite(block).all():
         raise ValidationError("column entries must be finite")
-    h, d = acc.data, acc.dim
     if d == 1:
         for col in block:
-            h += col[:, None] * col[None, :]
+            acc += col[:, None] * col[None, :]
         return acc
     starts = list(range(0, d, _STRIP_ROWS))
     if d % _STRIP_ROWS == 1:
         del starts[-1]
     buf = np.empty((min(_CHUNK_COLS, len(block)) + 1) * (_STRIP_ROWS + 1) * d)
     for i0, i1 in zip(starts, starts[1:] + [d]):
-        strip = h[i0:i1, i0:]
+        strip = acc[i0:i1, i0:]
         for t0 in range(0, len(block), _CHUNK_COLS):
             chunk = block[t0 : t0 + _CHUNK_COLS]
             n = len(chunk)
@@ -147,46 +101,42 @@ def accumulate_gram(acc: SymMatrix, columns) -> SymMatrix:
             tile[0] = strip
             np.multiply(chunk[:, i0:i1, None], chunk[:, None, i0:], out=tile[1:])
             np.add.reduce(tile, axis=0, out=strip)
-        h[i1:, i0:i1] = h[i0:i1, i1:].T
+        acc[i1:, i0:i1] = acc[i0:i1, i1:].T
     return acc
 
 
-def dampen(m: SymMatrix, fraction: float) -> SymMatrix:
+def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
     """Return a copy with ``fraction * mean(diag)`` added to every diagonal entry.
 
     A zero mean diagonal falls back to adding ``fraction * 1.0`` so that a
     positive fraction always moves the matrix toward positive definiteness.
     """
-    if fraction < 0:
-        raise ValidationError(f"dampening fraction must be >= 0, got {fraction}")
-    mean_diag = float(np.trace(m.data)) / m.dim
+    if not (math.isfinite(fraction) and fraction >= 0):
+        raise ValidationError(f"dampening fraction must be finite and >= 0, got {fraction}")
+    mean_diag = float(np.trace(m)) / m.shape[0]
     shift = fraction * (mean_diag if mean_diag != 0.0 else 1.0)
-    out = m.data.copy()
-    out[np.diag_indices(m.dim)] += shift
-    return SymMatrix(m.dim, out)
+    out = m.copy()
+    out[np.diag_indices(m.shape[0])] += shift
+    return out
 
 
-def _lower_factor(a: np.ndarray) -> np.ndarray:
-    """dpotrf's lower factor of ``a``, upper triangle zeroed.
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Raises :class:`CholeskyError` carrying the 0-based index of the first
-    non-positive pivot.
+    dpotrf reads only the lower triangle of ``a``; the factor's upper
+    triangle is zeroed. Raises :class:`CholeskyError` carrying the 0-based
+    index of the first non-positive pivot. dpotrf lets NaN through with no
+    error, so a factor whose diagonal is not positive raises
+    :class:`NumericalError`.
     """
     c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
     if info > 0:
         raise CholeskyError(info - 1)
     if info < 0:
         raise NumericalError(f"dpotrf rejected argument {-info}")
+    if not (np.diag(c) > 0).all():
+        raise NumericalError("Cholesky factor must have positive diagonal")
     return c
-
-
-def cholesky(m: SymMatrix) -> CholeskyFactor:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
-
-    Raises :class:`CholeskyError` carrying the 0-based index of the first
-    non-positive pivot.
-    """
-    return CholeskyFactor(m.dim, _lower_factor(m.data))
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,17 +144,17 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Only the lower triangle of ``a`` is read. ``b`` is one right-hand side or
     a ``(n, k)`` block of them; ``x`` has its shape. A factorization that
-    fails raises :class:`CholeskyError` as :func:`cholesky` does.
+    fails raises as :func:`cholesky` does.
     """
-    x, info = dpotrs(_lower_factor(a), b, lower=1)
+    x, info = dpotrs(cholesky(a), b, lower=1)
     if info != 0:
         raise NumericalError(f"dpotrs rejected argument {-info}")
     return x
 
 
-def inverse_via_cholesky(m: SymMatrix) -> SymMatrix:
+def inverse_via_cholesky(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via its Cholesky factor."""
-    inv, info = dpotri(cholesky(m).lower, lower=1)
+    inv, info = dpotri(cholesky(m), lower=1)
     if info != 0:
         raise NumericalError(f"dpotri failed with info={info}")
     # dpotri fills one triangle only; mirror it so symmetry is exact.
@@ -212,7 +162,7 @@ def inverse_via_cholesky(m: SymMatrix) -> SymMatrix:
     full = lower + np.tril(inv, -1).T
     if not np.isfinite(full).all():
         raise NumericalError("inverse contains non-finite entries")
-    return SymMatrix(m.dim, full)
+    return full
 
 
 # The OpenBLAS builds that numpy and scipy wheels bundle sit in the

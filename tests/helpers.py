@@ -3,7 +3,6 @@
 import numpy as np
 
 from rackit.model import ModelConfig
-from rackit.numkernel import SymMatrix
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -16,7 +15,7 @@ def random_gram(rng, dim, n_cols=None):
     """PD-almost-surely Gram from a materialized activation matrix."""
     n = n_cols if n_cols is not None else 4 * dim
     X = rng.standard_normal((dim, n))
-    return SymMatrix.from_array(X @ X.T), X
+    return X @ X.T, X
 
 
 def random_prompts(rng, count, min_len=3, max_len=8):

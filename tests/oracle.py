@@ -25,7 +25,6 @@ from rackit.model import (
     Sampler,
     sort_refs,
 )
-from rackit.numkernel import SymMatrix
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -124,7 +123,7 @@ def direct_loss(original, compressed, X):
     return float(np.linalg.norm(D @ X, ord="fro") ** 2)
 
 
-def accumulate_gram_per_column(acc: SymMatrix, column) -> SymMatrix:
+def accumulate_gram_per_column(acc: np.ndarray, column) -> np.ndarray:
     """Rank-1 update ``acc += column @ column.T``, in place.
 
     The outer product of a column with itself is elementwise symmetric, so the
@@ -133,13 +132,13 @@ def accumulate_gram_per_column(acc: SymMatrix, column) -> SymMatrix:
     same bits.
     """
     col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1 or col.shape[0] != acc.dim:
+    if col.ndim != 1 or col.shape[0] != acc.shape[0]:
         raise ValidationError(
-            f"column has shape {col.shape}, accumulator dimension is {acc.dim}"
+            f"column has shape {col.shape}, accumulator dimension is {acc.shape[0]}"
         )
     if not np.isfinite(col).all():
         raise ValidationError("column entries must be finite")
-    acc.data += col[:, None] * col[None, :]
+    acc += col[:, None] * col[None, :]
     return acc
 
 
@@ -187,7 +186,7 @@ def _solve_on_support(H_SS: np.ndarray, rhs: np.ndarray, row: int) -> np.ndarray
         ) from exc
 
 
-def refit_fixed_mask_direct(weights, gram: SymMatrix, mask) -> np.ndarray:
+def refit_fixed_mask_direct(weights, gram: np.ndarray, mask) -> np.ndarray:
     """Least-squares optimal weights on a fixed support, one direct solve per row.
 
     Per row, the surviving coefficients solve H_SS w'_S = H_S,: w. Rows with
@@ -199,11 +198,11 @@ def refit_fixed_mask_direct(weights, gram: SymMatrix, mask) -> np.ndarray:
         raise ValidationError(
             f"mask shape {M.shape} does not match weights shape {W.shape}"
         )
-    if gram.dim != W.shape[1]:
+    H = np.asarray(gram, dtype=np.float64)
+    if H.shape != (W.shape[1], W.shape[1]):
         raise ValidationError(
-            f"gram dimension {gram.dim} does not match input width {W.shape[1]}"
+            f"gram dimension {H.shape[0]} does not match input width {W.shape[1]}"
         )
-    H = gram.data
     out = np.zeros_like(W)
     for r in range(W.shape[0]):
         support = np.flatnonzero(M[r])

@@ -45,7 +45,6 @@ from rackit.model import (
     forward_teacher_forced,
     generate_model,
 )
-from rackit.numkernel import SymMatrix
 
 from .oracle import rtn_quantize, uncached_greedy_decode
 
@@ -60,7 +59,7 @@ def _report(ok: bool, label: str) -> None:
 
 def _gram(rng, dim, n_cols):
     X = rng.standard_normal((dim, n_cols))
-    return SymMatrix.from_array(X @ X.T), X
+    return X @ X.T, X
 
 
 def _sha256(path) -> str:
@@ -114,7 +113,7 @@ def test_c02_single_weight_closed_form():
             ok = False
             break
         q = int(np.flatnonzero(~mask[0])[0])
-        hinv = np.linalg.inv(gram.data)
+        hinv = np.linalg.inv(gram)
         want = w - (w[q] / hinv[q, q]) * hinv[:, q]
         want[q] = 0.0
         worst = max(worst, float(np.max(np.abs(out[0] - want))))
@@ -130,7 +129,7 @@ def test_c03_identity_gram_degeneracies():
     for i in range(20):
         rng = np.random.default_rng(3000 + i)
         W = rng.standard_normal((5, 12))
-        eye = SymMatrix.from_array(np.eye(12))
+        eye = np.eye(12)
 
         m_mask, m_w = prune_magnitude(W, HALF)
         o_mask, o_w = prune_obs(W, eye, HALF)
@@ -162,14 +161,14 @@ def test_c04_streamed_grams_equal_materialized_concatenation():
 
     worst = 0.0
     for ref in refs:
-        dim = calib.stats[ref].gram_prompt.dim
+        dim = calib.stats[ref].gram_prompt.shape[0]
         concat = np.zeros((dim, dim))
         for prompt in prompts:
             full = decode(model, prompt, 16, GREEDY)
             _, caps = forward_teacher_forced(model, full, [ref])
             rows = caps[ref]  # prompt rows then decode rows, in order
             concat += rows.T @ rows
-        diff = np.max(np.abs(merged_gram(calib, ref).data - concat))
+        diff = np.max(np.abs(merged_gram(calib, ref) - concat))
         worst = max(worst, float(diff))
     _report(worst <= 1e-6,
             f"two-phase Gram equals materialized concatenation "
@@ -360,10 +359,10 @@ def test_c10_off_policy_self_trace_degenerates_to_on_policy():
 
     same = on.content_digest() == off.content_digest()
     for r in refs:
-        same &= np.array_equal(on.stats[r].gram_prompt.data,
-                               off.stats[r].gram_prompt.data)
-        same &= np.array_equal(on.stats[r].gram_decode.data,
-                               off.stats[r].gram_decode.data)
+        same &= np.array_equal(on.stats[r].gram_prompt,
+                               off.stats[r].gram_prompt)
+        same &= np.array_equal(on.stats[r].gram_decode,
+                               off.stats[r].gram_decode)
         same &= (on.stats[r].n_prompt, on.stats[r].n_decode) == \
             (off.stats[r].n_prompt, off.stats[r].n_decode)
     _report(same, "off-policy collection with self trace bit-identical to "

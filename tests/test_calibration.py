@@ -64,7 +64,7 @@ class TestPromptPhase:
         for ref in refs:
             want = _materialized_gram(tiny_model, PROMPTS, ref)
             np.testing.assert_allclose(
-                calib.stats[ref].gram_prompt.data, want, atol=1e-10,
+                calib.stats[ref].gram_prompt, want, atol=1e-10,
                 err_msg=str(ref))
 
     def test_column_cap_stops_mid_prompt(self, tiny_model):
@@ -90,7 +90,7 @@ class TestDecodePhase:
                         CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=t_max),
                         refs)
 
-        gram_want = {r: np.zeros((g.gram_decode.dim, g.gram_decode.dim))
+        gram_want = {r: np.zeros_like(g.gram_decode)
                      for r, g in calib.stats.items()}
         n_want = 0
         for prompt in PROMPTS:
@@ -105,7 +105,7 @@ class TestDecodePhase:
             st = calib.stats[r]
             assert st.n_decode == n_want
             assert st.n_prompt == 7
-            np.testing.assert_allclose(st.gram_decode.data, gram_want[r],
+            np.testing.assert_allclose(st.gram_decode, gram_want[r],
                                        atol=1e-10, err_msg=str(r))
 
     def test_prompt_plus_budget_must_fit_positions(self, tiny_model):
@@ -124,13 +124,13 @@ class TestDecodePhase:
                                           t_max=8, trace_model=other),
                         refs)
         ref = refs[0]
-        want = np.zeros((calib.stats[ref].gram_decode.dim,) * 2)
+        want = np.zeros((calib.stats[ref].gram_decode.shape[0],) * 2)
         for prompt in PROMPTS:
             full = decode(other, prompt, 8, GREEDY)
             _, caps = forward_teacher_forced(tiny_model, full, [ref])
             rows = caps[ref][len(prompt):]
             want += rows.T @ rows
-        np.testing.assert_allclose(calib.stats[ref].gram_decode.data, want,
+        np.testing.assert_allclose(calib.stats[ref].gram_decode, want,
                                    atol=1e-10)
 
 
@@ -146,16 +146,16 @@ class TestCollect:
         for st in calib.stats.values():
             assert st.n_prompt == 7
             assert st.n_decode == 0
-            assert np.array_equal(st.gram_decode.data,
-                                  np.zeros_like(st.gram_decode.data))
+            assert np.array_equal(st.gram_decode,
+                                  np.zeros_like(st.gram_decode))
 
     def test_rac_prompt_gram_identical_to_prompt_only(self, tiny_model):
         refs = all_refs(tiny_model.config)
         a = collect(tiny_model, self._config(mode="prompt_only", t_max=0), refs)
         b = collect(tiny_model, self._config(), refs)
         for r in refs:
-            assert np.array_equal(a.stats[r].gram_prompt.data,
-                                  b.stats[r].gram_prompt.data)
+            assert np.array_equal(a.stats[r].gram_prompt,
+                                  b.stats[r].gram_prompt)
         assert b.stats[refs[0]].n_decode > 0
 
     def test_off_policy_with_self_trace_is_bit_identical_to_rac(self, tiny_model):
@@ -166,8 +166,8 @@ class TestCollect:
                       refs)
         assert on.content_digest() == off.content_digest()
         for r in refs:
-            assert np.array_equal(on.stats[r].gram_decode.data,
-                                  off.stats[r].gram_decode.data)
+            assert np.array_equal(on.stats[r].gram_decode,
+                                  off.stats[r].gram_decode)
             assert on.stats[r].n_decode == off.stats[r].n_decode
 
     def test_token_budget_caps_prompt_then_decode(self, tiny_model):
@@ -189,11 +189,11 @@ class TestCollect:
         for layer in range(tiny_model.config.n_layers):
             q, k, v = (calib.stats[PrunableLayerRef(layer, slot)]
                        for slot in ("attn_q", "attn_k", "attn_v"))
-            assert q.gram_prompt.data.any()
+            assert q.gram_prompt.any()
             for st in (k, v):
                 assert (st.n_prompt, st.n_decode) == (q.n_prompt, q.n_decode)
-                assert np.array_equal(st.gram_prompt.data, q.gram_prompt.data)
-                assert np.array_equal(st.gram_decode.data, q.gram_decode.data)
+                assert np.array_equal(st.gram_prompt, q.gram_prompt)
+                assert np.array_equal(st.gram_decode, q.gram_decode)
 
     @pytest.mark.parametrize("budget", [None, 5, 10])
     @pytest.mark.parametrize("slots", [("attn_k",), ("attn_v", "attn_out")])
@@ -207,16 +207,16 @@ class TestCollect:
         for r in refs:
             a, b = part.stats[r], every.stats[r]
             assert (a.n_prompt, a.n_decode) == (b.n_prompt, b.n_decode)
-            assert a.gram_prompt.data.tobytes() == b.gram_prompt.data.tobytes()
-            assert a.gram_decode.data.tobytes() == b.gram_decode.data.tobytes()
+            assert a.gram_prompt.tobytes() == b.gram_prompt.tobytes()
+            assert a.gram_decode.tobytes() == b.gram_decode.tobytes()
 
     def test_decode_distribution_differs_from_prompt_distribution(self, tiny_model):
         refs = all_refs(tiny_model.config)
         calib = collect(tiny_model, self._config(t_max=16), refs)
         shifted = 0
         for r in refs:
-            a = calib.stats[r].gram_prompt.data / calib.stats[r].n_prompt
-            b = calib.stats[r].gram_decode.data / calib.stats[r].n_decode
+            a = calib.stats[r].gram_prompt / calib.stats[r].n_prompt
+            b = calib.stats[r].gram_decode / calib.stats[r].n_decode
             cos = np.vdot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
             if cos < 0.999:
                 shifted += 1
@@ -325,8 +325,8 @@ class TestSinglePass:
         for r in refs:
             a, b = got.stats[r], want.stats[r]
             assert (a.n_prompt, a.n_decode) == (b.n_prompt, b.n_decode)
-            assert np.array_equal(a.gram_prompt.data, b.gram_prompt.data), str(r)
-            assert np.array_equal(a.gram_decode.data, b.gram_decode.data), str(r)
+            assert np.array_equal(a.gram_prompt, b.gram_prompt), str(r)
+            assert np.array_equal(a.gram_decode, b.gram_decode), str(r)
         assert got.content_digest() == _PINNED_DIGESTS[(mode, sampler, budget)]
 
     def test_width_one_past_a_strip_is_pinned(self):
@@ -338,10 +338,10 @@ class TestSinglePass:
         got = collect(model, config, refs)
         want = _two_pass_oracle(model, config, refs)
         for r in refs:
-            assert np.array_equal(got.stats[r].gram_prompt.data,
-                                  want.stats[r].gram_prompt.data), str(r)
-            assert np.array_equal(got.stats[r].gram_decode.data,
-                                  want.stats[r].gram_decode.data), str(r)
+            assert np.array_equal(got.stats[r].gram_prompt,
+                                  want.stats[r].gram_prompt), str(r)
+            assert np.array_equal(got.stats[r].gram_decode,
+                                  want.stats[r].gram_decode), str(r)
         # computed with one rank-1 update per column, before block updates
         assert got.content_digest() == (
             "91bec5e6b630e5dde085201ff50910c2bbad5abc8db9017adc8e339b2dd5add7")
@@ -384,7 +384,7 @@ class TestCorpus:
         chunks = [list(data[0:64]), list(data[64:128]),
                   list(data[128:192]), list(data[192:200])]
         want = _materialized_gram(tiny_model, chunks, refs[0])
-        np.testing.assert_allclose(st.gram_prompt.data, want, atol=1e-10)
+        np.testing.assert_allclose(st.gram_prompt, want, atol=1e-10)
 
     def test_short_stream_warns_and_keeps_what_it_has(self, tiny_model, rng, caplog):
         data = bytes(rng.integers(1, 256, size=130).tolist())
@@ -419,16 +419,16 @@ class TestMergedGram:
                         refs)
         for r in refs:
             st = calib.stats[r]
-            assert np.array_equal(merged_gram(calib, r).data,
-                                  st.gram_prompt.data + st.gram_decode.data)
+            assert np.array_equal(merged_gram(calib, r),
+                                  st.gram_prompt + st.gram_decode)
 
     def test_prompt_only_merge_equals_prompt_gram(self, tiny_model):
         refs = all_refs(tiny_model.config)[:1]
         calib = collect(tiny_model,
                         CalibrationConfig(mode="prompt_only", prompts=PROMPTS),
                         refs)
-        assert np.array_equal(merged_gram(calib, refs[0]).data,
-                              calib.stats[refs[0]].gram_prompt.data)
+        assert np.array_equal(merged_gram(calib, refs[0]),
+                              calib.stats[refs[0]].gram_prompt)
 
 
 class TestBatchAdditivity:
@@ -441,8 +441,8 @@ class TestBatchAdditivity:
             assert first.stats[r].n_prompt + second.stats[r].n_prompt == \
                 joint.stats[r].n_prompt
             np.testing.assert_allclose(
-                first.stats[r].gram_prompt.data + second.stats[r].gram_prompt.data,
-                joint.stats[r].gram_prompt.data, rtol=1e-12, atol=1e-12)
+                first.stats[r].gram_prompt + second.stats[r].gram_prompt,
+                joint.stats[r].gram_prompt, rtol=1e-12, atol=1e-12)
 
 
 class TestContainerRoundTrip:
@@ -458,10 +458,10 @@ class TestContainerRoundTrip:
         assert loaded.provenance == calib.provenance
         assert loaded.refs == calib.refs
         for r in refs:
-            assert np.array_equal(loaded.stats[r].gram_prompt.data,
-                                  calib.stats[r].gram_prompt.data)
-            assert np.array_equal(loaded.stats[r].gram_decode.data,
-                                  calib.stats[r].gram_decode.data)
+            assert np.array_equal(loaded.stats[r].gram_prompt,
+                                  calib.stats[r].gram_prompt)
+            assert np.array_equal(loaded.stats[r].gram_decode,
+                                  calib.stats[r].gram_decode)
             assert loaded.stats[r].n_prompt == calib.stats[r].n_prompt
             assert loaded.stats[r].n_decode == calib.stats[r].n_decode
 

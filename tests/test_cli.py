@@ -250,6 +250,17 @@ class TestCalibrate:
         assert not out.exists()
         assert run(base + ["--mode", "off-policy", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_temperature_rejected(self, ws, tmp_path, capsys, value):
+        out = tmp_path / "x.racc"
+        assert run(["calibrate", "--model", str(ws["model"]), "--mode", "rac",
+                    "--prompts", str(ws["prompts"]), "--t-max", "4",
+                    "--sampler", "temperature", "--temperature", value,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: temperature must be finite and positive"]
+        assert not out.exists()
+
     def test_layer_slot_selection(self, ws, tmp_path, capsys):
         out = tmp_path / "sub.racc"
         assert run(["calibrate", "--model", str(ws["model"]), "--mode",
@@ -371,6 +382,16 @@ class TestPrune:
                     str(ws["calib"]), "--method", "obs", "--sparsity", "0.5",
                     "--damp", "0", "--slots", "mlp_down",
                     "--out", str(tmp_path / "x.tmc")]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_damp_rejected(self, ws, tmp_path, capsys, value):
+        out = tmp_path / "x.tmc"
+        assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                    "--method", "obs", "--sparsity", "0.5", "--damp", value,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: dampening fraction must be finite and >= 0, got {value}"]
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, ws, tmp_path):
         assert run(["prune", "--model", str(tmp_path / "ghost.tmc"), "--calib",

@@ -269,6 +269,9 @@ class TestDecode:
             Sampler(kind="nucleus")
         with pytest.raises(ValidationError):
             Sampler(kind="temperature", temperature=0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="finite and positive"):
+                Sampler(kind="temperature", temperature=bad)
 
 
 class TestApplyCompressed:

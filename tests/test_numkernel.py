@@ -4,8 +4,6 @@ from hypothesis import given, strategies as st
 
 from rackit.errors import CholeskyError, NumericalError, ValidationError
 from rackit.numkernel import (
-    CholeskyFactor,
-    SymMatrix,
     accumulate_gram,
     cholesky,
     dampen,
@@ -23,7 +21,7 @@ _LENGTHS = [1, 2, 7, 9, 31, 32, 33, 129, 300]
 
 def _symmetric_start(rng, dim, scale=1.0):
     a = rng.standard_normal((dim, dim + 2)) * scale
-    return SymMatrix.from_array(a @ a.T)
+    return a @ a.T
 
 
 def _per_column(start, block):
@@ -33,35 +31,9 @@ def _per_column(start, block):
     return ref
 
 
-class TestSymMatrix:
-    def test_zeros(self):
-        m = SymMatrix.zeros(3)
-        assert m.dim == 3
-        assert np.array_equal(m.data, np.zeros((3, 3)))
-
-    def test_from_array_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            SymMatrix.from_array(np.zeros((2, 3)))
-
-    def test_from_array_rejects_asymmetric(self):
-        with pytest.raises(ValidationError):
-            SymMatrix.from_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_from_array_rejects_nan(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
-            SymMatrix.from_array(bad)
-
-    def test_copy_is_independent(self):
-        m = SymMatrix.from_array(np.eye(2))
-        c = m.copy()
-        c.data[0, 0] = 5.0
-        assert m.data[0, 0] == 1.0
-
-
 class TestAccumulate:
     def test_matches_sum_of_outer_products(self):
-        acc = SymMatrix.zeros(3)
+        acc = np.zeros((3, 3))
         accumulate_gram(acc, np.array([1.0, 2.0, 3.0]))
         accumulate_gram(acc, np.array([0.0, -1.0, 2.0]))
         expected = np.array([
@@ -69,29 +41,40 @@ class TestAccumulate:
             [2.0, 5.0, 4.0],
             [3.0, 4.0, 13.0],
         ])
-        assert np.array_equal(acc.data, expected)
+        assert np.array_equal(acc, expected)
 
     def test_accumulation_is_bit_deterministic(self):
         rng = np.random.default_rng(3)
         cols = rng.standard_normal((5, 4))
-        a = SymMatrix.zeros(4)
-        b = SymMatrix.zeros(4)
+        a = np.zeros((4, 4))
+        b = np.zeros((4, 4))
         for c in cols:
             accumulate_gram(a, c)
             accumulate_gram(b, c)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
-            accumulate_gram(SymMatrix.zeros(3), np.zeros(4))
+            accumulate_gram(np.zeros((3, 3)), np.zeros(4))
 
     def test_rejects_matrix_input(self):
         with pytest.raises(ValidationError):
-            accumulate_gram(SymMatrix.zeros(3), np.zeros((3, 1)))
+            accumulate_gram(np.zeros((3, 3)), np.zeros((3, 1)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
-            accumulate_gram(SymMatrix.zeros(2), np.array([1.0, np.inf]))
+            accumulate_gram(np.zeros((2, 2)), np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("acc", [
+        np.zeros((2, 2), dtype=np.float32),
+        np.zeros((2, 3)),
+        np.zeros(2),
+        [[0.0, 0.0], [0.0, 0.0]],
+    ], ids=["float32", "non-square", "1-d", "list"])
+    def test_rejects_accumulator_that_is_not_a_square_float64_array(self, acc):
+        with pytest.raises(ValidationError, match="square float64 array"):
+            accumulate_gram(acc, np.ones(2))
+        assert not np.asarray(acc).any()
 
     @pytest.mark.parametrize("dim", _WIDTHS)
     def test_block_equals_per_column_oracle(self, dim):
@@ -101,8 +84,8 @@ class TestAccumulate:
             block = rng.standard_normal((length, dim))
             want = _per_column(start, block)
             got = accumulate_gram(start.copy(), block)
-            assert np.array_equal(got.data, want.data), length
-            assert np.array_equal(got.data, got.data.T)
+            assert np.array_equal(got, want), length
+            assert np.array_equal(got, got.T)
 
     @given(dim=st.integers(1, 80), length=st.integers(1, 100),
            exponent=st.integers(-8, 8), seed=st.integers(0, 10_000))
@@ -111,19 +94,19 @@ class TestAccumulate:
         start = _symmetric_start(rng, dim, 10.0 ** exponent)
         block = rng.standard_normal((length, dim)) * 10.0 ** exponent
         want = _per_column(start, block)
-        assert np.array_equal(accumulate_gram(start.copy(), block).data, want.data)
+        assert np.array_equal(accumulate_gram(start.copy(), block), want)
 
     def test_empty_block_is_a_no_op(self):
         acc = _symmetric_start(np.random.default_rng(2), 5)
-        before = acc.data.copy()
+        before = acc.copy()
         accumulate_gram(acc, np.zeros((0, 5)))
-        assert np.array_equal(acc.data, before)
+        assert np.array_equal(acc, before)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "width", "3d"])
     def test_rejected_block_leaves_accumulator_untouched(self, bad):
         rng = np.random.default_rng(4)
         acc = _symmetric_start(rng, 6)
-        before = acc.data.copy()
+        before = acc.copy()
         block = {
             "nan": np.vstack([rng.standard_normal((40, 6)), np.full((1, 6), np.nan)]),
             "inf": np.vstack([rng.standard_normal((3, 6)), [[0, 0, 0, 0, 0, -np.inf]]]),
@@ -132,74 +115,88 @@ class TestAccumulate:
         }[bad]
         with pytest.raises(ValidationError):
             accumulate_gram(acc, block)
-        assert np.array_equal(acc.data, before)
+        assert np.array_equal(acc, before)
 
 
 class TestDampen:
     def test_adds_fraction_of_mean_diagonal(self):
-        m = SymMatrix.from_array(np.array([[4.0, 0.0], [0.0, 0.0]]))
+        m = np.array([[4.0, 0.0], [0.0, 0.0]])
         d = dampen(m, 0.01)
         # mean diagonal is 2.0, so 0.02 lands on every diagonal entry
-        assert d.data[0, 0] == pytest.approx(4.02, abs=1e-15)
-        assert d.data[1, 1] == pytest.approx(0.02, abs=1e-15)
-        assert d.data[0, 1] == 0.0
+        assert d[0, 0] == pytest.approx(4.02, abs=1e-15)
+        assert d[1, 1] == pytest.approx(0.02, abs=1e-15)
+        assert d[0, 1] == 0.0
         # input untouched
-        assert m.data[1, 1] == 0.0
+        assert m[1, 1] == 0.0
 
     def test_zero_trace_falls_back_to_unit_scale(self):
-        d = dampen(SymMatrix.zeros(3), 0.5)
-        assert np.array_equal(d.data, 0.5 * np.eye(3))
+        d = dampen(np.zeros((3, 3)), 0.5)
+        assert np.array_equal(d, 0.5 * np.eye(3))
 
     def test_zero_fraction_is_identity_operation(self):
-        m = SymMatrix.from_array(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.array_equal(dampen(m, 0.0).data, m.data)
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert np.array_equal(dampen(m, 0.0), m)
 
     def test_rejects_negative_fraction(self):
         with pytest.raises(ValidationError):
-            dampen(SymMatrix.zeros(2), -0.1)
+            dampen(np.zeros((2, 2)), -0.1)
+
+    @pytest.mark.parametrize("fraction", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_fraction(self, fraction):
+        with pytest.raises(ValidationError, match="finite"):
+            dampen(np.eye(2), fraction)
 
     @given(dim=st.integers(1, 12), seed=st.integers(0, 10_000))
     def test_off_diagonal_untouched_and_diagonal_grows(self, dim, seed):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((dim, dim + 2))
-        m = SymMatrix.from_array(X @ X.T)
+        m = X @ X.T
         d = dampen(m, 0.05)
         off = ~np.eye(dim, dtype=bool)
-        assert np.array_equal(d.data[off], m.data[off])
-        assert np.all(np.diag(d.data) > np.diag(m.data))
+        assert np.array_equal(d[off], m[off])
+        assert np.all(np.diag(d) > np.diag(m))
 
 
 class TestCholesky:
     def test_hand_worked_2x2(self):
-        m = SymMatrix.from_array(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        f = cholesky(m)
+        f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
         expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-        np.testing.assert_allclose(f.lower, expected, atol=1e-15)
+        np.testing.assert_allclose(f, expected, atol=1e-15)
 
     def test_indefinite_matrix_reports_failing_pivot(self):
-        m = SymMatrix.from_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(CholeskyError) as exc:
-            cholesky(m)
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert exc.value.index == 1
         assert "pivot" in str(exc.value)
 
     def test_zero_matrix_fails_at_first_pivot(self):
         with pytest.raises(CholeskyError) as exc:
-            cholesky(SymMatrix.zeros(3))
+            cholesky(np.zeros((3, 3)))
         assert exc.value.index == 0
 
     def test_factor_requires_positive_diagonal(self):
-        with pytest.raises(NumericalError):
-            CholeskyFactor(dim=2, lower=np.array([[1.0, 0.0], [0.0, 0.0]]))
+        """dpotrf factors a NaN matrix with no error; the diagonal check catches it."""
+        with pytest.raises(NumericalError, match="positive diagonal"):
+            cholesky(np.full((8, 8), np.nan))
+
+    @pytest.mark.parametrize("a", [
+        np.full((8, 8), np.nan),
+        np.diag([1.0, np.nan]),
+        np.array([[4.0, np.nan], [np.nan, 3.0]]),
+    ], ids=["all", "diagonal", "off-diagonal"])
+    def test_nan_input_raises_numerical_error(self, a):
+        for call in (lambda: cholesky(a), lambda: solve_spd(a, np.ones(len(a)))):
+            with pytest.raises(NumericalError, match="positive diagonal"):
+                call()
 
     @given(dim=st.integers(1, 16), seed=st.integers(0, 10_000))
     def test_reconstructs_spd_input(self, dim, seed):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((dim, dim + 4))
-        m = SymMatrix.from_array(X @ X.T + dim * np.eye(dim))
+        m = X @ X.T + dim * np.eye(dim)
         f = cholesky(m)
-        np.testing.assert_allclose(f.reconstruct(), m.data, rtol=1e-9, atol=1e-9)
-        assert np.array_equal(np.triu(f.lower, 1), np.zeros((dim, dim)))
+        np.testing.assert_allclose(f @ f.T, m, rtol=1e-9, atol=1e-9)
+        assert np.array_equal(np.triu(f, 1), np.zeros((dim, dim)))
 
 
 class TestSolveSpd:
@@ -207,7 +204,7 @@ class TestSolveSpd:
         """dpotrf and dpotrs called directly give the bits of scipy's wrappers."""
         rng = np.random.default_rng(5)
         for _ in range(300):
-            a = _symmetric_start(rng, int(rng.integers(1, 65))).data
+            a = _symmetric_start(rng, int(rng.integers(1, 65)))
             b = rng.standard_normal(a.shape[0])
             for rhs in (b, -b):
                 got = solve_spd(a, rhs)
@@ -215,7 +212,7 @@ class TestSolveSpd:
                 assert np.array_equal(got, cho_solve_scipy(a, rhs))
 
     def test_reads_only_the_lower_triangle(self, rng):
-        a = _symmetric_start(rng, 7).data
+        a = _symmetric_start(rng, 7)
         b = rng.standard_normal((7, 3))
         assert np.array_equal(solve_spd(np.tril(a), b), solve_spd(a, b))
 
@@ -227,26 +224,24 @@ class TestSolveSpd:
 
 class TestInverse:
     def test_hand_worked_2x2(self):
-        m = SymMatrix.from_array(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        inv = inverse_via_cholesky(m)
+        inv = inverse_via_cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
         expected = np.array([[3.0, -2.0], [-2.0, 4.0]]) / 8.0
-        np.testing.assert_allclose(inv.data, expected, atol=1e-14)
+        np.testing.assert_allclose(inv, expected, atol=1e-14)
 
     def test_result_is_exactly_symmetric(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((6, 12))
-        inv = inverse_via_cholesky(SymMatrix.from_array(X @ X.T + np.eye(6)))
-        assert np.array_equal(inv.data, inv.data.T)
+        inv = inverse_via_cholesky(X @ X.T + np.eye(6))
+        assert np.array_equal(inv, inv.T)
 
     def test_indefinite_raises_cholesky_error(self):
-        m = SymMatrix.from_array(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(CholeskyError):
-            inverse_via_cholesky(m)
+            inverse_via_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     @given(dim=st.integers(1, 16), seed=st.integers(0, 10_000))
     def test_left_inverse_property(self, dim, seed):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((dim, dim + 4))
-        m = SymMatrix.from_array(X @ X.T + dim * np.eye(dim))
+        m = X @ X.T + dim * np.eye(dim)
         inv = inverse_via_cholesky(m)
-        np.testing.assert_allclose(m.data @ inv.data, np.eye(dim), atol=1e-8)
+        np.testing.assert_allclose(m @ inv, np.eye(dim), atol=1e-8)

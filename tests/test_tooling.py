@@ -32,3 +32,14 @@ def test_every_traced_name_resolves(tracer):
     for attr, _, _ in tracer.METHODS:
         assert attr in CalibrationSet.__dict__, attr
         assert callable(getattr(CalibrationSet, attr)), attr
+
+
+@pytest.mark.parametrize("module", [
+    "rackit", "rackit.model", "rackit.numkernel", "rackit.compress", "rackit.calibration",
+])
+def test_every_exported_name_resolves(module):
+    """A name left in ``__all__`` after its object is removed would break
+    ``from module import *``."""
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing objects: {missing}"
