@@ -88,8 +88,12 @@ class CalibrationConfig:
             raise ValidationError(f"unknown calibration mode {self.mode!r}")
         if self.t_max < 0:
             raise ValidationError("t_max must be >= 0")
-        if self.mode in ("rac", "off_policy") and self.t_max == 0:
+        decodes = self.mode in ("rac", "off_policy")
+        if decodes and self.t_max == 0:
             raise ValidationError(f"mode {self.mode!r} requires t_max > 0")
+        if not decodes and (self.t_max > 0 or self.sampler.kind != "greedy"):
+            raise ValidationError(f"mode {self.mode!r} does not decode; it takes no "
+                                  "t_max above 0 and no temperature sampler")
         if self.mode == "off_policy" and self.trace_model is None:
             raise ValidationError("off_policy mode requires a trace model")
         if self.mode != "off_policy" and self.trace_model is not None:

@@ -214,12 +214,6 @@ def _refs_from_flags(layers_spec, slots_spec, n_layers: int):
     return sort_refs(PrunableLayerRef(i, s) for i in layers for s in slots)
 
 
-def _check_input_files(*paths) -> None:
-    for path in paths:
-        if path is not None and not Path(path).is_file():
-            raise FileNotFoundError(f"input file not found: {path}")
-
-
 # ---------------------------------------------------------------------------
 # gen-model
 
@@ -251,25 +245,28 @@ def _cmd_gen_model(args) -> tuple[int, object, dict]:
 
 def _cmd_calibrate(args) -> tuple[int, object, dict]:
     mode = str(args.mode).replace("-", "_")
-    _check_input_files(args.model, args.prompts, args.corpus, args.trace_model)
+    if mode == "corpus":
+        if args.corpus is None:
+            raise ValidationError("--mode corpus requires --corpus")
+        if args.token_budget is None:
+            raise ValidationError("--mode corpus requires --token-budget")
+        if args.prompts is not None:
+            raise ValidationError("--mode corpus takes no --prompts")
+    else:
+        if args.prompts is None:
+            raise ValidationError(f"--mode {args.mode} requires --prompts")
+        if args.corpus is not None:
+            raise ValidationError("--corpus requires --mode corpus")
     model = load_model(args.model)
     refs = _refs_from_flags(args.layers, args.slots, model.config.n_layers)
 
     trace_model = load_model(args.trace_model) if args.trace_model else None
     sampler = Sampler(kind=args.sampler, temperature=args.temperature,
                       seed=args.seed + _DECODE_SEED_OFFSET)
-    prompts: tuple = ()
-    corpus = None
     if mode == "corpus":
-        if args.corpus is None:
-            raise ValidationError("--mode corpus requires --corpus")
-        if args.token_budget is None:
-            raise ValidationError("--mode corpus requires --token-budget")
-        corpus = Path(args.corpus).read_bytes()
+        corpus, prompts = Path(args.corpus).read_bytes(), ()
     else:
-        if args.prompts is None:
-            raise ValidationError(f"--mode {args.mode} requires --prompts")
-        prompts = tuple(tuple(p) for p in load_prompt_file(args.prompts))
+        corpus, prompts = None, tuple(tuple(p) for p in load_prompt_file(args.prompts))
     config = CalibrationConfig(
         mode=mode,
         prompts=prompts,
@@ -317,7 +314,6 @@ def _pattern_from_flags(args) -> SparsityPattern:
 
 
 def _cmd_prune(args) -> tuple[int, object, dict]:
-    _check_input_files(args.model, args.calib)
     pattern = _pattern_from_flags(args)
     model = load_model(args.model)
     calib = CalibrationSet.load(args.calib)
@@ -397,7 +393,6 @@ def _cmd_diagnose(args) -> tuple[int, object, dict]:
         raise ValidationError(
             f"--compressed takes one or two models, got {len(pairs)}"
         )
-    _check_input_files(args.dense, args.prompts, *(path for _, path in pairs))
     dense = load_model(args.dense)
     compressed = [(label, load_model(path)) for label, path in pairs]
     prompts = load_prompt_file(args.prompts)
@@ -446,7 +441,6 @@ def _cmd_diagnose(args) -> tuple[int, object, dict]:
 # eval
 
 def _cmd_eval(args) -> tuple[int, object, dict]:
-    _check_input_files(args.model, args.text)
     model = load_model(args.model)
     result = eval_nll(model, Path(args.text).read_bytes(), args.budget)
     body = {"mean_nll": result.mean_nll, "tokens": result.tokens,

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .model import (
     sort_refs,
 )
 from .numkernel import (
+    check_damp_fraction,
     cholesky,
     dampen,
     inverse_via_cholesky,
@@ -92,6 +93,15 @@ class SparsityPattern:
     group_size: int | None = None
 
     def __post_init__(self):
+        reads = {"unstructured": ("sparsity",), "semi_structured": ("n", "m"),
+                 "quantize": ("bits", "group_size")}.get(self.kind)
+        if reads is None:
+            raise ValidationError(f"unknown pattern kind {self.kind!r}")
+        # A field the kind does not read must keep its default.
+        unused = [f.name for f in fields(self) if f.name not in ("kind", *reads)
+                  and getattr(self, f.name) != f.default]
+        if unused:
+            raise ValidationError(f"pattern kind {self.kind!r} takes no {', '.join(unused)}")
         if self.kind == "unstructured":
             if not 0.0 <= self.sparsity <= 1.0:
                 raise ValidationError(f"sparsity must be in [0, 1], got {self.sparsity}")
@@ -105,8 +115,6 @@ class SparsityPattern:
                 )
             if self.group_size is not None and self.group_size < 1:
                 raise ValidationError("group_size must be >= 1 or None")
-        else:
-            raise ValidationError(f"unknown pattern kind {self.kind!r}")
 
     @classmethod
     def unstructured(cls, sparsity: float) -> "SparsityPattern":
@@ -142,16 +150,15 @@ def row_keep_target(d_in: int, sparsity: float) -> int:
 def _keep_mask(scores: np.ndarray, keep: int) -> np.ndarray:
     """Per-row mask keeping the ``keep`` highest scores; ties keep the lower
     column index (stable sort on descending score)."""
-    rows, cols = scores.shape
-    mask = np.zeros((rows, cols), dtype=bool)
-    if keep <= 0:
-        return mask
-    if keep >= cols:
-        mask[:] = True
-        return mask
+    mask = np.zeros(scores.shape, dtype=bool)
     order = np.argsort(-scores, axis=1, kind="stable")
     np.put_along_axis(mask, order[:, :keep], True, axis=1)
     return mask
+
+
+def _check_block_size(block_size: int) -> None:
+    if block_size < 1:
+        raise ValidationError("block_size must be >= 1")
 
 
 def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
@@ -197,8 +204,7 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
                 f"gram dimension {H.shape[0]} does not match input width {d_in}"
             )
     if block_size is not None:
-        if block_size < 1:
-            raise ValidationError("block_size must be >= 1")
+        _check_block_size(block_size)
         if block_size % m != 0:
             raise ValidationError(f"block_size {block_size} must be a multiple of m={m}")
     return W, H
@@ -255,12 +261,10 @@ def _obs_walk(W: np.ndarray, U: np.ndarray, block_size: int, choose) -> None:
         for c in range(i1, i2):
             q = choose(W, c, i2)
             err = (W[:, c] - q) / U[c, c]
-            if c + 1 < i2:
-                W[:, c + 1 : i2] -= np.outer(err, U[c, c + 1 : i2])
+            W[:, c + 1 : i2] -= np.outer(err, U[c, c + 1 : i2])
             W[:, c] = q
             err_block[:, c - i1] = err
-        if i2 < d_in:
-            W[:, i2:] -= err_block @ U[i1:i2, i2:]
+        W[:, i2:] -= err_block @ U[i1:i2, i2:]
 
 
 # Float64 entries (rows * cols**2) in one row slice of the greedy mask's
@@ -334,8 +338,6 @@ def _refit_survivors(W_orig: np.ndarray, walked: np.ndarray, mask: np.ndarray,
     out = walked.copy()
     for r in range(out.shape[0]):
         s = mask[r]
-        if not s.any():
-            continue
         H_SS = damped[np.ix_(s, s)]
         resid = H_SS @ out[r, s] - damped[s] @ W_orig[r]
         if not resid.any():
@@ -544,6 +546,9 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
             raise ValidationError("obs_quant requires a quantize pattern")
     elif pattern.kind == "quantize":
         raise ValidationError(f"method {method!r} requires a pruning pattern")
+    # Every method checks both, also those that never damp or walk blocks.
+    _check_block_size(block_size)
+    check_damp_fraction(damp_fraction)
 
     refs = sort_refs(refs) if refs is not None else calib.refs
     if not refs:

@@ -98,7 +98,7 @@ def summarize_phase_errors(traces) -> dict[str, dict[str, float | None]]:
     for method, slot in pools.items():
         entry = {}
         for phase in ("prompt", "decode"):
-            values = np.concatenate(slot[phase]) if slot[phase] else np.array([])
+            values = np.concatenate(slot[phase])
             entry[f"mean_{phase}_error"] = float(values.mean()) if values.size else None
         summary[method] = entry
     return summary

@@ -296,17 +296,3 @@ def model_content_hash(bundle: ModelBundle) -> str:
         h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     return h.hexdigest()
 
-
-def validate_bundle(bundle: ModelBundle) -> None:
-    cfg = bundle.config
-    if len(bundle.layers) != cfg.n_layers:
-        raise ValidationError(
-            f"bundle has {len(bundle.layers)} layers, config says {cfg.n_layers}"
-        )
-    for (name, arr), (*_, shape) in zip(named_tensors(bundle), tensor_schema(cfg)):
-        if arr.shape != shape:
-            raise ValidationError(
-                f"tensor {name} has shape {arr.shape}, expected {shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"tensor {name} contains non-finite entries")

@@ -31,7 +31,6 @@ from .bundle import (
     assemble_bundle,
     config_as_dict,
     named_tensors,
-    validate_bundle,
 )
 
 __all__ = [
@@ -168,11 +167,8 @@ def load_model(path) -> ModelBundle:
         if stored != list(shape):
             raise ContainerError(f"{what} has shape {stored}, expected {shape}")
         array, end = unpack_array(blob, entry, "offset", end, shape, "<f4", what)
+        if not np.isfinite(array).all():
+            raise ContainerError(f"{path}: tensor {name} contains non-finite entries")
         return array.astype(np.float64)
 
-    bundle = assemble_bundle(config, read, manifest.get("provenance", {}))
-    try:
-        validate_bundle(bundle)
-    except ValidationError as exc:
-        raise ContainerError(f"{path}: {exc}") from exc
-    return bundle
+    return assemble_bundle(config, read, manifest.get("provenance", {}))

@@ -32,6 +32,7 @@ from .errors import CholeskyError, NumericalError, ValidationError
 
 __all__ = [
     "accumulate_gram",
+    "check_damp_fraction",
     "dampen",
     "cholesky",
     "solve_spd",
@@ -105,14 +106,19 @@ def accumulate_gram(acc: np.ndarray, columns) -> np.ndarray:
     return acc
 
 
+def check_damp_fraction(fraction: float) -> None:
+    """Raise :class:`ValidationError` unless ``fraction`` is finite and >= 0."""
+    if not (math.isfinite(fraction) and fraction >= 0):
+        raise ValidationError(f"dampening fraction must be finite and >= 0, got {fraction}")
+
+
 def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
     """Return a copy with ``fraction * mean(diag)`` added to every diagonal entry.
 
     A zero mean diagonal falls back to adding ``fraction * 1.0`` so that a
     positive fraction always moves the matrix toward positive definiteness.
     """
-    if not (math.isfinite(fraction) and fraction >= 0):
-        raise ValidationError(f"dampening fraction must be finite and >= 0, got {fraction}")
+    check_damp_fraction(fraction)
     mean_diag = float(np.trace(m)) / m.shape[0]
     shift = fraction * (mean_diag if mean_diag != 0.0 else 1.0)
     out = m.copy()
@@ -125,17 +131,18 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
     dpotrf reads only the lower triangle of ``a``; the factor's upper
     triangle is zeroed. Raises :class:`CholeskyError` carrying the 0-based
-    index of the first non-positive pivot. dpotrf lets NaN through with no
-    error, so a factor whose diagonal is not positive raises
-    :class:`NumericalError`.
+    index of the first non-positive pivot. dpotrf lets NaN and infinity
+    through with no error, so a factor whose diagonal is not finite and
+    positive raises :class:`NumericalError`.
     """
     c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
     if info > 0:
         raise CholeskyError(info - 1)
     if info < 0:
         raise NumericalError(f"dpotrf rejected argument {-info}")
-    if not (np.diag(c) > 0).all():
-        raise NumericalError("Cholesky factor must have positive diagonal")
+    diag = np.diag(c)
+    if not (np.isfinite(diag) & (diag > 0)).all():
+        raise NumericalError("Cholesky factor must have a finite positive diagonal")
     return c
 
 

@@ -249,6 +249,12 @@ class TestCollect:
             CalibrationConfig(mode="prompt_only", prompts=PROMPTS, token_budget=0)
         with pytest.raises(ValidationError, match="takes no trace model"):
             CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=4, trace_model=tiny_model)
+        for mode in ("prompt_only", "corpus"):
+            with pytest.raises(ValidationError, match="does not decode"):
+                CalibrationConfig(mode=mode, prompts=PROMPTS, t_max=4)
+            with pytest.raises(ValidationError, match="does not decode"):
+                CalibrationConfig(mode=mode, prompts=PROMPTS,
+                                  sampler=Sampler("temperature", 0.8))
 
 
 def _two_pass_oracle(target, config, refs):

@@ -261,6 +261,45 @@ class TestCalibrate:
         assert err == ["error: temperature must be finite and positive"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "rac", "--t-max", "4", "--prompts", "PROMPTS", "--corpus", "CORPUS"],
+         "--corpus requires --mode corpus"),
+        (["--mode", "prompt-only", "--prompts", "PROMPTS", "--corpus", "CORPUS"],
+         "--corpus requires --mode corpus"),
+        (["--mode", "corpus", "--token-budget", "100", "--corpus", "CORPUS",
+          "--prompts", "PROMPTS"],
+         "--mode corpus takes no --prompts"),
+    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts"])
+    def test_unread_input_rejected_before_any_file_is_read(self, ws, tmp_path, capsys,
+                                                           flags, message):
+        """The model path does not exist: the flag check comes first."""
+        corpus = tmp_path / "c.bin"
+        corpus.write_bytes(bytes(range(1, 200)))
+        paths = {"PROMPTS": str(ws["prompts"]), "CORPUS": str(corpus)}
+        out = tmp_path / "x.racc"
+        assert run(["calibrate", "--model", str(tmp_path / "ghost.tmc"),
+                    *(paths.get(f, f) for f in flags), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["prompt-only", "corpus"])
+    @pytest.mark.parametrize("flags", [["--t-max", "16"], ["--sampler", "temperature"]],
+                             ids=["t-max", "temperature-sampler"])
+    def test_decode_flags_rejected_without_decoding(self, ws, tmp_path, capsys,
+                                                    mode, flags):
+        corpus = tmp_path / "c.bin"
+        corpus.write_bytes(bytes(range(1, 200)))
+        inputs = (["--corpus", str(corpus), "--token-budget", "100"] if mode == "corpus"
+                  else ["--prompts", str(ws["prompts"])])
+        out = tmp_path / "x.racc"
+        assert run(["calibrate", "--model", str(ws["model"]), "--mode", mode, *inputs,
+                    *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: mode {mode.replace('-', '_')!r} does not decode; it takes "
+                       "no t_max above 0 and no temperature sampler"]
+        assert not out.exists()
+
     def test_layer_slot_selection(self, ws, tmp_path, capsys):
         out = tmp_path / "sub.racc"
         assert run(["calibrate", "--model", str(ws["model"]), "--mode",
@@ -384,13 +423,25 @@ class TestPrune:
                     "--out", str(tmp_path / "x.tmc")]) == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_damp_rejected(self, ws, tmp_path, capsys, value):
+    @pytest.mark.parametrize("method", ["magnitude", "wanda", "obs"])
+    def test_non_finite_damp_rejected(self, ws, tmp_path, capsys, method, value):
+        """Every method checks --damp, also those that never damp."""
         out = tmp_path / "x.tmc"
         assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
-                    "--method", "obs", "--sparsity", "0.5", "--damp", value,
+                    "--method", method, "--sparsity", "0.5", "--damp", value,
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: dampening fraction must be finite and >= 0, got {value}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["magnitude", "wanda", "obs"])
+    def test_zero_block_size_rejected(self, ws, tmp_path, capsys, method):
+        out = tmp_path / "x.tmc"
+        assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                    "--method", method, "--sparsity", "0.5", "--block-size", "0",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: block_size must be >= 1"]
         assert not out.exists()
 
     def test_missing_input_is_io_error(self, ws, tmp_path):
@@ -406,6 +457,8 @@ class TestPrune:
         ("model", lambda m, blob: m["config"].update(d_model=16.0)),
         ("model", lambda m, blob: m["config"].update(layernorm_epsilon=float("nan"))),
         ("model", lambda m, blob: m["tensors"]["layers.0.attn_q"].update(offset=0)),
+        ("model", lambda m, blob: blob.__setitem__(slice(-4, None),
+                                                   struct.pack("<f", float("inf")))),
         ("calib", lambda m, blob: m["refs"][0].pop("layer")),
         ("calib", lambda m, blob: m["refs"].__setitem__(1, dict(m["refs"][0]))),
         ("calib", lambda m, blob: blob.__setitem__(
@@ -415,7 +468,7 @@ class TestPrune:
             offset_decode=m["refs"][0]["offset_prompt"])),
     ], ids=["tmc-negative-offset", "tmc-missing-shape", "tmc-tensors-list",
             "tmc-heads-do-not-divide", "tmc-float-d-model", "tmc-nan-ln-eps",
-            "tmc-offset-off-layout", "racc-ref-without-layer",
+            "tmc-offset-off-layout", "tmc-inf-weight", "racc-ref-without-layer",
             "racc-duplicate-ref", "racc-nan-gram", "racc-offset-off-layout"])
     def test_malformed_manifest_exits_3(self, ws, tmp_path, capsys, which, mutate):
         """Each mutation of a good container exits 3 with a one-line message
@@ -442,6 +495,46 @@ class TestPrune:
                     "--sparsity", "0.5", "--out", str(tmp_path / "x.tmc")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"i/o failure: {inputs[which]}: ")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("calibrate", "--model"), ("calibrate", "--prompts"), ("calibrate", "--corpus"),
+    ("calibrate", "--trace-model"), ("prune", "--model"), ("prune", "--calib"),
+    ("diagnose", "--dense"), ("diagnose", "--compressed"), ("diagnose", "--prompts"),
+    ("eval", "--model"), ("eval", "--text"),
+])
+def test_missing_input_exits_3_naming_the_path(ws, tmp_path, capsys, command, flag):
+    """Each input flag pointed at a missing file: exit 3, one stderr line
+    that names the path, and no output written."""
+    corpus = tmp_path / "c.bin"
+    corpus.write_bytes(bytes(range(1, 200)))
+    text = tmp_path / "text.bin"
+    text.write_bytes(bytes(1 + i % 255 for i in range(400)))
+    out = tmp_path / "out"
+    model, prompts, calib = str(ws["model"]), str(ws["prompts"]), str(ws["calib"])
+    argv = {
+        ("calibrate", "--corpus"): ["--model", model, "--mode", "corpus",
+                                    "--corpus", str(corpus), "--token-budget", "64",
+                                    "--out", str(out)],
+        ("calibrate", "--trace-model"): ["--model", model, "--mode", "off-policy",
+                                         "--prompts", prompts, "--t-max", "4",
+                                         "--trace-model", model, "--out", str(out)],
+    }.get((command, flag), {
+        "calibrate": ["--model", model, "--mode", "rac", "--prompts", prompts,
+                      "--t-max", "4", "--out", str(out)],
+        "prune": ["--model", model, "--calib", calib, "--method", "obs",
+                  "--sparsity", "0.5", "--out", str(out)],
+        "diagnose": ["--dense", model, "--compressed", model, "--prompts", prompts,
+                     "--t-max", "4", "--out-dir", str(out)],
+        "eval": ["--model", model, "--text", str(text), "--out", str(out)],
+    }[command])
+    ghost = tmp_path / "ghost.bin"
+    argv[argv.index(flag) + 1] = f"c={ghost}" if flag == "--compressed" else str(ghost)
+    capsys.readouterr()
+    assert run([command, *argv]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(ghost) in err[0], err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

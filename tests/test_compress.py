@@ -113,6 +113,16 @@ class TestMagnitude:
             SparsityPattern.semi_structured(4, 4)
         with pytest.raises(ValidationError):
             SparsityPattern(kind="mystery")
+        for kind, unused in [
+            ("unstructured", dict(group_size=4, bits=3, n=1, m=9)),
+            ("unstructured", dict(group_size=3)),
+            ("semi_structured", dict(sparsity=0.5)),
+            ("quantize", dict(n=1)),
+        ]:
+            used = {"unstructured": dict(sparsity=0.5), "semi_structured": dict(n=2, m=4),
+                    "quantize": dict(bits=4)}[kind]
+            with pytest.raises(ValidationError, match="takes no"):
+                SparsityPattern(kind, **used, **unused)
 
     def test_group_width_must_divide_input(self):
         with pytest.raises(ValidationError):
@@ -121,7 +131,7 @@ class TestMagnitude:
     @given(seed=st.integers(0, 10_000),
            d_out=st.integers(1, 6),
            d_in=st.integers(4, 40),
-           s=st.sampled_from([0.25, 0.5, 0.75]))
+           s=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
     def test_unstructured_counts_exact(self, seed, d_out, d_in, s):
         rng = np.random.default_rng(seed)
         mask, _ = prune_magnitude(rng.standard_normal((d_out, d_in)),

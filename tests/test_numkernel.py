@@ -183,7 +183,9 @@ class TestCholesky:
         np.full((8, 8), np.nan),
         np.diag([1.0, np.nan]),
         np.array([[4.0, np.nan], [np.nan, 3.0]]),
-    ], ids=["all", "diagonal", "off-diagonal"])
+        np.diag(np.full(3, np.inf)),
+        np.full((2, 2), np.inf),
+    ], ids=["all", "diagonal", "off-diagonal", "inf-diagonal", "all-inf"])
     def test_nan_input_raises_numerical_error(self, a):
         for call in (lambda: cholesky(a), lambda: solve_spd(a, np.ones(len(a)))):
             with pytest.raises(NumericalError, match="positive diagonal"):

@@ -36,6 +36,8 @@ def test_every_traced_name_resolves(tracer):
 
 @pytest.mark.parametrize("module", [
     "rackit", "rackit.model", "rackit.numkernel", "rackit.compress", "rackit.calibration",
+    "rackit.diagnostics", "rackit.cli", "rackit.model.bundle", "rackit.model.container",
+    "rackit.model.runtime",
 ])
 def test_every_exported_name_resolves(module):
     """A name left in ``__all__`` after its object is removed would break
