@@ -257,11 +257,14 @@ def _cmd_calibrate(args) -> tuple[int, object, dict]:
             raise ValidationError(f"--mode {args.mode} requires --prompts")
         if args.corpus is not None:
             raise ValidationError("--corpus requires --mode corpus")
+    if args.temperature is not None and args.sampler != "temperature":
+        raise ValidationError("--temperature requires --sampler temperature")
     model = load_model(args.model)
     refs = _refs_from_flags(args.layers, args.slots, model.config.n_layers)
 
     trace_model = load_model(args.trace_model) if args.trace_model else None
-    sampler = Sampler(kind=args.sampler, temperature=args.temperature,
+    temperature = 1.0 if args.temperature is None else args.temperature
+    sampler = Sampler(kind=args.sampler, temperature=temperature,
                       seed=args.seed + _DECODE_SEED_OFFSET)
     if mode == "corpus":
         corpus, prompts = Path(args.corpus).read_bytes(), ()
@@ -473,7 +476,7 @@ _COMMANDS = {
         _Flag("--corpus"),
         _Flag("--t-max", 0, int),
         _Flag("--sampler", "greedy", choices=("greedy", "temperature")),
-        _Flag("--temperature", 1.0, float),
+        _Flag("--temperature", None, float),
         _Flag("--trace-model"),
         _Flag("--token-budget", None, int),
         _Flag("--layers"),

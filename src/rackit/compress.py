@@ -156,9 +156,11 @@ def _keep_mask(scores: np.ndarray, keep: int) -> np.ndarray:
     return mask
 
 
-def _check_block_size(block_size: int) -> None:
+def _check_block_size(block_size: int, pattern: SparsityPattern) -> None:
     if block_size < 1:
         raise ValidationError("block_size must be >= 1")
+    if pattern.kind == "semi_structured" and block_size % pattern.m != 0:
+        raise ValidationError(f"block_size {block_size} must be a multiple of m={pattern.m}")
 
 
 def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
@@ -177,16 +179,13 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
     if not np.isfinite(W).all():
         raise ValidationError("weights must be finite")
     d_in = W.shape[1]
-    m = 1
     if pattern is not None:
         if quantize and pattern.kind != "quantize":
             raise ValidationError("quantize_obs requires a quantize pattern")
         if not quantize and pattern.kind == "quantize":
             raise ValidationError("pruning requires an unstructured or semi_structured pattern")
-        if pattern.kind == "semi_structured":
-            m = pattern.m
-            if d_in % m != 0:
-                raise ValidationError(f"input width {d_in} is not a multiple of m={m}")
+        if pattern.kind == "semi_structured" and d_in % pattern.m != 0:
+            raise ValidationError(f"input width {d_in} is not a multiple of m={pattern.m}")
         gs = pattern.group_size
         if gs is not None and d_in % gs != 0:
             raise ValidationError(f"group_size {gs} does not divide input width {d_in}")
@@ -204,9 +203,7 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
                 f"gram dimension {H.shape[0]} does not match input width {d_in}"
             )
     if block_size is not None:
-        _check_block_size(block_size)
-        if block_size % m != 0:
-            raise ValidationError(f"block_size {block_size} must be a multiple of m={m}")
+        _check_block_size(block_size, pattern)
     return W, H
 
 
@@ -547,7 +544,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     elif pattern.kind == "quantize":
         raise ValidationError(f"method {method!r} requires a pruning pattern")
     # Every method checks both, also those that never damp or walk blocks.
-    _check_block_size(block_size)
+    _check_block_size(block_size, pattern)
     check_damp_fraction(damp_fraction)
 
     refs = sort_refs(refs) if refs is not None else calib.refs

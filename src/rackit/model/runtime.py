@@ -1,14 +1,15 @@
 """Incremental transformer runtime with activation capture and KV caching.
 
 One step routine, :func:`_advance`, moves a chunk of T known tokens through
-the model against the KV cache: one matrix product per weight over the
-chunk's rows and causal attention inside the chunk. Known sequences that
-are only scored go through as one chunk. Captures and generation go one
-token at a time, so every capture row and every sampled token depends on
-its prefix alone and not on how long the sequence is. A multi-row product
-can round differently from a one-row product, so whole-sequence scores are
-deterministic per (model, sequence) but not per prefix; they stay within
-about 1e-15 relative of a token-by-token pass.
+the model against the KV cache. A chunk that feeds captures or sampling is
+prefix-stable: its products and attention give every row the bits of a
+one-token step, so captures, prompt prefills and rollouts depend on each
+position's prefix alone, in any chunking. Such runs go through as one chunk
+of known tokens, then one chunk per generated token. A sequence that is only
+scored goes through as one chunk of plain matrix products, which is faster
+but can round differently from a one-row product; whole-sequence scores are
+therefore deterministic per (model, sequence) only, not per prefix, and stay
+within about 1e-15 relative of a token-by-token pass.
 """
 
 from __future__ import annotations
@@ -83,33 +84,54 @@ def _gelu(v):
     return 0.5 * v * (1.0 + erf(v * _SQRT1_2))
 
 
-def _attend(q, keys, vals, scale):
+def _product(u, w, stable):
+    """``u @ w.T`` over the T rows of ``u``.
+
+    A stable product of several rows runs one row at a time inside numpy,
+    so each row has the bits of the one-row product; otherwise, and for a
+    single row, it is one matrix product.
+    """
+    if stable and len(u) > 1:
+        return (u[:, None, :] @ w.T)[:, 0]
+    return u @ w.T
+
+
+def _attend(q, keys, vals, scale, stable):
     """Causal softmax attention of the T queries ``q`` at the last T cache rows.
 
-    One query goes through ``einsum``, which keeps per-token decoding and
-    every capture bit-identical to the one-token runtime; more go through
-    batched ``matmul`` with the future masked out.
+    A stable chunk, or a single query, goes through ``einsum`` over all
+    cache rows with the future masked out, which gives each query the bits
+    of a one-query step. Other chunks go through batched ``matmul``, which
+    is faster on long chunks but rounds differently.
     """
     t, p = q.shape[0], keys.shape[0]
-    if t == 1:
+    future = np.triu(np.ones((t, p), dtype=bool), p - t + 1) if t > 1 else None
+    per_query = stable or t == 1
+    if per_query:
         scores = np.einsum("phd,thd->thp", keys, q) * scale
+        # einsum lays the scores out as (t, p, h), so the sum over p below
+        # adds in cache order and the masked zeros at the end change no bit
+        # (a sum over contiguous p would add pairwise, in another order).
+        if future is not None:
+            scores.transpose(0, 2, 1)[future] = -np.inf
     else:
         scores = (q.transpose(1, 0, 2) @ keys.transpose(1, 2, 0)) * scale
-        scores[:, np.triu(np.ones((t, p), dtype=bool), p - t + 1)] = -np.inf
+        scores[:, future] = -np.inf
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
-    if t == 1:
+    if per_query:
         return np.einsum("thp,phd->thd", scores, vals)
     return (scores @ vals.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
-def _advance(model: ModelBundle, state: DecodeState, tokens, collect):
+def _advance(model: ModelBundle, state: DecodeState, tokens, collect, stable):
     """Process a chunk of T valid tokens; returns (logits, last-block states), T rows each.
 
     ``collect`` maps (layer, activation), activations named as in
     :data:`SLOT_INPUT`, to a list that receives the chunk's rows of that
-    activation as one (T, d_in) array, or is None.
+    activation as one (T, d_in) array, or is None. A ``stable`` chunk gives
+    every row the bits of a one-token step (:func:`_product`, :func:`_attend`).
     """
     cfg = model.config
     pos = state.position
@@ -126,22 +148,22 @@ def _advance(model: ModelBundle, state: DecodeState, tokens, collect):
     for li, lw in enumerate(model.layers):
         u = _layer_norm(x, lw.ln1_gain, lw.ln1_bias, eps)
         keep(li, "ln1", u)
-        q = (u @ lw.attn_q.T).reshape(t, heads, hd)
-        state._k[li][pos : pos + t] = (u @ lw.attn_k.T).reshape(t, heads, hd)
-        state._v[li][pos : pos + t] = (u @ lw.attn_v.T).reshape(t, heads, hd)
+        q = _product(u, lw.attn_q, stable).reshape(t, heads, hd)
+        state._k[li][pos : pos + t] = _product(u, lw.attn_k, stable).reshape(t, heads, hd)
+        state._v[li][pos : pos + t] = _product(u, lw.attn_v, stable).reshape(t, heads, hd)
         ctx = _attend(q, state._k[li][: pos + t], state._v[li][: pos + t],
-                      inv_sqrt_hd).reshape(t, cfg.d_model)
+                      inv_sqrt_hd, stable).reshape(t, cfg.d_model)
         keep(li, "ctx", ctx)
-        x = x + ctx @ lw.attn_out.T
+        x = x + _product(ctx, lw.attn_out, stable)
         u2 = _layer_norm(x, lw.ln2_gain, lw.ln2_bias, eps)
         keep(li, "ln2", u2)
-        act = _gelu(u2 @ lw.mlp_up.T)
+        act = _gelu(_product(u2, lw.mlp_up, stable))
         keep(li, "gelu", act)
-        x = x + act @ lw.mlp_down.T
+        x = x + _product(act, lw.mlp_down, stable)
 
     state.position = pos + t
     final = _layer_norm(x, model.final_norm_gain, model.final_norm_bias, eps)
-    return final @ model.output_projection.T, x
+    return _product(final, model.output_projection, stable), x
 
 
 def _sample(logits, sampler: Sampler, rng):
@@ -162,8 +184,9 @@ def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
     is kept. Returns (tokens, logits, hidden states, captures), with one row
     per advanced position. The last sampled token is advanced only when
     ``refs`` asks for captures, so that its slot inputs are recorded too.
-    A sequence that is neither captured nor extended goes through as one
-    chunk; otherwise every position is its own chunk.
+    ``tokens`` go through as one chunk, and each sampled token as its own.
+    The chunks are prefix-stable when the run captures or samples; a
+    sequence that is only scored goes through plain matrix products.
     """
     refs = sort_refs(refs)
     cfg = model.config
@@ -184,20 +207,17 @@ def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
                 else f"sequence length {len(seq)}")
         raise ValidationError(f"{what} exceeds max_positions={cap}")
     collect = {(r.layer_index, SLOT_INPUT[r.slot]): [] for r in refs} or None
+    stable = collect is not None or max_new > 0
     state = DecodeState(model)
     logits_rows = []
     hidden_rows = []
 
     def step(chunk):
-        logits, hidden = _advance(model, state, chunk, collect)
+        logits, hidden = _advance(model, state, chunk, collect, stable)
         logits_rows.append(logits)
         hidden_rows.append(hidden)
 
-    if collect is None and max_new == 0:
-        step(seq)
-    else:
-        for tok in seq:
-            step([tok])
+    step(seq)
     rng = np.random.default_rng(sampler.seed) if sampler.kind == "temperature" else None
     for i in range(max_new):
         tok = _sample(logits_rows[-1][-1], sampler, rng)

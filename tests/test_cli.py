@@ -261,6 +261,12 @@ class TestCalibrate:
         assert err == ["error: temperature must be finite and positive"]
         assert not out.exists()
 
+    def test_greedy_run_records_the_default_temperature(self, ws):
+        """--temperature defaults to unset, so that greedy can reject it; the
+        provenance of a greedy run still records 1.0."""
+        sampler = CalibrationSet.load(ws["calib"]).provenance["sampler"]
+        assert sampler["kind"] == "greedy" and sampler["temperature"] == 1.0
+
     @pytest.mark.parametrize("flags, message", [
         (["--mode", "rac", "--t-max", "4", "--prompts", "PROMPTS", "--corpus", "CORPUS"],
          "--corpus requires --mode corpus"),
@@ -269,7 +275,9 @@ class TestCalibrate:
         (["--mode", "corpus", "--token-budget", "100", "--corpus", "CORPUS",
           "--prompts", "PROMPTS"],
          "--mode corpus takes no --prompts"),
-    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts"])
+        (["--mode", "rac", "--t-max", "4", "--prompts", "PROMPTS", "--temperature", "0.5"],
+         "--temperature requires --sampler temperature"),
+    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts", "greedy-temperature"])
     def test_unread_input_rejected_before_any_file_is_read(self, ws, tmp_path, capsys,
                                                            flags, message):
         """The model path does not exist: the flag check comes first."""
@@ -442,6 +450,16 @@ class TestPrune:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: block_size must be >= 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["magnitude", "wanda", "obs"])
+    def test_block_size_must_align_with_nm_groups(self, ws, tmp_path, capsys, method):
+        out = tmp_path / "x.tmc"
+        assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                    "--method", method, "--nm", "2:4", "--block-size", "3",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: block_size 3 must be a multiple of m=4"]
         assert not out.exists()
 
     def test_missing_input_is_io_error(self, ws, tmp_path):

@@ -168,9 +168,10 @@ def oracle_model(request, tiny_model):
 class TestStepwiseOracle:
     """The runtime against the one-token driver it replaced (tests/oracle.py).
 
-    Whole sequences that are only scored go through one chunk and may round
-    differently, within 1e-12 of the largest magnitude. Captures and
-    generation go token by token and must keep the oracle's bits.
+    Captures, prompt prefills and rollouts go through prefix-stable chunks
+    and must keep the oracle's bits at every chunk length. Whole sequences
+    that are only scored go through one plain chunk and may round
+    differently, within 1e-12 of the largest magnitude.
     """
 
     @pytest.mark.parametrize("length", [1, 2, 17, "max"])
@@ -191,6 +192,42 @@ class TestStepwiseOracle:
         _, want_logits, _, want_caps = stepwise_run(oracle_model, tokens, refs)
         logits, caps = forward_teacher_forced(oracle_model, tokens, refs)
         assert np.array_equal(logits, want_logits)
+        for r in refs:
+            assert np.array_equal(caps[r], want_caps[r]), str(r)
+
+    @pytest.mark.parametrize("length", [1, 2, 17, "max"])
+    def test_captured_chunk_is_bit_exact(self, oracle_model, length, rng):
+        refs = all_refs(oracle_model.config)
+        n = oracle_model.config.max_positions if length == "max" else length
+        tokens = [int(t) for t in rng.integers(0, 256, size=n)]
+        _, want_logits, _, want_caps = stepwise_run(oracle_model, tokens, refs)
+        logits, caps = forward_teacher_forced(oracle_model, tokens, refs)
+        assert np.array_equal(logits, want_logits)
+        for r in refs:
+            assert np.array_equal(caps[r], want_caps[r]), str(r)
+
+    def test_captured_chunk_is_prefix_stable(self, oracle_model, rng):
+        refs = all_refs(oracle_model.config)
+        n = min(160, oracle_model.config.max_positions)
+        tokens = [int(t) for t in rng.integers(0, 256, size=n)]
+        long_logits, long_caps = forward_teacher_forced(oracle_model, tokens, refs)
+        logits, caps = forward_teacher_forced(oracle_model, tokens[:40], refs)
+        assert np.array_equal(logits, long_logits[:40])
+        for r in refs:
+            assert np.array_equal(caps[r], long_caps[r][:40]), str(r)
+
+    @pytest.mark.parametrize("sampler", [GREEDY, Sampler("temperature", 1.5, seed=5)])
+    def test_long_prompt_decode_and_rollout_are_bit_exact(self, oracle_model, sampler, rng):
+        refs = all_refs(oracle_model.config)
+        max_new = 16
+        n = oracle_model.config.max_positions - max_new
+        prompt = [int(t) for t in rng.integers(1, 256, size=n)]
+        want_tokens = stepwise_run(oracle_model, prompt, (), max_new, sampler)[0]
+        assert decode(oracle_model, prompt, max_new, sampler) == want_tokens
+        want_tokens, _, _, want_caps = stepwise_run(
+            oracle_model, prompt, refs, max_new, sampler)
+        tokens, caps = rollout(oracle_model, prompt, max_new, sampler, refs)
+        assert tokens == want_tokens
         for r in refs:
             assert np.array_equal(caps[r], want_caps[r]), str(r)
 
