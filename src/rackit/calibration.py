@@ -71,8 +71,6 @@ __all__ = [
 
 MODES = ("corpus", "prompt_only", "rac", "off_policy")
 
-MAGIC = b"RACC"
-
 
 @dataclass(frozen=True)
 class CalibrationConfig:
@@ -98,6 +96,8 @@ class CalibrationConfig:
             raise ValidationError("off_policy mode requires a trace model")
         if self.mode != "off_policy" and self.trace_model is not None:
             raise ValidationError(f"mode {self.mode!r} takes no trace model; only off_policy does")
+        if self.mode == "corpus" and self.prompts:
+            raise ValidationError("mode 'corpus' takes no prompts; it reads the corpus stream")
         if self.token_budget is not None and self.token_budget <= 0:
             raise ValidationError("token_budget must be positive when set")
 
@@ -121,7 +121,7 @@ class CalibrationSet:
         self.provenance = dict(provenance or {})
 
     @classmethod
-    def empty(cls, config: ModelConfig, refs, provenance=None) -> "CalibrationSet":
+    def empty(cls, config: ModelConfig, refs) -> "CalibrationSet":
         refs = sort_refs(refs)
         if not refs:
             raise ValidationError("calibration needs at least one ref")
@@ -129,7 +129,7 @@ class CalibrationSet:
         for r in refs:
             dim = slot_input_dim(config, r.slot)
             stats[r] = LayerStats(np.zeros((dim, dim)), np.zeros((dim, dim)))
-        return cls(stats, provenance)
+        return cls(stats)
 
     @property
     def refs(self) -> tuple[PrunableLayerRef, ...]:
@@ -160,17 +160,19 @@ class CalibrationSet:
             }
             for i, (ref, st) in enumerate(self.stats.items())
         ]
-        manifest = {
-            "format": "RACC",
-            "version": 1,
-            "provenance": self.provenance,
-            "refs": refs_meta,
-        }
-        write_container(path, MAGIC, manifest, parts)
+        write_container(path, "RACC", {"provenance": self.provenance, "refs": refs_meta}, parts)
 
     @classmethod
     def load(cls, path) -> "CalibrationSet":
-        manifest, blob = read_container(path, MAGIC, "RACC")
+        manifest, blob = read_container(path, "RACC")
+        provenance = manifest.get("provenance", {})
+        # prune reads these two fields, so a wrong type is a bad file.
+        if not isinstance(provenance.get("model_hash"), (str, type(None))):
+            raise ContainerError(f"{path}: provenance model_hash must be a string or null, "
+                                 f"got {provenance['model_hash']!r}")
+        if "mode" in provenance and provenance["mode"] not in MODES:
+            raise ContainerError(f"{path}: provenance mode must be one of {MODES}, "
+                                 f"got {provenance['mode']!r}")
         refs_meta = manifest.get("refs", [])
         if not isinstance(refs_meta, list):
             raise ContainerError(f"{path}: refs must be a list")
@@ -201,7 +203,7 @@ class CalibrationSet:
             )
         if not stats:
             raise ContainerError(f"{path}: calibration container holds no refs")
-        return cls(stats, manifest.get("provenance", {}))
+        return cls(stats, provenance)
 
 
 def merged_gram(calib: CalibrationSet, ref: PrunableLayerRef) -> np.ndarray:
@@ -295,7 +297,12 @@ def _child_sampler(sampler: Sampler, index: int) -> Sampler:
 
 def collect(model: ModelBundle, config: CalibrationConfig, refs,
             corpus=None) -> CalibrationSet:
-    """Collect the Grams demanded by ``config.mode`` and attach provenance."""
+    """Collect the Grams demanded by ``config.mode`` and attach provenance.
+
+    ``corpus`` is the byte stream of corpus mode; no other mode takes one.
+    """
+    if config.mode != "corpus" and corpus is not None:
+        raise ValidationError(f"mode {config.mode!r} takes no corpus; only corpus does")
     provenance = {
         "mode": config.mode,
         "model_hash": model_content_hash(model),

@@ -179,6 +179,8 @@ def _merge_config(args) -> None:
             if value is _REQUIRED:
                 args.command_parser.error(f"the following argument is required: {flag.name}")
             setattr(args, key, value)
+    if args.seed < 0:
+        raise ValidationError("--seed must be >= 0")
 
 
 def _parse_layers(spec, n_layers: int) -> list[int]:
@@ -328,12 +330,12 @@ def _cmd_prune(args) -> tuple[int, object, dict]:
             "calibration set was collected on a different model "
             f"(calibration {recorded[:12]}.., model {model_hash[:12]}..)"
         )
-    mode = args.calib_mode
-    if mode is None:
+    if args.calib_mode is not None:
+        mode = args.calib_mode.replace("-", "_")
+    else:
         mode = calib.provenance.get("mode", "prompt_only")
         if mode == "off_policy":
             mode = "rac"
-    mode = str(mode).replace("-", "_")
 
     if args.layers is None and args.slots is None:
         refs = calib.refs
@@ -341,7 +343,7 @@ def _cmd_prune(args) -> tuple[int, object, dict]:
         refs = _refs_from_flags(args.layers, args.slots, model.config.n_layers)
 
     bundle, report = compress_model(
-        model, calib, mode, args.method, pattern, refs=refs,
+        model, calib, mode, args.method.replace("-", "_"), pattern, refs=refs,
         block_size=args.block_size, damp_fraction=args.damp,
     )
     bundle = replace(bundle, provenance={
@@ -407,7 +409,7 @@ def _cmd_diagnose(args) -> tuple[int, object, dict]:
     for idx, prompt in enumerate(prompts):
         rollout = decode(dense, prompt, args.t_max, GREEDY)
         errors = {
-            label: error_trace(dense, bundle, rollout, len(prompt))
+            label: error_trace(dense, bundle, rollout)
             for label, bundle in compressed
         }
         traces.append(DiagnosticTrace(

@@ -80,6 +80,9 @@ SUPPORTED_BITS = (2, 3, 4, 8)
 
 METHODS = ("magnitude", "wanda", "obs", "obs_quant")
 
+# The calibration modes that compress_model accepts.
+COMPRESSION_MODES = ("prompt_only", "rac", "corpus")
+
 
 @dataclass(frozen=True)
 class SparsityPattern:
@@ -403,16 +406,14 @@ def _quantize_obs_impl(weights, gram: np.ndarray, pattern: SparsityPattern,
                        block_size: int, damp_fraction: float):
     W, H = _check_inputs(weights, pattern, gram, block_size, quantize=True)
     W = W.copy()
-    gs = pattern.group_size
+    gs = pattern.group_size or W.shape[1]
     qmax = 2 ** (pattern.bits - 1) - 1
 
     U = _upper_inverse_factor(dampen(H, damp_fraction))
     scales = []
-    if gs is None:
-        scales.append(np.abs(W).max(axis=1) / qmax)
 
     def choose(W, c, i2):
-        if gs is not None and c % gs == 0:
+        if c % gs == 0:
             # Group grids are refit on the current weights so that error
             # compensation from earlier columns is taken into account.
             scales.append(np.abs(W[:, c : c + gs]).max(axis=1) / qmax)
@@ -427,9 +428,9 @@ def quantize_obs(weights, gram: np.ndarray, pattern: SparsityPattern,
                  damp_fraction: float = DEFAULT_DAMP_FRACTION) -> np.ndarray:
     """Error-compensated rounding onto a symmetric per-row (or per-group) grid.
 
-    The scale is max|w| in the group divided by 2^(bits-1) - 1. With an
-    identity Gram no compensation flows and the result is plain
-    round-to-nearest.
+    The scale is max|w| in the group divided by 2^(bits-1) - 1; an ungrouped
+    grid is one group that spans the row. With an identity Gram no
+    compensation flows and the result is plain round-to-nearest.
     """
     W, _ = _quantize_obs_impl(weights, gram, pattern, block_size, damp_fraction)
     return W
@@ -526,23 +527,18 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     """Compress every requested ref independently against its calibration Gram.
 
     ``mode`` picks the statistic: ``rac`` uses prompt + decode, ``prompt_only``
-    and ``corpus`` use the prompt-phase Gram alone. Reported losses are
-    evaluated on the same (undamped) Gram the solver consumed. The solvers
-    run with BLAS on one thread (:func:`single_blas_thread`), which is faster
-    on these small matrices and keeps the result independent of the caller's
-    thread count. Returns (compressed bundle, :class:`CompressionReport`).
+    and ``corpus`` use the prompt-phase Gram alone. ``mode`` and ``method``
+    take the underscore names of :data:`COMPRESSION_MODES` and :data:`METHODS`.
+    Reported losses are evaluated on the same (undamped) Gram the solver
+    consumed. The solvers run with BLAS on one thread
+    (:func:`single_blas_thread`), which is faster on these small matrices and
+    keeps the result independent of the caller's thread count. Returns
+    (compressed bundle, :class:`CompressionReport`).
     """
-    mode = mode.replace("-", "_")
-    if mode not in ("prompt_only", "rac", "corpus"):
+    if mode not in COMPRESSION_MODES:
         raise ValidationError(f"unknown compression mode {mode!r}")
-    method = method.replace("-", "_")
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
-    if method == "obs_quant":
-        if pattern.kind != "quantize":
-            raise ValidationError("obs_quant requires a quantize pattern")
-    elif pattern.kind == "quantize":
-        raise ValidationError(f"method {method!r} requires a pruning pattern")
     # Every method checks both, also those that never damp or walk blocks.
     _check_block_size(block_size, pattern)
     check_damp_fraction(damp_fraction)

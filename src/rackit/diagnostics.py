@@ -47,16 +47,11 @@ class DiagnosticTrace:
     errors: dict[str, np.ndarray]
 
 
-def error_trace(dense: ModelBundle, compressed: ModelBundle, sequence,
-                boundary: int) -> np.ndarray:
+def error_trace(dense: ModelBundle, compressed: ModelBundle, sequence) -> np.ndarray:
     """e_t for every position of ``sequence`` under teacher forcing."""
     if dense.config != compressed.config:
         raise ValidationError("dense and compressed models have different shapes")
     seq = [int(t) for t in sequence]
-    if not 0 <= boundary <= len(seq):
-        raise ValidationError(
-            f"boundary {boundary} outside sequence of length {len(seq)}"
-        )
     h_dense = last_layer_states(dense, seq)
     h_comp = last_layer_states(compressed, seq)
     return np.linalg.norm(h_dense - h_comp, axis=1)
@@ -168,10 +163,8 @@ def write_ratios_csv(path, problem_ids, ratios) -> None:
                 writer.writerow([pid, t, cell])
 
 
-def write_summary_json(path, summary: dict, extra: dict | None = None) -> None:
-    body = {"phase_means": summary}
-    if extra:
-        body.update(extra)
+def write_summary_json(path, summary: dict, extra: dict) -> None:
+    body = {"phase_means": summary, **extra}
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")

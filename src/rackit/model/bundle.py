@@ -205,6 +205,8 @@ def generate_model(config: ModelConfig, seed: int) -> ModelBundle:
     and biases at zero. Matrices are drawn in ``tensor_schema`` order; that
     draw order is part of the determinism contract and must not change.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(config.d_model)
 

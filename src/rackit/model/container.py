@@ -8,10 +8,11 @@ concatenated in ``tensor_schema`` order), and free-form provenance. Tensors
 are row-major. Saving is atomic (temp file + rename) and re-saving a loaded
 bundle reproduces the input bytes exactly.
 
-The calibration container (``RACC``) shares this framing, which
-``write_container`` and ``read_container`` implement, and the packing rule
-of the blob, which ``pack_arrays`` and ``unpack_array`` implement: arrays
-back to back in table order, so a stored offset off that layout is an error.
+The calibration container (``RACC``) shares this framing, stated once in
+``write_container`` and ``read_container`` (each format's magic is in
+``_MAGIC``), and the packing rule of the blob, which ``pack_arrays`` and
+``unpack_array`` implement: arrays back to back in table order, so a stored
+offset off that layout is an error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ __all__ = [
     "unpack_array",
 ]
 
-MAGIC = b"TMC1"
+# Format name -> the magic bytes that open its files.
+_MAGIC = {"TMC": b"TMC1", "RACC": b"RACC"}
 _HEADER = struct.Struct("<Q")
 
 
@@ -55,18 +57,21 @@ def atomic_write_bytes(path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_container(path, magic: bytes, manifest: dict, parts) -> None:
-    """Atomically write ``magic + u64 LE manifest length + JSON + blob``."""
+def write_container(path, fmt: str, fields: dict, parts) -> None:
+    """Atomically write ``magic + u64 LE manifest length + JSON + blob``; the
+    manifest is ``format``, ``version`` 1, then ``fields`` in their order."""
+    manifest = {"format": fmt, "version": 1, **fields}
     mbytes = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    atomic_write_bytes(path, magic + _HEADER.pack(len(mbytes)) + mbytes + b"".join(parts))
+    atomic_write_bytes(path, _MAGIC[fmt] + _HEADER.pack(len(mbytes)) + mbytes + b"".join(parts))
 
 
-def read_container(path, magic: bytes, fmt: str) -> tuple[dict, bytes]:
+def read_container(path, fmt: str) -> tuple[dict, bytes]:
     """Parse the framing written by :func:`write_container`.
 
     Returns (manifest, blob). The manifest must be a JSON object naming
     ``fmt`` at version 1, with an object (or no) ``provenance``.
     """
+    magic = _MAGIC[fmt]
     data = Path(path).read_bytes()
     if len(data) < len(magic) + _HEADER.size or data[: len(magic)] != magic:
         raise ContainerError(f"{path}: not a {fmt} container")
@@ -136,18 +141,15 @@ def save_model(bundle: ModelBundle, path) -> None:
         name: {"shape": list(arr.shape), "offset": offset, "length": len(raw)}
         for name, arr, raw, offset in zip(names, arrays, parts, offsets)
     }
-    manifest = {
-        "format": "TMC",
-        "version": 1,
+    write_container(path, "TMC", {
         "config": config_as_dict(bundle.config),
         "tensors": directory,
         "provenance": bundle.provenance,
-    }
-    write_container(path, MAGIC, manifest, parts)
+    }, parts)
 
 
 def load_model(path) -> ModelBundle:
-    manifest, blob = read_container(path, MAGIC, "TMC")
+    manifest, blob = read_container(path, "TMC")
     try:
         config = ModelConfig(**manifest["config"])
     except (KeyError, TypeError, ValidationError) as exc:

@@ -52,6 +52,8 @@ class Sampler:
             raise ValidationError(f"unknown sampler kind {self.kind!r}")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValidationError("temperature must be finite and positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 GREEDY = Sampler()

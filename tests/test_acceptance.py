@@ -225,8 +225,8 @@ def test_c06_rollout_calibration_wins_the_decode_phase():
         for prompt in heldout_prompts:
             rollout = decode(model, prompt, 128, GREEDY)
             b = len(prompt)
-            po_errs.append(error_trace(model, po_model, rollout, b)[b:])
-            rac_errs.append(error_trace(model, rac_model, rollout, b)[b:])
+            po_errs.append(error_trace(model, po_model, rollout)[b:])
+            rac_errs.append(error_trace(model, rac_model, rollout)[b:])
         po_mean = float(np.concatenate(po_errs).mean())
         rac_mean = float(np.concatenate(rac_errs).mean())
         if rac_mean < po_mean:

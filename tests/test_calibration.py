@@ -255,6 +255,13 @@ class TestCollect:
             with pytest.raises(ValidationError, match="does not decode"):
                 CalibrationConfig(mode=mode, prompts=PROMPTS,
                                   sampler=Sampler("temperature", 0.8))
+        with pytest.raises(ValidationError, match="takes no prompts"):
+            CalibrationConfig(mode="corpus", prompts=((1, 2),), token_budget=8)
+        refs = all_refs(tiny_model.config)
+        for config in (CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=4),
+                       CalibrationConfig(mode="prompt_only", prompts=PROMPTS)):
+            with pytest.raises(ValidationError, match="takes no corpus"):
+                collect(tiny_model, config, refs, corpus=b"some bytes")
 
 
 def _two_pass_oracle(target, config, refs):

@@ -462,6 +462,22 @@ class TestPrune:
         assert err == ["error: block_size 3 must be a multiple of m=4"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "obs", "--bits", "4"],
+         "pruning requires an unstructured or semi_structured pattern"),
+        (["--method", "obs-quant", "--sparsity", "0.5"],
+         "quantize_obs requires a quantize pattern"),
+        (["--method", "magnitude", "--bits", "4"],
+         "pruning requires an unstructured or semi_structured pattern"),
+    ], ids=["obs-bits", "obs-quant-sparsity", "magnitude-bits"])
+    def test_method_must_pair_with_pattern(self, ws, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.tmc"
+        assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                    *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, ws, tmp_path):
         assert run(["prune", "--model", str(tmp_path / "ghost.tmc"), "--calib",
                     str(ws["calib"]), "--method", "obs", "--sparsity", "0.5",
@@ -484,10 +500,13 @@ class TestPrune:
             struct.pack("<d", float("nan")))),
         ("calib", lambda m, blob: m["refs"][0].update(
             offset_decode=m["refs"][0]["offset_prompt"])),
+        ("calib", lambda m, blob: m["provenance"].update(model_hash=5)),
+        ("calib", lambda m, blob: m["provenance"].update(mode=["rac"])),
     ], ids=["tmc-negative-offset", "tmc-missing-shape", "tmc-tensors-list",
             "tmc-heads-do-not-divide", "tmc-float-d-model", "tmc-nan-ln-eps",
             "tmc-offset-off-layout", "tmc-inf-weight", "racc-ref-without-layer",
-            "racc-duplicate-ref", "racc-nan-gram", "racc-offset-off-layout"])
+            "racc-duplicate-ref", "racc-nan-gram", "racc-offset-off-layout",
+            "racc-int-model-hash", "racc-list-mode"])
     def test_malformed_manifest_exits_3(self, ws, tmp_path, capsys, which, mutate):
         """Each mutation of a good container exits 3 with a one-line message
         that names the damaged file.
@@ -552,6 +571,28 @@ def test_missing_input_exits_3_naming_the_path(ws, tmp_path, capsys, command, fl
     assert run([command, *argv]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(ghost) in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("gen-model", ["--d-model", "16", "--layers", "1", "--heads", "2"]),
+    ("calibrate", ["--model", "GHOST", "--mode", "rac", "--prompts", "GHOST",
+                   "--t-max", "4"]),
+    ("prune", ["--model", "GHOST", "--calib", "GHOST", "--method", "obs",
+               "--sparsity", "0.5"]),
+    ("diagnose", ["--dense", "GHOST", "--compressed", "GHOST", "--prompts", "GHOST"]),
+    ("eval", ["--model", "GHOST", "--text", "GHOST"]),
+])
+def test_negative_seed_rejected_before_any_file_is_read(tmp_path, capsys, command, flags):
+    """Every input path is missing: the seed check comes first."""
+    ghost = str(tmp_path / "ghost")
+    out = tmp_path / "out"
+    out_flag = "--out-dir" if command == "diagnose" else "--out"
+    argv = [command, *(ghost if f == "GHOST" else f for f in flags),
+            "--seed", "-1", out_flag, str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: --seed must be >= 0"]
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import re
@@ -33,7 +34,7 @@ from rackit.compress import (
 )
 from rackit.errors import CholeskyError, NumericalError, ValidationError
 from rackit.model import all_refs, generate_model, get_weight, model_content_hash
-from rackit.numkernel import dampen
+from rackit.numkernel import dampen, single_blas_thread
 
 from .helpers import random_gram, small_config
 from .oracle import (
@@ -353,6 +354,28 @@ class TestQuantize:
         assert (trace_form_loss(W, compensated, gram)
                 < trace_form_loss(W, plain, gram))
 
+    # sha256 of the float64 output of ungrouped quantize_obs on a seeded
+    # 12x48 weight and Gram, computed when the ungrouped grid still took its
+    # scale before the walk instead of as one group spanning the row. Block
+    # sizes 1 and 32 round the compensation differently but land every
+    # weight on the same grid level here, so they share a pin.
+    _UNGROUPED_PINS = {
+        2: "fd0554d02aa98634b757aa41ad501a183ac00856334b9334849f948e2ae336b3",
+        4: "c7c835102afbe2ffda84046be363a2e7fff53c7e7c4bb43e8b8c3d3f641003dd",
+        8: "123b564c984702187b40153de5dbc20b0e106706309b037132fc0d9ebf9714c8",
+    }
+
+    @pytest.mark.parametrize("block", [1, 32])
+    @pytest.mark.parametrize("bits", sorted(_UNGROUPED_PINS))
+    def test_ungrouped_output_is_pinned(self, bits, block):
+        rng = np.random.default_rng(15)
+        W = rng.standard_normal((12, 48))
+        gram, _ = random_gram(rng, 48)
+        with single_blas_thread():
+            got = quantize_obs(W, gram, SparsityPattern.quantize(bits), block_size=block)
+        digest = hashlib.sha256(np.ascontiguousarray(got, "<f8").tobytes()).hexdigest()
+        assert digest == self._UNGROUPED_PINS[bits]
+
 
 class TestRefit:
     def test_solves_the_normal_equations(self, rng):
@@ -588,11 +611,12 @@ class TestCompressModel:
 
     def test_quantize_method_pairs_with_quantize_pattern(self, rac_setup):
         model, calib, _ = rac_setup
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="requires a quantize pattern"):
             compress_model(model, calib, "rac", "obs_quant", HALF)
-        with pytest.raises(ValidationError):
-            compress_model(model, calib, "rac", "obs",
-                           SparsityPattern.quantize(4))
+        for method in ("magnitude", "wanda", "obs"):
+            with pytest.raises(ValidationError, match="pruning requires"):
+                compress_model(model, calib, "rac", method,
+                               SparsityPattern.quantize(4))
 
     def test_unknown_mode_and_method_rejected(self, rac_setup):
         model, calib, _ = rac_setup
@@ -600,6 +624,12 @@ class TestCompressModel:
             compress_model(model, calib, "decode_only", "obs", HALF)
         with pytest.raises(ValidationError):
             compress_model(model, calib, "rac", "soft_prune", HALF)
+        # The library takes underscore names only; the CLI turns dashes.
+        with pytest.raises(ValidationError, match="unknown compression mode"):
+            compress_model(model, calib, "prompt-only", "obs", HALF)
+        with pytest.raises(ValidationError, match="unknown method"):
+            compress_model(model, calib, "rac", "obs-quant",
+                           SparsityPattern.quantize(4))
 
     def test_rac_mode_requires_decode_columns(self, rac_setup):
         model, _, refs = rac_setup

@@ -30,13 +30,13 @@ def _other_model(seed=77):
 class TestErrorTrace:
     def test_identical_models_have_zero_error(self, tiny_model, rng):
         seq = [int(t) for t in rng.integers(1, 256, size=10)]
-        errs = error_trace(tiny_model, tiny_model, seq, boundary=4)
+        errs = error_trace(tiny_model, tiny_model, seq)
         assert np.array_equal(errs, np.zeros(10))
 
     def test_matches_naive_per_prefix_recomputation(self, tiny_model, rng):
         other = _other_model()
         seq = [int(t) for t in rng.integers(1, 256, size=12)]
-        errs = error_trace(tiny_model, other, seq, boundary=5)
+        errs = error_trace(tiny_model, other, seq)
         assert errs.shape == (12,)
         assert (errs >= 0.0).all()
         for t in range(len(seq)):
@@ -48,18 +48,14 @@ class TestErrorTrace:
     def test_prompt_phase_ignores_suffix_changes(self, tiny_model, rng):
         other = _other_model()
         prompt = [int(t) for t in rng.integers(1, 256, size=6)]
-        a = error_trace(tiny_model, other, prompt + [10, 11], boundary=6)
-        b = error_trace(tiny_model, other, prompt + [200, 201], boundary=6)
+        a = error_trace(tiny_model, other, prompt + [10, 11])
+        b = error_trace(tiny_model, other, prompt + [200, 201])
         assert np.array_equal(a[:6], b[:6])
-
-    def test_boundary_must_lie_in_sequence(self, tiny_model):
-        with pytest.raises(ValidationError):
-            error_trace(tiny_model, tiny_model, [1, 2, 3], boundary=4)
 
     def test_shape_mismatch_rejected(self, tiny_model):
         wide = generate_model(small_config(d_model=24, d_mlp=48), seed=1)
         with pytest.raises(ValidationError):
-            error_trace(tiny_model, wide, [1, 2, 3], boundary=1)
+            error_trace(tiny_model, wide, [1, 2, 3])
 
 
 class TestRatioMap:
@@ -228,6 +224,6 @@ class TestEndToEndTrace:
         other = _other_model()
         prompt = [7, 3, 9, 2]
         rollout = decode(tiny_model, prompt, 8, GREEDY)
-        errs = error_trace(tiny_model, other, rollout, boundary=len(prompt))
+        errs = error_trace(tiny_model, other, rollout)
         assert errs.shape == (len(rollout),)
         assert (errs > 0.0).any()

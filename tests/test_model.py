@@ -81,6 +81,10 @@ class TestGenerate:
         m = generate_model(small_config(), seed=40)
         assert m.provenance == {"kind": "random", "seed": 40}
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            generate_model(small_config(), seed=-1)
+
 
 class TestRefs:
     def test_parse_round_trip(self):
@@ -309,6 +313,9 @@ class TestDecode:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValidationError, match="finite and positive"):
                 Sampler(kind="temperature", temperature=bad)
+        for kind in ("greedy", "temperature"):
+            with pytest.raises(ValidationError, match="seed must be >= 0"):
+                Sampler(kind=kind, seed=-5)
 
 
 class TestApplyCompressed:

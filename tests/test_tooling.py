@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from rackit.calibration import CalibrationSet
+from rackit.calibration import MODES, CalibrationSet
+from rackit.cli import _COMMANDS
+from rackit.compress import COMPRESSION_MODES, METHODS
+from rackit.model import Sampler
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,3 +48,19 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing objects: {missing}"
+
+
+def test_cli_choices_are_library_names():
+    """The CLI turns dashes into underscores and nothing else, so each choice
+    must name what the library checks; a choice without a library twin would
+    fail only when it is run."""
+    library = {("calibrate", "--mode"): MODES,
+               ("prune", "--method"): METHODS,
+               ("prune", "--calib-mode"): COMPRESSION_MODES}
+    flags = {(command, flag.name): flag.choices
+             for command, spec in _COMMANDS.items() for flag in spec.flags}
+    for key, names in library.items():
+        for choice in flags[key]:
+            assert choice.replace("-", "_") in names, (key, choice)
+    for choice in flags[("calibrate", "--sampler")]:
+        Sampler(kind=choice.replace("-", "_"))
