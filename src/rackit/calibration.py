@@ -53,7 +53,7 @@ from .model.container import (
     unpack_array,
     write_container,
 )
-from .model.runtime import GREEDY, Sampler
+from .model.runtime import GREEDY, Sampler, check_tokens
 from .numkernel import accumulate_gram
 
 logger = logging.getLogger(__name__)
@@ -233,7 +233,7 @@ def load_prompt_file(path) -> list[list[int]]:
 
 
 def _check_prompts(prompts) -> list[list[int]]:
-    seqs = [[int(t) for t in p] for p in prompts]
+    seqs = [check_tokens(p) for p in prompts]
     if not seqs:
         raise ValidationError("prompt list is empty")
     for i, p in enumerate(seqs):

@@ -14,9 +14,10 @@ error ||(W - W') X||_F^2 summed over rows. Methods:
   inverse over still-free columns), push each column's error onto the
   columns that have not been processed yet, then polish survivors with an
   exact least-squares refit on the final support. The greedy step removes
-  one weight from every row at once, on a stack of per-row inverse copies
-  (rows in slices of about 8 MB); each row sees the float operations of a
-  one-row walk, so the masks equal that walk's bit for bit.
+  one weight from every row at once. It keeps each row's downdated
+  diagonal and rebuilds only the victim's column from the pivot columns
+  taken so far, in the order a stored inverse would be downdated, so the
+  masks equal a one-row walk's bit for bit.
 * ``quantize_obs``    - same machinery, but every column is snapped to a
   symmetric per-row (or per-group) grid and the rounding error compensated.
 * ``refit_fixed_mask`` - exact least-squares weights for a given mask, from
@@ -173,8 +174,9 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
     Returns ``weights`` and ``gram`` as float64 arrays (``gram`` stays None
     when not given). ``pattern`` must be a quantize pattern when ``quantize``
     is set and a pruning pattern otherwise; None (the refit) skips the
-    pattern checks, as a None ``gram`` or ``block_size`` skips theirs. A Gram
-    must be square, finite, exactly symmetric and as wide as the weights.
+    pattern checks, as a None ``gram`` or ``block_size`` skips theirs. The
+    weights need at least one input column. A Gram must be square, finite,
+    exactly symmetric and as wide as the weights.
     """
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
@@ -182,6 +184,8 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
     if not np.isfinite(W).all():
         raise ValidationError("weights must be finite")
     d_in = W.shape[1]
+    if d_in == 0:
+        raise ValidationError("weights must have at least one input column")
     if pattern is not None:
         if quantize and pattern.kind != "quantize":
             raise ValidationError("quantize_obs requires a quantize pattern")
@@ -267,8 +271,10 @@ def _obs_walk(W: np.ndarray, U: np.ndarray, block_size: int, choose) -> None:
         W[:, i2:] -= err_block @ U[i1:i2, i2:]
 
 
-# Float64 entries (rows * cols**2) in one row slice of the greedy mask's
-# inverse stack: about 8 MB, or one row's copy for blocks over 1024 wide.
+# Bound on rows * cols**2 for one row slice of the greedy mask. The slice's
+# two history buffers (pivot columns taken, and the terms that rebuild a
+# column) hold fewer than quota * rows * cols <= rows * cols**2 floats each:
+# at most about 8 MB each, or one row's worth for blocks over 1024 wide.
 _STACK_ENTRIES = 2 ** 20
 
 
@@ -283,16 +289,17 @@ def _greedy_block_mask(W_block: np.ndarray, ub: np.ndarray, quota: int) -> np.nd
     saliencies drop the higher column, matching the magnitude tie rule.
 
     Rows are independent, so every step eliminates one weight in every row at
-    once, on a stack of per-row inverse copies that keeps eliminated columns
-    in place instead of deleting them. Eliminated columns read as inf
-    saliency, and an entry of a live row and live column of the stack is
-    downdated only from live entries, so each live entry sees the same float
-    operations as a one-row walk on the shrinking inverse and the masks are
-    that walk's bit for bit; what the downdate leaves in eliminated entries
-    of the stack and of the working rows is never read. Rows go through in slices of at most
-    ``max(1, _STACK_ENTRIES // cols**2)``, which bounds the stack at about
-    8 MB (plus one reused buffer of the same size) for blocks up to 1024
-    wide, and at one row's ``cols x cols`` copy beyond that.
+    once. The downdated inverse is never stored. A step reads only its
+    diagonal, which is kept up to date, and the victim's column, which is
+    rebuilt from ``M0`` and the history of pivot columns and pivots taken so
+    far, by the same left fold of downdates a stored inverse would have
+    received. Each entry a step reads therefore sees the float operations of
+    a one-row walk on the shrinking inverse, and the masks are that walk's
+    bit for bit. Eliminated columns read as inf saliency; what the downdates
+    leave in their entries is never read. This costs O(quota**2 * cols) per
+    row instead of the O(quota * cols**2) of downdating a stored inverse.
+    Rows go through in slices of at most ``max(1, _STACK_ENTRIES // cols**2)``,
+    which bounds the history buffers (see ``_STACK_ENTRIES``).
     """
     d_out, cols = W_block.shape
     M0 = ub.T @ ub
@@ -304,24 +311,36 @@ def _greedy_block_mask(W_block: np.ndarray, ub: np.ndarray, quota: int) -> np.nd
 
 
 def _greedy_rows(W_rows: np.ndarray, M0: np.ndarray, quota: int) -> np.ndarray:
-    """Row-batched body of :func:`_greedy_block_mask`; returns the kept mask."""
+    """Row-batched body of :func:`_greedy_block_mask`; returns the kept mask.
+
+    Step k rebuilds the victim column from ``M0[:, c]`` minus the k terms
+    ``(col_s * col_s[c]) / pivot_s`` in one buffer, and ``np.subtract.reduce``
+    over its first axis subtracts them in step order. The last step needs no
+    downdate, so the history holds ``quota - 1`` columns.
+    """
     rows, cols = W_rows.shape
-    M = np.broadcast_to(M0, (rows, cols, cols)).copy()
-    outer = np.empty_like(M)
-    w = W_rows.copy()
-    live = np.ones((rows, cols), dtype=bool)
     at = np.arange(rows)
-    for _ in range(quota):
-        sal = np.divide(w**2, np.diagonal(M, axis1=1, axis2=2),
-                        out=np.full((rows, cols), np.inf), where=live)
+    w = W_rows.copy()
+    diag = np.tile(np.diag(M0), (rows, 1))
+    live = np.ones((rows, cols), dtype=bool)
+    depth = max(quota - 1, 0)
+    history = np.empty((depth, rows, cols))
+    pivots = np.empty((depth, rows))
+    terms = np.empty((depth, rows, cols))
+    for k in range(quota):
+        sal = np.divide(w**2, diag, out=np.full((rows, cols), np.inf), where=live)
         c = cols - 1 - np.argmin(sal[:, ::-1], axis=1)
         live[at, c] = False
-        pivot = M[at, c, c]
-        col = M[at, :, c]
+        if k == depth:
+            break
+        pivot = pivots[k] = diag[at, c]
+        buf = terms[: k + 1]
+        buf[0] = M0.T[c]
+        np.multiply(history[:k], history[:k, at, c][:, :, None], out=buf[1:])
+        buf[1:] /= pivots[:k, :, None]
+        col = np.subtract.reduce(buf, axis=0, out=history[k])
         w -= (w[at, c] / pivot)[:, None] * col
-        np.multiply(col[:, :, None], col[:, None, :], out=outer)
-        outer /= pivot[:, None, None]
-        M -= outer
+        diag -= (col * col) / pivot[:, None]
     return live
 
 

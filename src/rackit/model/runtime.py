@@ -21,13 +21,14 @@ import numpy as np
 from scipy.special import erf
 
 from ..errors import ValidationError
-from .bundle import SLOT_INPUT, ModelBundle, PrunableLayerRef, sort_refs
+from .bundle import BYTE_VOCAB, SLOT_INPUT, ModelBundle, PrunableLayerRef, sort_refs
 
 __all__ = [
     "STOP_BYTE",
     "Sampler",
     "GREEDY",
     "DecodeState",
+    "check_tokens",
     "forward_teacher_forced",
     "last_layer_states",
     "decode",
@@ -57,6 +58,23 @@ class Sampler:
 
 
 GREEDY = Sampler()
+
+
+def check_tokens(tokens) -> list[int]:
+    """``tokens`` as a list of ints; a token that is not an integral byte
+    value raises :class:`ValidationError`."""
+    seq = []
+    for t in tokens:
+        try:
+            i = int(t)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != t:
+            raise ValidationError(f"token {t!r} is not an integer")
+        if not 0 <= i < BYTE_VOCAB:
+            raise ValidationError(f"token {i} outside byte vocabulary")
+        seq.append(i)
+    return seq
 
 
 class DecodeState:
@@ -195,12 +213,9 @@ def _run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
     for r in refs:
         if r.layer_index >= cfg.n_layers:
             raise ValidationError(f"capture ref {r} out of range")
-    seq = [int(t) for t in tokens]
+    seq = check_tokens(tokens)
     if not seq:
         raise ValidationError("token sequence must be nonempty")
-    bad = [t for t in seq if not 0 <= t < cfg.vocab_size]
-    if bad:
-        raise ValidationError(f"token {bad[0]} outside byte vocabulary")
     if max_new < 0:
         raise ValidationError(f"max_new must be >= 0, got {max_new}")
     cap = cfg.max_positions

@@ -119,6 +119,8 @@ def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
     positive fraction always moves the matrix toward positive definiteness.
     """
     check_damp_fraction(fraction)
+    if m.size == 0:
+        raise ValidationError(f"cannot dampen an empty matrix of shape {m.shape}")
     mean_diag = float(np.trace(m)) / m.shape[0]
     shift = fraction * (mean_diag if mean_diag != 0.0 else 1.0)
     out = m.copy()
@@ -151,8 +153,13 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Only the lower triangle of ``a`` is read. ``b`` is one right-hand side or
     a ``(n, k)`` block of them; ``x`` has its shape. A factorization that
-    fails raises as :func:`cholesky` does.
+    fails raises as :func:`cholesky` does, and a ``b`` whose length is not
+    the order of ``a`` raises :class:`ValidationError`.
     """
+    if np.ndim(b) not in (1, 2) or np.shape(b)[0] != a.shape[0]:
+        raise ValidationError(
+            f"right-hand side has shape {np.shape(b)}, matrix has order {a.shape[0]}"
+        )
     x, info = dpotrs(cholesky(a), b, lower=1)
     if info != 0:
         raise NumericalError(f"dpotrs rejected argument {-info}")

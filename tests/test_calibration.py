@@ -263,6 +263,19 @@ class TestCollect:
             with pytest.raises(ValidationError, match="takes no corpus"):
                 collect(tiny_model, config, refs, corpus=b"some bytes")
 
+    @pytest.mark.parametrize("prompt, message", [
+        ((1, 256), "token 256 outside byte vocabulary"),
+        ((1, -1), "token -1 outside byte vocabulary"),
+        ((1.5, 2), "token 1.5 is not an integer"),
+    ])
+    @pytest.mark.parametrize("mode", ["prompt_only", "rac"])
+    def test_prompt_tokens_are_checked_before_hashing(self, tiny_model, prompt,
+                                                      message, mode):
+        config = CalibrationConfig(mode=mode, prompts=(prompt,),
+                                   t_max=4 if mode == "rac" else 0)
+        with pytest.raises(ValidationError, match=message):
+            collect(tiny_model, config, all_refs(tiny_model.config))
+
 
 def _two_pass_oracle(target, config, refs):
     """Today's contract spelled out the slow way: per prompt, ``decode`` and

@@ -260,6 +260,12 @@ class TestObs:
         (256, 32, (1, 2, 16, 31, 32)),
         (64, 32, (8, 16)),
         (9, 12, range(1, 13)),
+        # One row: each step's column rebuild reduces a (k + 1, 1, cols) buffer.
+        (1, 24, (1, 9, 23, 24)),
+        # Every column eliminated: the history fills to quota - 1 columns.
+        (40, 16, (16,)),
+        # A full row slice with the history near the slice bound.
+        (_STACK_ENTRIES // 64**2, 64, (60,)),
     ])
     def test_greedy_mask_equals_per_row_oracle(self, seed, rows, cols, quotas):
         rng = np.random.default_rng(seed)
@@ -449,6 +455,8 @@ def _bad_inputs():
     block = "block_size must be >= 1"
     block_m = "block_size 6 must be a multiple of m=4"
     nan, finite = np.where(np.eye(2, 8) == 1, np.nan, 1.0), "weights must be finite"
+    narrow, g0 = np.ones((3, 0)), np.zeros((0, 0))
+    empty = "weights must have at least one input column"
     gram_calls = {
         "prune_wanda": lambda g: prune_wanda(W, g, HALF),
         "prune_obs": lambda g: prune_obs(W, g, HALF),
@@ -499,6 +507,13 @@ def _bad_inputs():
         (entry, functools.partial(call, bad), message)
         for entry, call in gram_calls.items()
         for bad, message in bad_grams
+    ] + [
+        ("prune_magnitude", lambda: prune_magnitude(narrow, HALF), empty),
+        ("prune_wanda", lambda: prune_wanda(narrow, g0, HALF), empty),
+        ("prune_obs", lambda: prune_obs(narrow, g0, HALF), empty),
+        ("quantize_obs", lambda: quantize_obs(narrow, g0, q4), empty),
+        ("refit_fixed_mask", lambda: refit_fixed_mask(narrow, g0, narrow > 0), empty),
+        ("trace_form_loss", lambda: trace_form_loss(narrow, narrow, g0), empty),
     ]
 
 

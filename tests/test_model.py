@@ -148,11 +148,16 @@ class TestForward:
     def test_rejects_bad_tokens_and_lengths(self, tiny_model):
         with pytest.raises(ValidationError):
             forward_teacher_forced(tiny_model, [])
-        for bad in ([256], [1, -1, 3], [1, 2, 256]):
-            with pytest.raises(ValidationError, match="outside byte vocabulary"):
+        outside, fractional = "outside byte vocabulary", "is not an integer"
+        for bad, message in (([256], outside), ([1, -1, 3], outside),
+                             ([1, 2, 256], outside), ([1.5, 2], fractional),
+                             ([1, np.nan], fractional), (["1"], fractional)):
+            with pytest.raises(ValidationError, match=message):
                 forward_teacher_forced(tiny_model, bad)
-            with pytest.raises(ValidationError, match="outside byte vocabulary"):
+            with pytest.raises(ValidationError, match=message):
                 last_layer_states(tiny_model, bad)
+            with pytest.raises(ValidationError, match=message):
+                decode(tiny_model, bad, 2)
         too_long = [1] * (tiny_model.config.max_positions + 1)
         with pytest.raises(ValidationError):
             forward_teacher_forced(tiny_model, too_long)

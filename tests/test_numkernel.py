@@ -146,6 +146,11 @@ class TestDampen:
         with pytest.raises(ValidationError, match="finite"):
             dampen(np.eye(2), fraction)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+    def test_rejects_empty_matrix(self, shape):
+        with pytest.raises(ValidationError, match="empty matrix"):
+            dampen(np.zeros(shape), 0.01)
+
     @given(dim=st.integers(1, 12), seed=st.integers(0, 10_000))
     def test_off_diagonal_untouched_and_diagonal_grows(self, dim, seed):
         rng = np.random.default_rng(seed)
@@ -222,6 +227,13 @@ class TestSolveSpd:
         with pytest.raises(CholeskyError) as exc:
             solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize("b", [np.ones(4), np.ones(2), np.ones((4, 2)),
+                                   np.float64(1.0), np.ones((3, 1, 1))],
+                             ids=["long", "short", "long-block", "scalar", "3d"])
+    def test_rejects_wrong_right_hand_side(self, b):
+        with pytest.raises(ValidationError, match="right-hand side"):
+            solve_spd(np.eye(3), b)
 
 
 class TestInverse:
