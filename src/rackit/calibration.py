@@ -13,7 +13,12 @@ Four ways to gather them, all reading activations from the target model:
   the target model is teacher-forced on the foreign trace, so the statistics
   are still the target's own activations.
 
-Every prompt or corpus chunk makes one pass through the target. Only Gram
+Every prompt or corpus chunk makes one pass through the target. Rollouts
+run in lockstep batches (:func:`rackit.model.rollouts`). A token budget is
+spent on prompt columns first and decode columns after, in prompt order; a
+batch admits a prompt only if the budget is sure to reach its rollout, so a
+prompt that the budget leaves without decode columns is only teacher-forced
+and need not leave room for ``t_max`` more positions. Only Gram
 matrices and column counts are stored, never raw activation matrices. Each
 phase of a sequence goes to a Gram as one block of columns in position
 order, whose bits equal those of one rank-1 update per column, and sequences
@@ -35,6 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContainerError, ValidationError
+# ``decode`` is no longer called here. It stays in this module's namespace
+# because bench/tracer.py wraps it by that name.
 from .model import (
     ModelBundle,
     ModelConfig,
@@ -42,7 +49,7 @@ from .model import (
     decode,
     forward_teacher_forced,
     model_content_hash,
-    rollout,
+    rollouts,
     slot_input_dim,
     sort_refs,
 )
@@ -260,32 +267,34 @@ def _corpus_chunks(corpus, token_budget, size: int, warnings: list) -> list[list
     return [list(data[i : i + size]) for i in range(0, len(data), size)]
 
 
-def _accumulate(dest: CalibrationSet, captures, start: int, stop: int,
-                phase: str, limit) -> int:
-    """Stream captured columns [start, stop), at most ``limit``, into the
-    destination Grams.
+def _accumulate(dest: CalibrationSet, prompt, full, captures, left: dict) -> None:
+    """Stream one sequence's captured columns into the destination Grams:
+    the prompt positions, then the generated ones, each phase taking at most
+    the ``left[phase]`` columns its budget has left, which it then lowers.
 
-    Returns how many positions were consumed (identical for every ref).
+    Every ref consumes the same positions. The captures come in as an
+    argument, so that nothing holds them once the call returns.
     """
-    take = min(stop - start, limit)
-    if take <= 0:
-        return 0
-    prev_cols = prev_gram = None
-    for ref, st in dest.stats.items():
-        gram = st.gram_prompt if phase == "prompt" else st.gram_decode
-        cols = captures[ref]
-        if cols is prev_cols:
-            # Refs that read one activation (SLOT_INPUT) share their
-            # capture array and so have received the same columns.
-            np.copyto(gram, prev_gram)
-        else:
-            accumulate_gram(gram, cols[start : start + take])
-        prev_cols, prev_gram = cols, gram
-        if phase == "prompt":
-            st.n_prompt += take
-        else:
-            st.n_decode += take
-    return take
+    for phase, start, stop in (("prompt", 0, len(prompt)), ("decode", len(prompt), len(full))):
+        take = min(stop - start, left[phase])
+        if take <= 0:
+            continue
+        left[phase] -= take
+        prev_cols = prev_gram = None
+        for ref, st in dest.stats.items():
+            gram = st.gram_prompt if phase == "prompt" else st.gram_decode
+            cols = captures[ref]
+            if cols is prev_cols:
+                # Refs that read one activation (SLOT_INPUT) share their
+                # capture array and so have received the same columns.
+                np.copyto(gram, prev_gram)
+            else:
+                accumulate_gram(gram, cols[start : start + take])
+            prev_cols, prev_gram = cols, gram
+            if phase == "prompt":
+                st.n_prompt += take
+            else:
+                st.n_decode += take
 
 
 def _child_sampler(sampler: Sampler, index: int) -> Sampler:
@@ -329,30 +338,37 @@ def collect(model: ModelBundle, config: CalibrationConfig, refs,
     dest = CalibrationSet.empty(model.config, refs)
     # A token budget goes to prompt columns first and to decode columns after.
     budget = config.token_budget or math.inf
-    prompt_left = min(budget, sum(len(p) for p in prompts))
-    decode_left = 0 if config.mode in ("corpus", "prompt_only") else budget - prompt_left
+    prompt_columns = min(budget, sum(len(p) for p in prompts))
+    left = {"prompt": prompt_columns,
+            "decode": 0 if config.mode in ("corpus", "prompt_only") else budget - prompt_columns}
     source = config.trace_model if config.mode == "off_policy" else model
-    for m, prompt in enumerate(prompts):
-        if prompt_left == 0 and decode_left == 0:
-            break
-        if decode_left == 0:
-            full = prompt
-            _, captures = forward_teacher_forced(model, prompt, dest.refs)
+    m = 0
+    while m < len(prompts) and (left["prompt"] or left["decode"]):
+        if left["decode"] == 0:
+            batch = prompts[m : m + 1]
+            sequences = ((p, forward_teacher_forced(model, p, dest.refs)[1]) for p in batch)
         else:
-            for cfg, who in ((model.config, "target"), (source.config, "trace")):
-                if len(prompt) + config.t_max > cfg.max_positions:
-                    raise ValidationError(
-                        f"prompt {m} + t_max exceeds {who} model "
-                        f"max_positions={cfg.max_positions}"
-                    )
-            sampler = _child_sampler(config.sampler, m)
+            # A batch admits only prompts that are certain to be rolled out:
+            # each earlier member takes at most t_max decode columns.
+            batch = [p for i, p in enumerate(prompts[m:]) if left["decode"] > i * config.t_max]
+            for i, prompt in enumerate(batch, m):
+                for cfg, who in ((model.config, "target"), (source.config, "trace")):
+                    if len(prompt) + config.t_max > cfg.max_positions:
+                        raise ValidationError(
+                            f"prompt {i} + t_max exceeds {who} model "
+                            f"max_positions={cfg.max_positions}"
+                        )
+            samplers = [_child_sampler(config.sampler, i) for i in range(m, m + len(batch))]
             if config.mode == "rac":
-                full, captures = rollout(model, prompt, config.t_max, sampler, dest.refs)
+                sequences = rollouts(model, batch, config.t_max, samplers, dest.refs)
             else:
-                full = decode(source, prompt, config.t_max, sampler)
-                _, captures = forward_teacher_forced(model, full, dest.refs)
-        prompt_left -= _accumulate(dest, captures, 0, len(prompt), "prompt", prompt_left)
-        decode_left -= _accumulate(dest, captures, len(prompt), len(full), "decode",
-                                   decode_left)
+                sequences = ((full, forward_teacher_forced(model, full, dest.refs)[1])
+                             for full, _ in rollouts(source, batch, config.t_max, samplers))
+        # Sequences are drawn one at a time and their captures passed straight
+        # on, so a lockstep batch does not start while the previous batch's
+        # captures are still held.
+        for prompt in batch:
+            _accumulate(dest, prompt, *next(sequences), left)
+        m += len(batch)
     dest.provenance = provenance
     return dest

@@ -37,9 +37,12 @@ from .compress import (
     SparsityPattern,
     compress_model,
 )
+# ``decode`` and ``error_trace`` are no longer called here. They stay in this
+# module's namespace because bench/tracer.py wraps them by that name.
 from .diagnostics import (
     DiagnosticTrace,
     error_trace,
+    error_traces,
     eval_nll,
     ratio_map,
     summarize_phase_errors,
@@ -49,7 +52,6 @@ from .diagnostics import (
 )
 from .errors import ContainerError, NumericalError, ValidationError
 from .model import (
-    GREEDY,
     ModelConfig,
     PrunableLayerRef,
     Sampler,
@@ -58,6 +60,7 @@ from .model import (
     generate_model,
     load_model,
     model_content_hash,
+    rollouts,
     save_model,
     sort_refs,
 )
@@ -405,17 +408,15 @@ def _cmd_diagnose(args) -> tuple[int, object, dict]:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    labels = [label for label, _ in compressed]
+    models = [bundle for _, bundle in compressed]
+    sequences = rollouts(dense, prompts, args.t_max)
     traces = []
-    for idx, prompt in enumerate(prompts):
-        rollout = decode(dense, prompt, args.t_max, GREEDY)
-        errors = {
-            label: error_trace(dense, bundle, rollout)
-            for label, bundle in compressed
-        }
+    for idx, (prompt, (rollout, _)) in enumerate(zip(prompts, sequences)):
         traces.append(DiagnosticTrace(
             problem_id=f"p{idx}",
             boundary=len(prompt),
-            errors=errors,
+            errors=dict(zip(labels, error_traces(dense, models, rollout))),
         ))
 
     write_errors_csv(out_dir / "errors.csv", traces)

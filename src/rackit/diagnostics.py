@@ -27,6 +27,7 @@ __all__ = [
     "DiagnosticTrace",
     "EvalResult",
     "error_trace",
+    "error_traces",
     "ratio_map",
     "summarize_phase_errors",
     "eval_nll",
@@ -47,14 +48,21 @@ class DiagnosticTrace:
     errors: dict[str, np.ndarray]
 
 
-def error_trace(dense: ModelBundle, compressed: ModelBundle, sequence) -> np.ndarray:
-    """e_t for every position of ``sequence`` under teacher forcing."""
-    if dense.config != compressed.config:
+def error_traces(dense: ModelBundle, compressed, sequence) -> list[np.ndarray]:
+    """e_t of each model in ``compressed`` for every position of ``sequence``
+    under teacher forcing; the dense states are computed once."""
+    compressed = list(compressed)
+    if any(dense.config != model.config for model in compressed):
         raise ValidationError("dense and compressed models have different shapes")
     seq = [int(t) for t in sequence]
     h_dense = last_layer_states(dense, seq)
-    h_comp = last_layer_states(compressed, seq)
-    return np.linalg.norm(h_dense - h_comp, axis=1)
+    return [np.linalg.norm(h_dense - last_layer_states(model, seq), axis=1)
+            for model in compressed]
+
+
+def error_trace(dense: ModelBundle, compressed: ModelBundle, sequence) -> np.ndarray:
+    """e_t for every position of ``sequence`` under teacher forcing."""
+    return error_traces(dense, [compressed], sequence)[0]
 
 
 def ratio_map(errors_a, errors_b) -> list[np.ndarray]:

@@ -19,7 +19,6 @@ from rackit.errors import NumericalError, ValidationError
 from rackit.model import (
     GREEDY,
     STOP_BYTE,
-    DecodeState,
     ModelBundle,
     PrunableLayerRef,
     Sampler,
@@ -225,7 +224,19 @@ def _step_gelu(v):
     return 0.5 * v * (1.0 + erf(v * _SQRT1_2))
 
 
-def _step_advance(model: ModelBundle, state: DecodeState, token: int, collect=None):
+class _StepState:
+    """The one-token driver's own state: the position reached plus one
+    (max_positions, heads, head_dim) KV cache per layer."""
+
+    def __init__(self, model: ModelBundle):
+        cfg = model.config
+        self.position = 0
+        shape = (cfg.max_positions, cfg.n_heads, cfg.head_dim)
+        self._k = [np.empty(shape) for _ in range(cfg.n_layers)]
+        self._v = [np.empty(shape) for _ in range(cfg.n_layers)]
+
+
+def _step_advance(model: ModelBundle, state: _StepState, token: int, collect=None):
     """Process one token; returns (logits, last-block hidden state)."""
     cfg = model.config
     pos = state.position
@@ -316,7 +327,7 @@ def stepwise_run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
                 else f"sequence length {len(seq)}")
         raise ValidationError(f"{what} exceeds max_positions={cap}")
     collect = {(r.layer_index, r.slot): [] for r in refs} or None
-    state = DecodeState(model)
+    state = _StepState(model)
     logits_rows = []
     hidden_rows = []
 

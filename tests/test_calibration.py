@@ -115,6 +115,28 @@ class TestDecodePhase:
                     CalibrationConfig(mode="rac", prompts=[[1] * 10], t_max=cap - 9),
                     all_refs(tiny_model.config))
 
+    @pytest.mark.parametrize("mode", ["rac", "off_policy"])
+    def test_prompt_after_the_decode_budget_is_only_teacher_forced(self, tiny_model, mode):
+        # 60 + t_max does not fit 64 positions, but the budget's 3 decode
+        # columns are spent on the first prompt, so the third is only
+        # teacher-forced; a lockstep batch must not admit it.
+        prompts = PROMPTS + ((5,) * 60,)
+        refs = all_refs(tiny_model.config)
+        trace = tiny_model if mode == "off_policy" else None
+        calib = collect(tiny_model,
+                        CalibrationConfig(mode=mode, prompts=prompts, t_max=16,
+                                          trace_model=trace, token_budget=70),
+                        refs)
+        prompt_only = _prompt_only(tiny_model, prompts, refs)
+        for r in refs:
+            st = calib.stats[r]
+            assert (st.n_prompt, st.n_decode) == (67, 3)
+            assert np.array_equal(st.gram_prompt, prompt_only.stats[r].gram_prompt)
+        with pytest.raises(ValidationError, match="prompt 2 \\+ t_max exceeds target"):
+            collect(tiny_model, CalibrationConfig(mode=mode, prompts=prompts, t_max=16,
+                                                  trace_model=trace),
+                    refs)
+
     def test_foreign_trace_model_writes_tokens_only(self, tiny_model):
         # activations must come from the target even when the rollout does not
         other = generate_model(small_config(), seed=99)

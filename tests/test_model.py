@@ -23,11 +23,13 @@ from rackit.model import (
     named_tensors,
     parse_ref,
     rollout,
+    rollouts,
     save_model,
     sort_refs,
 )
+from rackit.model import runtime
 
-from .helpers import small_config
+from .helpers import random_prompts, small_config
 from .oracle import reference_forward, stepwise_run, uncached_greedy_decode
 
 
@@ -161,6 +163,11 @@ class TestForward:
         too_long = [1] * (tiny_model.config.max_positions + 1)
         with pytest.raises(ValidationError):
             forward_teacher_forced(tiny_model, too_long)
+        for bad in (2.5, "3", True):
+            with pytest.raises(ValidationError, match="max_new must be an integer"):
+                decode(tiny_model, [1, 2], bad)
+            with pytest.raises(ValidationError, match="max_new must be an integer"):
+                rollouts(tiny_model, [[1, 2]], bad)
 
 
 def _c06_shaped_model():
@@ -252,6 +259,136 @@ class TestStepwiseOracle:
         assert tokens == want_tokens
         for r in refs:
             assert np.array_equal(caps[r], want_caps[r]), str(r)
+
+
+def _assert_runs_equal(got, want):
+    tokens, logits, hidden, captures = got
+    assert tokens == want[0]
+    assert np.array_equal(logits, want[1])
+    assert np.array_equal(hidden, want[2])
+    assert captures.keys() == want[3].keys()
+    for r in captures:
+        assert np.array_equal(captures[r], want[3][r]), str(r)
+
+
+# Model seed 1 at the small shape: greedy rollouts of these prompts stop on the
+# stop byte after 13, 20 and 5 new tokens, and the second runs to 40.
+_STOPPING_SEED = 1
+_STOPPING_LENGTHS = (3, 7, 12, 5)
+
+
+class TestLockstep:
+    """A lockstep batch against one _run per prompt, bit for bit."""
+
+    def _check(self, model, prompts, max_new, samplers, refs):
+        got = runtime._run(model, prompts, refs, max_new, samplers)
+        assert len(got) == len(prompts)
+        for j, prompt in enumerate(prompts):
+            want = runtime._run(model, [prompt], refs, max_new, [samplers[j]])[0]
+            _assert_runs_equal(got[j], want)
+        return got
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_mixed_prompt_lengths(self, oracle_model, capture, rng):
+        lengths = (1, 9, 4, 17)
+        prompts = [[int(t) for t in rng.integers(1, 256, size=n)] for n in lengths]
+        refs = all_refs(oracle_model.config) if capture else ()
+        self._check(oracle_model, prompts, 24, [GREEDY] * 4, refs)
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_stop_byte_in_mid_batch(self, capture):
+        model = generate_model(small_config(), seed=_STOPPING_SEED)
+        rng = np.random.default_rng(1)
+        prompts = [[int(t) for t in rng.integers(1, 256, size=n)] for n in _STOPPING_LENGTHS]
+        refs = all_refs(model.config) if capture else ()
+        got = self._check(model, prompts, 40, [GREEDY] * 4, refs)
+        generated = [len(tokens) - len(p) for (tokens, *_), p in zip(got, prompts)]
+        assert generated == [40, 13, 20, 5]
+        assert [tokens[-1] for tokens, *_ in got][1:] == [0, 0, 0]
+        for (tokens, logits, _, captures), p in zip(got, prompts):
+            # The last token is advanced only when captures are taken.
+            assert len(logits) == len(tokens) - (0 if capture else 1)
+            for rows in captures.values():
+                assert len(rows) == len(tokens)
+
+    def test_temperature_samplers_per_prompt(self, oracle_model, rng):
+        prompts = random_prompts(rng, 5, min_len=2, max_len=11)
+        samplers = [Sampler("temperature", 1.5, seed=s) for s in (5, 6, 7, 8, 9)]
+        self._check(oracle_model, prompts, 20, samplers, all_refs(oracle_model.config))
+
+    def test_only_scored_batch_is_stable(self, tiny_model, rng):
+        # Several sequences never share plain matrix products, whose rows
+        # could round by the batch they are in.
+        prompts = random_prompts(rng, 3, min_len=5, max_len=30)
+        got = runtime._run(tiny_model, prompts)
+        for (tokens, logits, hidden, _), prompt in zip(got, prompts):
+            _, want_logits, want_hidden, _ = stepwise_run(tiny_model, prompt)
+            assert tokens == prompt
+            assert np.array_equal(logits, want_logits)
+            assert np.array_equal(hidden, want_hidden)
+
+    @pytest.mark.parametrize("limit", [1, 2, None])
+    def test_rollouts_equal_rollout_at_every_batch_size(self, tiny_model, limit,
+                                                        monkeypatch, rng):
+        refs = all_refs(tiny_model.config)
+        prompts = random_prompts(rng, 5, min_len=2, max_len=9)
+        samplers = [Sampler("temperature", 1.3, seed=s) for s in range(5)]
+        if limit is not None:
+            # room for exactly ``limit`` sequences per lockstep batch
+            positions = max(map(len, prompts)) + 12
+            size = runtime._LOCKSTEP_BYTES // runtime._lockstep_width(
+                tiny_model.config, positions, refs)
+            monkeypatch.setattr(runtime, "_LOCKSTEP_BYTES", limit * size)
+            assert runtime._lockstep_width(tiny_model.config, positions, refs) == limit
+        got = list(rollouts(tiny_model, prompts, 12, samplers, refs))
+        assert len(got) == len(prompts)
+        for (tokens, captures), prompt, sampler in zip(got, prompts, samplers):
+            want_tokens, want_captures = rollout(tiny_model, prompt, 12, sampler, refs)
+            assert tokens == want_tokens
+            for r in refs:
+                assert np.array_equal(captures[r], want_captures[r]), str(r)
+
+    def test_rollouts_check_every_input_before_running(self, tiny_model):
+        for prompts, max_new, samplers, message in (
+                ([[1, 2], [3, 256]], 4, None, "outside byte vocabulary"),
+                ([[1, 2], []], 4, None, "nonempty"),
+                ([[1, 2], [1] * 60], 8, None, "exceeds max_positions"),
+                ([[1, 2], [3]], 4, [GREEDY], "1 samplers for 2 prompts")):
+            with pytest.raises(ValidationError, match=message):
+                rollouts(tiny_model, prompts, max_new, samplers)
+
+    def test_captured_batch_at_the_c06_shape_holds_four(self):
+        # calibrate's peak RSS on the rac-c06 benchmark was measured at this size
+        model = _c06_shaped_model()
+        assert runtime._lockstep_width(model.config, 32 + 128, all_refs(model.config)) == 4
+
+
+class TestAttendLayout:
+    """The stable attention path keeps a one-query step's bits because einsum
+    lays the scores out with p outside h, so softmax sums over p in cache
+    order and the masked future adds exact zeros at the end."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_einsum_puts_cache_positions_outside_heads(self, batch):
+        cache = np.random.default_rng(2).standard_normal((batch, 64, 4, 16))
+        q = np.random.default_rng(3).standard_normal((batch, 5, 4, 16))
+        scores = np.einsum("bphd,bthd->bthp", cache[:, :30], q)
+        assert scores.shape == (batch, 5, 4, 30)
+        assert scores.strides[3] > scores.strides[2]
+
+    def test_block_rows_equal_one_query_steps(self):
+        rng = np.random.default_rng(4)
+        b, t, p, heads, hd = 3, 6, 40, 4, 16
+        cache_k = rng.standard_normal((b, 64, heads, hd))
+        cache_v = rng.standard_normal((b, 64, heads, hd))
+        q = rng.standard_normal((b, t, heads, hd))
+        block = runtime._attend(q, cache_k[:, :p], cache_v[:, :p], 0.25, True)
+        for i in range(t):
+            end = p - t + i + 1
+            for j in range(b):
+                one = runtime._attend(q[j : j + 1, i : i + 1], cache_k[j : j + 1, :end],
+                                      cache_v[j : j + 1, :end], 0.25, True)
+                assert np.array_equal(block[j, i], one[0, 0]), (i, j)
 
 
 class TestDecode:

@@ -7,25 +7,36 @@ from pathlib import Path
 import pytest
 
 from rackit.calibration import MODES, CalibrationSet
-from rackit.cli import _COMMANDS
+from rackit.cli import _COMMANDS, main
 from rackit.compress import COMPRESSION_MODES, METHODS
 from rackit.model import Sampler
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture
-def tracer(monkeypatch):
-    """``bench/tracer.py`` imported with ``bench/`` on the path, writing no bytecode."""
+def _bench_module(monkeypatch, name: str):
+    """``bench/<name>.py`` imported with ``bench/`` on the path, writing no
+    bytecode; yields the module, then forgets the bench modules it imported."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
         yield module
     finally:
-        sys.modules.pop("workloads", None)
+        for imported in ("workloads", "reference"):
+            sys.modules.pop(imported, None)
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    yield from _bench_module(monkeypatch, "tracer")
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    yield from _bench_module(monkeypatch, "run")
 
 
 def test_every_traced_name_resolves(tracer):
@@ -64,3 +75,20 @@ def test_cli_choices_are_library_names():
             assert choice.replace("-", "_") in names, (key, choice)
     for choice in flags[("calibrate", "--sampler")]:
         Sampler(kind=choice.replace("-", "_"))
+
+
+def test_benchmark_checks_pass_on_rac_c06(bench_run, tmp_path, monkeypatch, capsys):
+    """The CLI's artifacts for the rac-c06 workload, seed 1, pass
+    ``bench/run.py``'s checks, which hold them to a whole-sequence forward
+    and byte-layout parsers that share no code with rackit."""
+    monkeypatch.chdir(tmp_path)
+    workload = bench_run.WORKLOADS["rac-c06"]
+    workload.write_inputs(tmp_path, 1)
+    commands = [argv for _, argv in workload.setup_commands()]
+    commands += [argv for _, _, argv in workload.pipeline_commands(1)]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    checks, _ = bench_run.verify(workload, tmp_path)
+    assert checks.passed > 0
+    assert checks.failures == []
