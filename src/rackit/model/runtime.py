@@ -30,7 +30,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from ..errors import ValidationError
 from .bundle import (
@@ -136,6 +135,10 @@ def _layer_norm(v, gain, bias, eps):
 
 
 def _gelu(v):
+    # Imported here, not with the module: scipy.special takes about 0.3 s to
+    # import, and gen-model and prune run no forward, so they never pay it.
+    from scipy.special import erf
+
     return 0.5 * v * (1.0 + erf(v * _SQRT1_2))
 
 

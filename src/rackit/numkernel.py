@@ -6,10 +6,22 @@ product per column, added left to right, so the bits never depend on how a
 column sequence is cut into blocks. Factorization, solves and inversion go
 through LAPACK (dpotrf/dpotrs/dpotri) so the solvers only ever see explicitly
 symmetric matrices. Every routine works in 64-bit floats regardless of how
-model weights are stored. :func:`single_blas_thread` runs a block with the
-loaded OpenBLAS builds on one thread. OpenBLAS's dpotrf and dpotri round
-differently at different thread counts, so inside the block their bits no
-longer depend on the count the host would pick.
+model weights are stored.
+
+LAPACK is the library that ``scipy.linalg.lapack`` calls, reached without
+importing any scipy module: :func:`importlib.util.find_spec` locates scipy's
+``linalg/_flapack`` extension, ctypes opens it on the first call and
+resolves each routine through its handle (``scipy_dpotrf_`` in the
+scipy-openblas wheels, else ``dpotrf_``). Inputs are copied to Fortran
+order and factored with ``uplo='L'``, as scipy's wrappers do with
+``lower=1``, so the bits are theirs.
+
+:func:`single_blas_thread` runs a block with the loaded OpenBLAS builds on
+one thread. OpenBLAS's dpotrf and dpotri round differently at different
+thread counts, so inside the block their bits no longer depend on the count
+the host would pick. The thread lookup only finds libraries already loaded,
+so it loads LAPACK first; otherwise, in a fresh process, scipy's OpenBLAS
+would be loaded after the pin and run on the host's count.
 
 Accumulators are single-writer: nothing here locks, callers must not share a
 matrix between concurrent updates.
@@ -19,14 +31,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import CholeskyError, NumericalError, ValidationError
 
@@ -128,23 +140,55 @@ def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
     return out
 
 
+def _square_copy(a) -> np.ndarray:
+    """Fortran-ordered float64 copy of ``a``, checked to be a non-empty square matrix.
+
+    LAPACK reads ``n * n`` entries through a bare pointer, so a wrong shape
+    must be caught here, before any call.
+    """
+    c = np.array(a, dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+        raise ValidationError(f"matrix of shape {c.shape} is empty or not square")
+    return c
+
+
+def _lapack_call(name: str, *args) -> int:
+    """Run LAPACK routine ``name`` on the lower triangle; return its info (>= 0)."""
+    info = ctypes.c_int()
+    _lapack()[name](b"L", *args, info, 1)
+    if info.value < 0:
+        raise NumericalError(f"{name} rejected argument {-info.value}")
+    return info.value
+
+
+def _factor(c: np.ndarray) -> np.ndarray:
+    """:func:`cholesky` in place on a :func:`_square_copy`, upper triangle untouched.
+
+    dpotrs and dpotri never read the upper triangle, so only the public
+    :func:`cholesky` pays for zeroing it.
+    """
+    n = ctypes.c_int(c.shape[0])
+    info = _lapack_call("dpotrf", n, c.ctypes.data, n)
+    if info > 0:
+        raise CholeskyError(info - 1)
+    diag = c.diagonal()
+    if not (np.isfinite(diag) & (diag > 0)).all():
+        raise NumericalError("Cholesky factor must have a finite positive diagonal")
+    return c
+
+
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     dpotrf reads only the lower triangle of ``a``; the factor's upper
-    triangle is zeroed. Raises :class:`CholeskyError` carrying the 0-based
-    index of the first non-positive pivot. dpotrf lets NaN and infinity
-    through with no error, so a factor whose diagonal is not finite and
-    positive raises :class:`NumericalError`.
+    triangle is zeroed. A matrix that is empty or not square raises
+    :class:`ValidationError`. A non-positive pivot raises
+    :class:`CholeskyError` carrying its 0-based index. dpotrf lets NaN and
+    infinity through with no error, so a factor whose diagonal is not finite
+    and positive raises :class:`NumericalError`.
     """
-    c, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise CholeskyError(info - 1)
-    if info < 0:
-        raise NumericalError(f"dpotrf rejected argument {-info}")
-    diag = np.diag(c)
-    if not (np.isfinite(diag) & (diag > 0)).all():
-        raise NumericalError("Cholesky factor must have a finite positive diagonal")
+    c = _factor(_square_copy(a))
+    np.copyto(c, 0.0, where=np.tri(c.shape[0], k=-1, dtype=bool).T)
     return c
 
 
@@ -156,35 +200,87 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fails raises as :func:`cholesky` does, and a ``b`` whose length is not
     the order of ``a`` raises :class:`ValidationError`.
     """
-    if np.ndim(b) not in (1, 2) or np.shape(b)[0] != a.shape[0]:
+    c = _square_copy(a)
+    if np.ndim(b) not in (1, 2) or np.shape(b)[0] != c.shape[0]:
         raise ValidationError(
-            f"right-hand side has shape {np.shape(b)}, matrix has order {a.shape[0]}"
+            f"right-hand side has shape {np.shape(b)}, matrix has order {c.shape[0]}"
         )
-    x, info = dpotrs(cholesky(a), b, lower=1)
-    if info != 0:
-        raise NumericalError(f"dpotrs rejected argument {-info}")
+    x = np.array(b, dtype=np.float64, order="F")
+    n = ctypes.c_int(c.shape[0])
+    nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
+    _lapack_call("dpotrs", n, nrhs, _factor(c).ctypes.data, n, x.ctypes.data, n)
     return x
 
 
 def inverse_via_cholesky(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via its Cholesky factor."""
-    inv, info = dpotri(cholesky(m), lower=1)
-    if info != 0:
+    c = _factor(_square_copy(m))
+    n = ctypes.c_int(c.shape[0])
+    info = _lapack_call("dpotri", n, c.ctypes.data, n)
+    if info:
         raise NumericalError(f"dpotri failed with info={info}")
-    # dpotri fills one triangle only; mirror it so symmetry is exact.
-    lower = np.tril(inv)
-    full = lower + np.tril(inv, -1).T
+    # dpotri fills the lower triangle only; mirror it so symmetry is exact.
+    full = np.tril(c) + np.tril(c, -1).T
     if not np.isfinite(full).all():
         raise NumericalError("inverse contains non-finite entries")
     return full
+
+
+def _package_dir(name: str) -> Path | None:
+    """Directory of an installed package, found without importing it."""
+    spec = importlib.util.find_spec(name)
+    return Path(spec.origin).parent if spec is not None and spec.origin else None
+
+
+# scipy's ``linalg/_flapack`` extension links the LAPACK that scipy.linalg
+# calls (the wheels bundle it in an OpenBLAS build that exports every routine
+# with a ``scipy_`` prefix). Arguments go by reference, with 32-bit integers
+# (the extension is LP64) and, last, the hidden length of the ``uplo``
+# character. Each tuple lists the arguments between ``uplo`` and ``info``.
+_INT = ctypes.POINTER(ctypes.c_int)
+_PTR = ctypes.c_void_p
+_LAPACK_ARGS = {
+    "dpotrf": (_INT, _PTR, _INT),                    # n, a, lda
+    "dpotrs": (_INT, _INT, _PTR, _INT, _PTR, _INT),  # n, nrhs, a, lda, b, ldb
+    "dpotri": (_INT, _PTR, _INT),                    # n, a, lda
+}
+
+
+@functools.cache
+def _lapack() -> dict:
+    """dpotrf, dpotrs and dpotri from scipy's LAPACK; resolved once, on first use.
+
+    Loading the extension also loads scipy's OpenBLAS, which
+    :func:`_openblas_thread_controls` can only find once it is loaded. A
+    library or routine that cannot be found raises :class:`NumericalError`
+    naming the extension.
+    """
+    linalg = (_package_dir("scipy") or Path("scipy")) / "linalg"
+    candidates = [linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in candidates if p.is_file()), candidates[0])
+    try:
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_LAZY)
+    except OSError as exc:
+        raise NumericalError(f"cannot load LAPACK: {exc}") from None
+    routines = {}
+    for name, args in _LAPACK_ARGS.items():
+        symbol = next((s for s in (f"scipy_{name}_", f"{name}_") if hasattr(lib, s)), None)
+        if symbol is None:
+            raise NumericalError(f"LAPACK routine {name} not found in {path}")
+        routine = getattr(lib, symbol)
+        routine.argtypes = [ctypes.c_char_p, *args, _INT, ctypes.c_size_t]
+        routine.restype = None
+        routines[name] = routine
+    return routines
 
 
 # The OpenBLAS builds that numpy and scipy wheels bundle sit in the
 # ``numpy.libs`` and ``scipy.libs`` directories next to the packages, as
 # ``libscipy_openblas*.so``. Each is opened with RTLD_NOLOAD, which only
 # returns a handle to a library the process has already loaded (and raises
-# OSError otherwise), so the lookup never loads anything. numpy's ILP64 build
-# exports the thread setter and getter with a ``64_`` suffix, scipy's without.
+# OSError otherwise), so the lookup itself loads nothing: scipy's build is
+# loaded by :func:`_lapack`, called first. numpy's ILP64 build exports the
+# thread setter and getter with a ``64_`` suffix, scipy's without.
 _THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
@@ -194,9 +290,14 @@ _THREAD_SYMBOLS = (
 @functools.cache
 def _openblas_thread_controls() -> tuple:
     """(setter, getter) of every loaded OpenBLAS; looked up once, on first use."""
+    with suppress(NumericalError):  # no LAPACK: its first call raises instead
+        _lapack()
     controls = []
-    for package in (np, scipy):
-        libdir = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+    for name in ("numpy", "scipy"):
+        package_dir = _package_dir(name)
+        if package_dir is None:
+            continue
+        libdir = package_dir.parent / f"{name}.libs"
         for path in sorted(libdir.glob("libscipy_openblas*.so")):
             try:
                 lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)

@@ -36,7 +36,7 @@ from rackit.compress import (
     row_keep_target,
     trace_form_loss,
 )
-from rackit.diagnostics import error_trace, ratio_map
+from rackit.diagnostics import error_traces, ratio_map
 from rackit.model import (
     GREEDY,
     ModelConfig,
@@ -44,6 +44,7 @@ from rackit.model import (
     decode,
     forward_teacher_forced,
     generate_model,
+    rollouts,
 )
 
 from .oracle import rtn_quantize, uncached_greedy_decode
@@ -222,11 +223,12 @@ def test_c06_rollout_calibration_wins_the_decode_phase():
                                      HALF)
 
         po_errs, rac_errs = [], []
-        for prompt in heldout_prompts:
-            rollout = decode(model, prompt, 128, GREEDY)
+        for prompt, (rollout, _) in zip(heldout_prompts,
+                                        rollouts(model, heldout_prompts, 128)):
             b = len(prompt)
-            po_errs.append(error_trace(model, po_model, rollout)[b:])
-            rac_errs.append(error_trace(model, rac_model, rollout)[b:])
+            po_e, rac_e = error_traces(model, [po_model, rac_model], rollout)
+            po_errs.append(po_e[b:])
+            rac_errs.append(rac_e[b:])
         po_mean = float(np.concatenate(po_errs).mean())
         rac_mean = float(np.concatenate(rac_errs).mean())
         if rac_mean < po_mean:

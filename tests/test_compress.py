@@ -18,6 +18,7 @@ import rackit
 from rackit import compress as compress_module
 from rackit import numkernel
 from rackit.calibration import CalibrationConfig, CalibrationSet, collect
+from rackit.cli import main as cli_main
 from rackit.compress import (
     _STACK_ENTRIES,
     SparsityPattern,
@@ -746,14 +747,74 @@ _IMPORT_PROBE = textwrap.dedent("""
 """)
 
 
+def _bundled_openblas() -> list:
+    """The OpenBLAS builds that the numpy and scipy wheels bundle."""
+    return [path for pkg in (np, scipy)
+            for path in (Path(pkg.__file__).parent.parent
+                         / f"{pkg.__name__}.libs").glob("libscipy_openblas*.so")]
+
+
+# Runs gen-model and prune through rackit.cli.main in a fresh interpreter, in
+# the current directory, and reports the scipy modules and OpenBLAS builds the
+# process ended up with.
+_PRUNE_PROBE = textwrap.dedent("""
+    import json, sys
+    from rackit import numkernel
+    from rackit.cli import main
+
+    codes = [main(sys.argv[1:sys.argv.index("--")]),
+             main(sys.argv[sys.argv.index("--") + 1:])]
+    print(json.dumps({
+        "codes": codes,
+        "scipy_modules": sorted(m for m in sys.modules
+                                if m == "scipy" or m.startswith("scipy.")),
+        "openblas": len(numkernel._openblas_thread_controls()),
+    }))
+""")
+
+
 class TestSingleBlasThread:
     def test_lookup_finds_every_wheel_openblas(self):
-        bundled = [path for pkg in (np, scipy)
-                   for path in (Path(pkg.__file__).parent.parent
-                                / f"{pkg.__name__}.libs").glob("libscipy_openblas*.so")]
+        bundled = _bundled_openblas()
         if not bundled:
             pytest.skip("numpy and scipy bundle no OpenBLAS on this host")
         assert len(numkernel._openblas_thread_controls()) == len(bundled)
+
+    def test_fresh_gen_model_and_prune_import_no_scipy_module(self, tmp_path,
+                                                              monkeypatch):
+        """Without scipy imported, the thread lookup must still find scipy's
+        OpenBLAS: LAPACK is loaded before the pin, so the outputs keep the
+        bits of a process where scipy is loaded."""
+        bundled = _bundled_openblas()
+        if not bundled:
+            pytest.skip("numpy and scipy bundle no OpenBLAS on this host")
+        gen = ["gen-model", "--d-model", "32", "--layers", "1", "--heads", "2",
+               "--max-positions", "64", "--seed", "3", "--out", "m.tmc"]
+        prune = ["prune", "--model", "m.tmc", "--calib", "c.racc", "--method", "obs",
+                 "--nm", "2:4", "--out", "p.tmc"]
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        (here / "prompts.txt").write_text("Hello there\nGeneral case\n")
+        monkeypatch.chdir(here)
+        assert cli_main(gen) == 0
+        assert cli_main(["calibrate", "--model", "m.tmc", "--mode", "rac",
+                         "--prompts", "prompts.txt", "--t-max", "8",
+                         "--out", "c.racc"]) == 0
+        assert cli_main(prune) == 0
+        (fresh / "c.racc").write_bytes((here / "c.racc").read_bytes())
+
+        src = str(Path(rackit.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", _PRUNE_PROBE, *gen, "--", *prune],
+                              cwd=fresh, env=env, capture_output=True, text=True,
+                              check=True)
+        probe = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert probe == {"codes": [0, 0], "scipy_modules": [],
+                         "openblas": len(bundled)}
+        for name in ("m.tmc", "p.tmc", "p.tmc.report.json"):
+            assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
     def test_counts_restored_after_compress_model(self, rac_setup, blas_controls,
                                                   monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rackit import numkernel
 from rackit.errors import CholeskyError, NumericalError, ValidationError
 from rackit.numkernel import (
     accumulate_gram,
@@ -259,3 +260,32 @@ class TestInverse:
         m = X @ X.T + dim * np.eye(dim)
         inv = inverse_via_cholesky(m)
         np.testing.assert_allclose(m @ inv, np.eye(dim), atol=1e-8)
+
+
+_LAPACK_ENTRY_POINTS = {
+    "cholesky": cholesky,
+    "solve_spd": lambda a: solve_spd(a, np.ones(np.shape(a)[:1] or 1)),
+    "inverse_via_cholesky": inverse_via_cholesky,
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (2, 3), (3,), (), (2, 2, 2)],
+                         ids=["0x0", "3x0", "0x3", "2x3", "1-d", "scalar", "3-d"])
+@pytest.mark.parametrize("entry", list(_LAPACK_ENTRY_POINTS))
+def test_lapack_helpers_reject_matrices_that_are_empty_or_not_square(entry, shape, capfd):
+    """LAPACK reads n * n entries through a bare pointer, so the shape is
+    checked first; nothing reaches LAPACK, which would print to stderr."""
+    with pytest.raises(ValidationError, match="empty or not square"):
+        _LAPACK_ENTRY_POINTS[entry](np.ones(shape))
+    assert capfd.readouterr().err == ""
+
+
+def test_missing_lapack_raises_numerical_error_naming_the_extension(monkeypatch):
+    monkeypatch.setattr(numkernel, "EXTENSION_SUFFIXES", [".missing"])
+    numkernel._lapack.cache_clear()
+    try:
+        with pytest.raises(NumericalError, match=r"_flapack\.missing") as exc:
+            cholesky(np.eye(2))
+    finally:
+        numkernel._lapack.cache_clear()
+    assert "\n" not in str(exc.value)
