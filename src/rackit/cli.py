@@ -123,6 +123,16 @@ def _write_sidecar(target, payload: dict) -> None:
     )
 
 
+def _check_output_paths(*paths) -> None:
+    """Raise :class:`OSError` for an output path whose directory is missing or
+    that is itself a directory, before a command does its work."""
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"output directory {path.parent} does not exist")
+        if path.is_dir():
+            raise IsADirectoryError(f"output path {path} is a directory")
+
+
 def _command_flags(command: str) -> tuple[_Flag, ...]:
     return _COMMANDS[command].flags + (_SEED,)
 
@@ -323,6 +333,8 @@ def _pattern_from_flags(args) -> SparsityPattern:
 
 def _cmd_prune(args) -> tuple[int, object, dict]:
     pattern = _pattern_from_flags(args)
+    report_path = args.report if args.report is not None else f"{args.out}.report.json"
+    _check_output_paths(args.out, report_path)
     model = load_model(args.model)
     calib = CalibrationSet.load(args.calib)
 
@@ -361,7 +373,6 @@ def _cmd_prune(args) -> tuple[int, object, dict]:
     })
     save_model(bundle, args.out)
 
-    report_path = args.report if args.report is not None else f"{args.out}.report.json"
     body = report.as_dict()
     body["seed"] = args.seed
     Path(report_path).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
@@ -447,14 +458,16 @@ def _cmd_diagnose(args) -> tuple[int, object, dict]:
 # eval
 
 def _cmd_eval(args) -> tuple[int, object, dict]:
+    if args.out is not None:
+        _check_output_paths(args.out)
     model = load_model(args.model)
     result = eval_nll(model, Path(args.text).read_bytes(), args.budget)
     body = {"mean_nll": result.mean_nll, "tokens": result.tokens,
             "budget": args.budget, "model_hash": model_content_hash(model),
             "seed": args.seed}
-    print(json.dumps(body))
     if args.out is not None:
         Path(args.out).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(body))
     return EXIT_OK, args.out, {}
 
 

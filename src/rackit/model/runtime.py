@@ -25,13 +25,17 @@ a batch's KV caches, logits, hidden states and capture buffers together.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ValidationError
+from ..numkernel import _scipy_extension
 from .bundle import (
     BYTE_VOCAB,
     SLOT_INPUT,
@@ -134,12 +138,36 @@ def _layer_norm(v, gain, bias, eps):
     return centered * (gain / np.sqrt(var + eps)) + bias
 
 
-def _gelu(v):
-    # Imported here, not with the module: scipy.special takes about 0.3 s to
-    # import, and gen-model and prune run no forward, so they never pay it.
-    from scipy.special import erf
+_ERF_MODULE = "scipy.special._special_ufuncs"
 
-    return 0.5 * v * (1.0 + erf(v * _SQRT1_2))
+
+@functools.cache
+def _erf():
+    """scipy's ``erf`` ufunc, loaded on the first forward.
+
+    ``import scipy.special`` takes 0.2-0.3 s, most of it in scipy's array-API
+    layer, so the ufunc is taken from the extension module that defines it,
+    which loads in a few milliseconds. The module is registered under its
+    own name, so a later ``import scipy.special`` reuses it and both see one
+    ``erf`` object. A scipy without that extension, or whose extension has
+    no ``erf``, goes through ``scipy.special``.
+    """
+    module = sys.modules.get(_ERF_MODULE)
+    if module is None:
+        path = _scipy_extension("special", "_special_ufuncs")
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(_ERF_MODULE, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_ERF_MODULE] = module
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+def _gelu(v):
+    return 0.5 * v * (1.0 + _erf()(v * _SQRT1_2))
 
 
 def _product(u, w, stable):

@@ -9,12 +9,18 @@ symmetric matrices. Every routine works in 64-bit floats regardless of how
 model weights are stored.
 
 LAPACK is the library that ``scipy.linalg.lapack`` calls, reached without
-importing any scipy module: :func:`importlib.util.find_spec` locates scipy's
+importing any scipy module: :func:`_scipy_extension` locates scipy's
 ``linalg/_flapack`` extension, ctypes opens it on the first call and
 resolves each routine through its handle (``scipy_dpotrf_`` in the
 scipy-openblas wheels, else ``dpotrf_``). Inputs are copied to Fortran
 order and factored with ``uplo='L'``, as scipy's wrappers do with
 ``lower=1``, so the bits are theirs.
+
+:func:`_scipy_extension` is the one place that knows where scipy's compiled
+extensions live. It finds a file from scipy's package directory and the
+interpreter's extension suffixes, and imports nothing. The runtime's GELU
+loads ``special/_special_ufuncs`` through it, for scipy's own ``erf`` ufunc
+without importing ``scipy.special``.
 
 :func:`single_blas_thread` runs a block with the loaded OpenBLAS builds on
 one thread. OpenBLAS's dpotrf and dpotri round differently at different
@@ -124,15 +130,21 @@ def check_damp_fraction(fraction: float) -> None:
         raise ValidationError(f"dampening fraction must be finite and >= 0, got {fraction}")
 
 
+def _check_square(m: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless ``m`` is a non-empty square matrix."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"matrix of shape {m.shape} is empty or not square")
+
+
 def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
     """Return a copy with ``fraction * mean(diag)`` added to every diagonal entry.
 
     A zero mean diagonal falls back to adding ``fraction * 1.0`` so that a
     positive fraction always moves the matrix toward positive definiteness.
+    A matrix that is empty or not square raises :class:`ValidationError`.
     """
     check_damp_fraction(fraction)
-    if m.size == 0:
-        raise ValidationError(f"cannot dampen an empty matrix of shape {m.shape}")
+    _check_square(m)
     mean_diag = float(np.trace(m)) / m.shape[0]
     shift = fraction * (mean_diag if mean_diag != 0.0 else 1.0)
     out = m.copy()
@@ -141,14 +153,13 @@ def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
 
 
 def _square_copy(a) -> np.ndarray:
-    """Fortran-ordered float64 copy of ``a``, checked to be a non-empty square matrix.
+    """Fortran-ordered float64 copy of ``a``, checked by :func:`_check_square`.
 
     LAPACK reads ``n * n`` entries through a bare pointer, so a wrong shape
     must be caught here, before any call.
     """
     c = np.array(a, dtype=np.float64, order="F")
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
-        raise ValidationError(f"matrix of shape {c.shape} is empty or not square")
+    _check_square(c)
     return c
 
 
@@ -232,6 +243,19 @@ def _package_dir(name: str) -> Path | None:
     return Path(spec.origin).parent if spec is not None and spec.origin else None
 
 
+def _scipy_extension(subpackage: str, name: str) -> Path | None:
+    """Path of scipy's compiled extension ``<subpackage>/<name>``, or None.
+
+    Found from scipy's package directory and the interpreter's extension
+    suffixes, without importing any scipy module.
+    """
+    scipy_dir = _package_dir("scipy")
+    if scipy_dir is None:
+        return None
+    return next((path for suffix in EXTENSION_SUFFIXES
+                 if (path := scipy_dir / subpackage / f"{name}{suffix}").is_file()), None)
+
+
 # scipy's ``linalg/_flapack`` extension links the LAPACK that scipy.linalg
 # calls (the wheels bundle it in an OpenBLAS build that exports every routine
 # with a ``scipy_`` prefix). Arguments go by reference, with 32-bit integers
@@ -255,9 +279,10 @@ def _lapack() -> dict:
     library or routine that cannot be found raises :class:`NumericalError`
     naming the extension.
     """
-    linalg = (_package_dir("scipy") or Path("scipy")) / "linalg"
-    candidates = [linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
-    path = next((p for p in candidates if p.is_file()), candidates[0])
+    path = _scipy_extension("linalg", "_flapack")
+    if path is None:
+        tried = ", ".join(f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES)
+        raise NumericalError(f"cannot load LAPACK: scipy's linalg has none of {tried}")
     try:
         lib = ctypes.CDLL(str(path), mode=os.RTLD_LAZY)
     except OSError as exc:

@@ -483,6 +483,28 @@ class TestPrune:
                     str(ws["calib"]), "--method", "obs", "--sparsity", "0.5",
                     "--out", str(tmp_path / "x.tmc")]) == 3
 
+    @pytest.mark.parametrize("out, report", [
+        ("x.tmc", "nodir/r.json"), ("nodir/x.tmc", None), ("x.tmc", "."),
+    ], ids=["report-dir-missing", "out-dir-missing", "report-is-a-directory"])
+    def test_unwritable_output_fails_before_the_solve(self, ws, tmp_path, capsys,
+                                                      monkeypatch, out, report):
+        """Output paths are checked before compress_model runs: exit 3, one
+        stderr line, and no .tmc, report or sidecar left behind."""
+        monkeypatch.chdir(tmp_path)
+        solves = []
+        monkeypatch.setattr("rackit.cli.compress_model",
+                            lambda *a, **k: solves.append(1))
+        argv = ["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                "--method", "obs", "--sparsity", "0.5", "--out", out]
+        capsys.readouterr()
+        assert run(argv + (["--report", report] if report else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("i/o failure: output ")
+        assert solves == []
+        assert list(tmp_path.rglob("*")) == []
+
     @pytest.mark.parametrize("which, mutate", [
         ("model", lambda m, blob: m["tensors"]["layers.0.attn_q"].update(offset=-4)),
         ("model", lambda m, blob: m["tensors"]["layers.0.attn_q"].pop("shape")),
@@ -680,3 +702,35 @@ class TestEval:
     def test_missing_text_is_io_error(self, ws, tmp_path):
         assert run(["eval", "--model", str(ws["model"]),
                     "--text", str(tmp_path / "ghost.bin")]) == 3
+
+    @pytest.mark.parametrize("out", [".", "nodir/eval.json"], ids=["directory", "dir-missing"])
+    def test_unwritable_out_prints_nothing(self, ws, tmp_path, capsys, monkeypatch, out):
+        """A failed --out write exits 3 with one stderr line and no result on
+        stdout: the file is checked before the forward and written before
+        the result is printed."""
+        text = tmp_path / "text.bin"
+        text.write_bytes(bytes([1 + (i % 255) for i in range(400)]))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run(["eval", "--model", str(ws["model"]), "--text", str(text),
+                    "--budget", "50", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("i/o failure: output ")
+        assert sorted(tmp_path.iterdir()) == [text]
+
+    def test_out_is_written_before_the_result_is_printed(self, ws, tmp_path, capsys,
+                                                         monkeypatch):
+        """Past the path check, a write that fails still prints nothing."""
+        text = tmp_path / "text.bin"
+        text.write_bytes(bytes([1 + (i % 255) for i in range(400)]))
+        out = tmp_path / "eval.json"
+        monkeypatch.setattr("rackit.cli._check_output_paths", lambda *paths: None)
+        out.mkdir()
+        capsys.readouterr()
+        assert run(["eval", "--model", str(ws["model"]), "--text", str(text),
+                    "--budget", "50", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1

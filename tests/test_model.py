@@ -1,9 +1,19 @@
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
+import rackit
+from rackit.cli import main as cli_main
 from rackit.errors import ContainerError, ValidationError
 from rackit.model import (
     GREEDY,
@@ -168,6 +178,106 @@ class TestForward:
                 decode(tiny_model, [1, 2], bad)
             with pytest.raises(ValidationError, match="max_new must be an integer"):
                 rollouts(tiny_model, [[1, 2]], bad)
+
+
+def _fresh_python(code: str, *args, cwd=None) -> dict:
+    """Run ``code`` in a fresh interpreter with rackit on the path; its last
+    stdout line, parsed as JSON."""
+    src = str(Path(rackit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# Runs each argument vector (split at "--") through rackit.cli.main in a
+# fresh interpreter and reports the exit codes and the scipy modules loaded.
+_FORWARD_PROBE = """
+    import json, sys
+    from rackit.cli import main
+
+    argv, runs = sys.argv[1:] + ["--"], []
+    while argv:
+        runs.append(argv[:argv.index("--")])
+        argv = argv[argv.index("--") + 1:]
+    codes = [main(run) for run in runs]
+    print(json.dumps({
+        "codes": codes,
+        "scipy_modules": sorted(m for m in sys.modules
+                                if m == "scipy" or m.startswith("scipy.")),
+    }))
+"""
+
+
+class TestErf:
+    """GELU's erf is scipy's ufunc, loaded without importing scipy.special."""
+
+    @pytest.mark.parametrize("first", ["rackit", "scipy.special"])
+    def test_is_scipy_special_erf_in_either_import_order(self, first):
+        probe = _fresh_python(f"""
+            import importlib, json, sys
+            importlib.import_module({first!r})
+            from rackit.model import runtime
+            erf = runtime._erf()
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            import scipy.special
+            print(json.dumps({{"same": erf is scipy.special.erf, "loaded": loaded}}))
+        """)
+        assert probe["same"]
+        if first == "rackit":
+            assert probe["loaded"] == ["scipy.special._special_ufuncs"]
+
+    @pytest.mark.parametrize("module", [None, types.ModuleType("no_erf")],
+                             ids=["extension-missing", "extension-without-erf"])
+    def test_falls_back_to_scipy_special(self, monkeypatch, module):
+        if module is None:
+            monkeypatch.delitem(sys.modules, runtime._ERF_MODULE, raising=False)
+        else:
+            monkeypatch.setitem(sys.modules, runtime._ERF_MODULE, module)
+        lookups = []
+        monkeypatch.setattr(runtime, "_scipy_extension",
+                            lambda *parts: lookups.append(parts))
+        runtime._erf.cache_clear()
+        try:
+            assert runtime._erf() is scipy.special.erf
+        finally:
+            runtime._erf.cache_clear()
+        assert lookups == ([("special", "_special_ufuncs")] if module is None else [])
+
+    def test_forward_commands_load_only_the_erf_extension(self, tmp_path, monkeypatch):
+        """calibrate, diagnose and eval in a fresh interpreter load one scipy
+        module, and write the bytes of a process where scipy.special is
+        loaded."""
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        (here / "prompts.txt").write_text("Hello there\nGeneral case\n")
+        (here / "text.bin").write_bytes(bytes(1 + i % 255 for i in range(300)))
+        monkeypatch.chdir(here)
+        assert cli_main(["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2",
+                         "--max-positions", "64", "--seed", "5", "--out", "m.tmc"]) == 0
+        calibrate = ["calibrate", "--model", "m.tmc", "--mode", "rac", "--prompts",
+                     "prompts.txt", "--t-max", "8", "--out", "c.racc"]
+        assert cli_main(calibrate) == 0
+        assert cli_main(["prune", "--model", "m.tmc", "--calib", "c.racc", "--method",
+                         "obs", "--sparsity", "0.5", "--out", "p.tmc"]) == 0
+        for name in ("m.tmc", "p.tmc", "prompts.txt", "text.bin"):
+            (fresh / name).write_bytes((here / name).read_bytes())
+        diagnose = ["diagnose", "--dense", "m.tmc", "--compressed", "p.tmc",
+                    "--prompts", "prompts.txt", "--t-max", "8", "--out-dir", "diag"]
+        evaluate = ["eval", "--model", "p.tmc", "--text", "text.bin", "--budget", "200",
+                    "--out", "eval.json"]
+        assert cli_main(diagnose) == 0
+        assert cli_main(evaluate) == 0
+        assert "scipy.special" in sys.modules
+
+        probe = _fresh_python(_FORWARD_PROBE, *calibrate, "--", *diagnose, "--",
+                              *evaluate, cwd=fresh)
+        assert probe == {"codes": [0, 0, 0],
+                         "scipy_modules": ["scipy.special._special_ufuncs"]}
+        for name in ("c.racc", "diag/errors.csv", "diag/summary.json", "eval.json"):
+            assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
 
 def _c06_shaped_model():

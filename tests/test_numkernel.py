@@ -147,9 +147,10 @@ class TestDampen:
         with pytest.raises(ValidationError, match="finite"):
             dampen(np.eye(2), fraction)
 
-    @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3), (2, 3), (3,), (), (2, 2, 2)])
     def test_rejects_empty_matrix(self, shape):
-        with pytest.raises(ValidationError, match="empty matrix"):
+        """The shapes the LAPACK helpers reject, with their message."""
+        with pytest.raises(ValidationError, match="empty or not square"):
             dampen(np.zeros(shape), 0.01)
 
     @given(dim=st.integers(1, 12), seed=st.integers(0, 10_000))

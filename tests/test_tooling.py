@@ -1,11 +1,13 @@
 """Checks on the benchmark's tooling that need no benchmark run."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
+import rackit
 from rackit.calibration import MODES, CalibrationSet
 from rackit.cli import _COMMANDS, main
 from rackit.compress import COMPRESSION_MODES, METHODS
@@ -92,3 +94,28 @@ def test_benchmark_checks_pass_on_rac_c06(bench_run, tmp_path, monkeypatch, caps
     checks, _ = bench_run.verify(workload, tmp_path)
     assert checks.passed > 0
     assert checks.failures == []
+
+
+def _import_time_statements(node):
+    """Import statements that run when the module is imported: every one
+    outside a function body, class bodies and conditional blocks included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _import_time_statements(child)
+
+
+def test_no_module_level_scipy_import():
+    """A scipy import at module level makes every command pay for it at
+    start-up, including gen-model and prune, which need no scipy module."""
+    found = []
+    for path in sorted(Path(rackit.__file__).parent.rglob("*.py")):
+        for stmt in _import_time_statements(ast.parse(path.read_text(), str(path))):
+            if isinstance(stmt, ast.Import):
+                names = [alias.name for alias in stmt.names]
+            else:  # relative imports name rackit's own modules
+                names = [stmt.module] if stmt.level == 0 else []
+            found += [f"{path.name}:{stmt.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
