@@ -233,6 +233,7 @@ def _refs_from_flags(layers_spec, slots_spec, n_layers: int):
 # gen-model
 
 def _cmd_gen_model(args) -> tuple[int, object, dict]:
+    _check_output_paths(args.out)
     d_mlp = args.d_mlp if args.d_mlp is not None else 4 * args.d_model
     config = ModelConfig(
         d_model=args.d_model,
@@ -259,6 +260,7 @@ def _cmd_gen_model(args) -> tuple[int, object, dict]:
 # calibrate
 
 def _cmd_calibrate(args) -> tuple[int, object, dict]:
+    _check_output_paths(args.out)
     mode = str(args.mode).replace("-", "_")
     if mode == "corpus":
         if args.corpus is None:
@@ -412,11 +414,16 @@ def _cmd_diagnose(args) -> tuple[int, object, dict]:
         raise ValidationError(
             f"--compressed takes one or two models, got {len(pairs)}"
         )
+    out_dir = Path(args.out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"output directory {out_dir} is not a directory")
+    names = ["errors.csv", "summary.json"] + (["ratios.csv"] if len(pairs) == 2 else [])
+    for path in (out_dir / name for name in names):
+        if path.is_dir():
+            raise IsADirectoryError(f"output path {path} is a directory")
     dense = load_model(args.dense)
     compressed = [(label, load_model(path)) for label, path in pairs]
     prompts = load_prompt_file(args.prompts)
-
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     labels = [label for label, _ in compressed]

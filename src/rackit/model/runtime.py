@@ -1,26 +1,27 @@
 """Incremental transformer runtime with activation capture and KV caching.
 
 One step routine, :func:`_advance`, moves a (B, T) block of known tokens,
-T positions of B sequences, through the model against the KV caches. One
-driver, :func:`_lockstep`, advances B sequences in lockstep: at step s every
-sequence is at position s, so each takes its prompt token while s is inside
-its prompt and a sampled token after that, and leaves the batch after
-``max_new`` new tokens or its stop byte. The positions that every prompt
-covers go through as one block, then each step as a (B, 1) block.
+T positions of B sequences, through the model against the KV caches. Two
+paths drive it:
 
-A block that feeds captures or sampling, or holds several sequences, is
-prefix-stable: its products and attention give every row the bits of a
-one-token step of that sequence alone, so captures, prompt prefills and
-rollouts depend on each position's prefix alone, in any chunking and any
-batch. A single sequence that is only scored goes through as one chunk of
-plain matrix products, which is faster but can round differently from a
-one-row product; whole-sequence scores are therefore deterministic per
-(model, sequence) only, not per prefix, and stay within about 1e-15 relative
-of a token-by-token pass.
+- :func:`_score` runs one known sequence as one block. The block is
+  prefix-stable exactly when it captures. A sequence that is only scored
+  goes through plain matrix products, which are faster but can round
+  differently from a one-row product; whole-sequence scores are therefore
+  deterministic per (model, sequence) only, not per prefix, and stay within
+  about 1e-15 relative of a token-by-token pass.
+- :func:`_lockstep` generates, and every block it runs is prefix-stable. It
+  advances B sequences in lockstep: at step s every sequence is at position
+  s, so each takes its prompt token while s is inside its prompt and a
+  sampled token after that. The positions that every prompt covers go
+  through as one block, then each step as a (B, 1) block.
+
+A prefix-stable block gives every row the bits of a one-token step of its
+own sequence alone, so captures, prompt prefills and rollouts depend on each
+position's prefix alone, in any chunking and any batch.
 
 :func:`rollouts` is the batched entry point. It runs its prompts in lockstep
-batches of as many sequences as fit in :data:`_LOCKSTEP_BYTES`, which bounds
-a batch's KV caches, logits, hidden states and capture buffers together.
+batches of as many sequences as fit in :data:`_LOCKSTEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -63,9 +64,11 @@ STOP_BYTE = 0
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-# Bytes one lockstep batch may hold in KV caches, logits, hidden states and
-# capture buffers; rollouts() sizes its batches by it. At the 64-wide,
-# 4-layer shape with every ref captured, a 160-position sequence holds about
+# Bytes one lockstep batch may hold; rollouts() sizes its batches by it. The
+# count per position (_lockstep_width) bounds the KV caches, the capture
+# buffers, and the logits and hidden temporaries of the first block, which
+# spans every position the batch's prompts share. At the 64-wide, 4-layer
+# shape with every ref captured, a 160-position sequence counts about
 # 3.4 MB, so a batch takes 4 of them.
 _LOCKSTEP_BYTES = 2**24
 
@@ -297,98 +300,86 @@ def _check_run(model: ModelBundle, prompts, refs, max_new, samplers):
     return seqs, refs, max_new, samplers
 
 
-def _lockstep(model: ModelBundle, seqs, refs, max_new: int, samplers):
-    """Advance the checked token lists ``seqs`` in lockstep, then sample up
-    to ``max_new`` more tokens for each with its own sampler.
-
-    Generation ends after ``max_new`` tokens or at the stop byte 0x00, which
-    is kept. Returns, per sequence, (tokens, logits, hidden states,
-    captures), with one row per advanced position. A sequence's last sampled
-    token is advanced only when ``refs`` asks for captures, so that its slot
-    inputs are recorded too. The positions that every sequence knows go
-    through as one block, and each later position as one (B, 1) block. The
-    blocks are prefix-stable when the run captures, samples or holds several
-    sequences; a single sequence that is only scored goes through plain
-    matrix products.
-    """
-    cfg = model.config
-    batch = len(seqs)
-    lengths = [len(seq) for seq in seqs]
-    positions = max(lengths) + max_new
-    widths = _capture_widths(cfg, refs)
-    # Each sequence's captures are views into one allocation of its own: a
-    # caller that holds one sequence's captures holds no other sequence's
-    # memory, and one large block per sequence, unlike one small buffer per
-    # activation, is returned to the system when it is dropped.
-    collect = None
-    if widths:
-        ends = np.cumsum([positions * width for width in widths.values()])
-        blocks = [np.empty(ends[-1]) for _ in seqs]
-        collect = {key: [block[end - positions * width : end].reshape(positions, width)
-                         for block in blocks]
-                   for (key, width), end in zip(widths.items(), ends)}
-    stable = collect is not None or max_new > 0 or batch > 1
-    logits = hidden = None
-    state = DecodeState(model, batch, positions)
-    rngs = [np.random.default_rng(s.seed) if s.kind == "temperature" else None
-            for s in samplers]
-    done = [max_new == 0] * batch
-
-    def advanced(j):
-        # A sequence's last sampled token is advanced only for its captures.
-        return len(seqs[j]) - (collect is None and len(seqs[j]) > lengths[j])
-
-    def step(block):
-        nonlocal logits, hidden
-        pos = state.position
-        block_logits, block_hidden = _advance(model, state, np.array(block), collect, stable)
-        if logits is None:
-            # Made after the first block, whose temporaries are the largest,
-            # has freed them. Made before it, they left the freed memory at
-            # the top of the heap, which the allocator gave back and took
-            # again on every scoring forward: about 2,000 page faults per
-            # 192-token forward at the 128-wide shape, against 100.
-            logits = np.empty((batch, positions, BYTE_VOCAB))
-            hidden = np.empty((batch, positions, cfg.d_model))
-        logits[state.rows, pos : state.position] = block_logits
-        hidden[state.rows, pos : state.position] = block_hidden
-
-    step([seq[: min(lengths)] for seq in seqs])
-    while len(state.rows):
-        pos = state.position
-        block = []
-        live = np.ones(len(state.rows), dtype=bool)
-        for i, j in enumerate(state.rows):
-            seq = seqs[j]
-            if pos == len(seq) and not done[j]:
-                seq.append(_sample(logits[j, pos - 1], samplers[j], rngs[j]))
-                done[j] = seq[-1] == STOP_BYTE or len(seq) - lengths[j] == max_new
-            if done[j] and pos == advanced(j):
-                live[i] = False
-            else:
-                block.append([seq[pos]])
-        if not live.all():
-            state.keep(live)
-        if block:
-            step(block)
-    out = []
-    for j, seq in enumerate(seqs):
-        n = advanced(j)
-        views = {key: sinks[j][:n] for key, sinks in (collect or {}).items()}
-        captures = {r: views[(r.layer_index, SLOT_INPUT[r.slot])] for r in refs}
-        out.append((seq, logits[j, :n], hidden[j, :n], captures))
-    return out
-
-
-def _run(model: ModelBundle, prompts, refs=(), max_new=0, samplers=None):
-    """:func:`_lockstep` of ``prompts`` as one batch, after checking every
-    input; ``samplers`` gives one sampler per prompt, greedy if None."""
-    return _lockstep(model, *_check_run(model, prompts, refs, max_new, samplers))
-
-
 def _capture_widths(cfg: ModelConfig, refs) -> dict:
     """The width of each (layer, activation) that capturing ``refs`` records."""
     return {(r.layer_index, SLOT_INPUT[r.slot]): slot_input_dim(cfg, r.slot) for r in refs}
+
+
+def _capture_buffers(cfg: ModelConfig, refs, batch: int, positions: int):
+    """Capture buffers for ``batch`` sequences of up to ``positions`` tokens.
+
+    Returns (collect, captures): ``collect`` is the mapping that
+    :func:`_advance` writes into, None if ``refs`` is empty, and
+    ``captures(j, n)`` maps each ref to the first ``n`` rows of sequence j.
+    Refs that read one activation (:data:`SLOT_INPUT`) get one array.
+    """
+    widths = _capture_widths(cfg, refs)
+    collect = None
+    if widths:
+        # Each sequence's captures are views into one allocation of its own:
+        # a caller that holds one sequence's captures holds no other
+        # sequence's memory, and one large block per sequence, unlike one
+        # small buffer per activation, is returned to the system when it is
+        # dropped.
+        ends = np.cumsum([positions * width for width in widths.values()])
+        blocks = [np.empty(ends[-1]) for _ in range(batch)]
+        collect = {key: [block[end - positions * width : end].reshape(positions, width)
+                         for block in blocks]
+                   for (key, width), end in zip(widths.items(), ends)}
+
+    def captures(j, n):
+        views = {key: sinks[j][:n] for key, sinks in (collect or {}).items()}
+        return {r: views[(r.layer_index, SLOT_INPUT[r.slot])] for r in refs}
+
+    return collect, captures
+
+
+def _score(model: ModelBundle, tokens, refs=()):
+    """Run the known sequence ``tokens`` as one block, prefix-stable exactly
+    when it captures ``refs``; returns (logits, hidden states, captures),
+    with one row per position."""
+    (seq,), refs, _, _ = _check_run(model, [tokens], refs, 0, None)
+    collect, captures = _capture_buffers(model.config, refs, 1, len(seq))
+    state = DecodeState(model, 1, len(seq))
+    logits, hidden = _advance(model, state, np.array([seq]), collect, collect is not None)
+    return logits[0], hidden[0], captures(0, len(seq))
+
+
+def _lockstep(model: ModelBundle, seqs, refs, max_new: int, samplers):
+    """Sample up to ``max_new`` tokens after each of the checked token lists
+    ``seqs``, each with its own sampler, advancing them in lockstep; returns
+    (tokens, captures) per sequence, with one capture row per token.
+
+    Generation ends after ``max_new`` tokens or at the stop byte 0x00, which
+    is kept. A sequence leaves the batch when it has no token left to feed,
+    so every returned token has been advanced. The positions that every
+    sequence knows go through as one block, and each later position as one
+    (B, 1) block; every block is prefix-stable, and a sequence samples from
+    the last logits row of its block.
+    """
+    lengths = [len(seq) for seq in seqs]
+    positions = max(lengths) + max_new
+    collect, captures = _capture_buffers(model.config, refs, len(seqs), positions)
+    state = DecodeState(model, len(seqs), positions)
+    rngs = [np.random.default_rng(s.seed) if s.kind == "temperature" else None
+            for s in samplers]
+    block = [seq[: min(lengths)] for seq in seqs]
+    while block:
+        logits = _advance(model, state, np.array(block), collect, True)[0][:, -1]
+        pos = state.position
+        live = np.ones(len(state.rows), dtype=bool)
+        block = []
+        for i, j in enumerate(state.rows):
+            seq = seqs[j]
+            new = len(seq) - lengths[j]
+            if pos == len(seq) and new < max_new and not (new and seq[-1] == STOP_BYTE):
+                seq.append(_sample(logits[i], samplers[j], rngs[j]))
+            live[i] = pos < len(seq)
+            if live[i]:
+                block.append([seq[pos]])
+        if not live.all():
+            state.keep(live)
+    return [(seq, captures(j, len(seq))) for j, seq in enumerate(seqs)]
 
 
 def _lockstep_width(cfg: ModelConfig, positions: int, refs) -> int:
@@ -407,13 +398,13 @@ def forward_teacher_forced(model: ModelBundle, tokens, capture=()):
     matrix multiplied at that position, in position order. Refs whose slots
     read the same activation (:data:`SLOT_INPUT`) share one array.
     """
-    _, logits, _, captures = _run(model, [tokens], capture)[0]
+    logits, _, captures = _score(model, tokens, capture)
     return logits, captures
 
 
 def last_layer_states(model: ModelBundle, tokens) -> np.ndarray:
     """Hidden state after the last block (before the final norm), per position."""
-    return _run(model, [tokens])[0][2]
+    return _score(model, tokens)[1]
 
 
 def decode(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY):
@@ -424,7 +415,7 @@ def decode(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY):
     of the returned sequence). The prompt must be nonempty and
     ``len(prompt) + max_new`` must fit in the position table.
     """
-    return _run(model, [prompt], (), max_new, [sampler])[0][0]
+    return next(rollouts(model, [prompt], max_new, [sampler]))[0]
 
 
 def rollout(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY,
@@ -435,8 +426,7 @@ def rollout(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY,
     ref in ``capture``, one row per returned token, generated ones included.
     The captures equal those of :func:`forward_teacher_forced` on the tokens.
     """
-    tokens, _, _, captures = _run(model, [prompt], capture, max_new, [sampler])[0]
-    return tokens, captures
+    return next(rollouts(model, [prompt], max_new, [sampler], capture))
 
 
 def rollouts(model: ModelBundle, prompts, max_new: int, samplers=None, capture=()):
@@ -455,9 +445,7 @@ def rollouts(model: ModelBundle, prompts, max_new: int, samplers=None, capture=(
     def batches():
         for start in range(0, len(seqs), width):
             stop = start + width
-            # The generator expression ends, and so drops its batch, before the
-            # next batch starts.
-            yield from ((tokens, captures) for tokens, _, _, captures in _lockstep(
-                model, seqs[start:stop], refs, max_new, samplers[start:stop]))
+            # yield from drops its batch before the next batch starts.
+            yield from _lockstep(model, seqs[start:stop], refs, max_new, samplers[start:stop])
 
     return batches()

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rackit.calibration
 from rackit.calibration import (
     CalibrationConfig,
     CalibrationSet,
@@ -216,6 +217,20 @@ class TestCollect:
                 assert (st.n_prompt, st.n_decode) == (q.n_prompt, q.n_decode)
                 assert np.array_equal(st.gram_prompt, q.gram_prompt)
                 assert np.array_equal(st.gram_decode, q.gram_decode)
+
+    @pytest.mark.parametrize("mode", ["rac", "off_policy"])
+    def test_one_gram_update_per_activation_phase_and_prompt(self, tiny_model, mode,
+                                                             monkeypatch):
+        # attn_q, attn_k and attn_v read one capture array, so their Gram is
+        # computed once per phase and copied to the other two; each other
+        # slot reads an activation of its own.
+        calls = []
+        real = rackit.calibration.accumulate_gram
+        monkeypatch.setattr(rackit.calibration, "accumulate_gram",
+                            lambda gram, cols: calls.append(1) or real(gram, cols))
+        trace = {"trace_model": tiny_model} if mode == "off_policy" else {}
+        collect(tiny_model, self._config(mode=mode, **trace), all_refs(tiny_model.config))
+        assert len(calls) == tiny_model.config.n_layers * 4 * 2 * len(PROMPTS)
 
     @pytest.mark.parametrize("budget", [None, 5, 10])
     @pytest.mark.parametrize("slots", [("attn_k",), ("attn_v", "attn_out")])

@@ -75,6 +75,20 @@ class TestGenModel:
     def test_unknown_subcommand(self):
         assert run(["transmogrify"]) == 1
 
+    def test_unwritable_out_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        made = []
+        monkeypatch.setattr("rackit.cli.generate_model", lambda *a: made.append(1))
+        capsys.readouterr()
+        assert run(["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2",
+                    "--out", "nodir/m.tmc"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("i/o failure: output ")
+        assert made == []
+        assert list(tmp_path.rglob("*")) == []
+
 
 class TestConfigFile:
     BASE = {"d_model": 16, "layers": 1, "heads": 2, "max_positions": 32}
@@ -205,6 +219,23 @@ class TestCalibrate:
         assert run(flags + ["--out", str(a)]) == 0
         assert run(flags + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_out_fails_before_collect(self, ws, tmp_path, capsys, monkeypatch):
+        """--out is checked before the model is read: exit 3, one stderr line
+        naming the output, no collect and nothing written."""
+        monkeypatch.chdir(tmp_path)
+        collects = []
+        monkeypatch.setattr("rackit.cli.collect", lambda *a, **k: collects.append(1))
+        capsys.readouterr()
+        assert run(["calibrate", "--model", str(ws["model"]), "--mode", "rac",
+                    "--prompts", str(ws["prompts"]), "--t-max", "4",
+                    "--out", "nodir/c.racc"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("i/o failure: output ")
+        assert collects == []
+        assert list(tmp_path.rglob("*")) == []
 
     def test_corpus_mode_needs_budget_and_stream(self, ws, tmp_path):
         corpus = tmp_path / "c.bin"
@@ -670,6 +701,33 @@ class TestDiagnose:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["phase_means"]["same"]["mean_prompt_error"] == 0.0
         assert summary["phase_means"]["same"]["mean_decode_error"] == 0.0
+
+    @pytest.mark.parametrize("models, blocker", [
+        (1, "summary.json"), (2, "ratios.csv"), (1, None),
+    ], ids=["summary-is-a-directory", "ratios-is-a-directory", "out-dir-is-a-file"])
+    def test_blocked_output_fails_before_rollouts(self, ws, compressed_pair, tmp_path,
+                                                  capsys, monkeypatch, models, blocker):
+        """Every output is checked before any input is read: exit 3, one
+        stderr line, no rollouts and no errors.csv."""
+        out_dir = tmp_path / "diag"
+        if blocker is None:
+            out_dir.write_text("")
+        else:
+            (out_dir / blocker).mkdir(parents=True)
+        runs = []
+        monkeypatch.setattr("rackit.cli.rollouts", lambda *a, **k: runs.append(1))
+        pairs = [f"m{i}={path}" for i, path in enumerate(compressed_pair[:models])]
+        capsys.readouterr()
+        assert run(["diagnose", "--dense", str(ws["model"]),
+                    *(arg for pair in pairs for arg in ("--compressed", pair)),
+                    "--prompts", str(ws["prompts"]), "--t-max", "4",
+                    "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("i/o failure: output ")
+        assert runs == []
+        assert not (out_dir / "errors.csv").exists()
 
     def test_duplicate_labels_rejected(self, ws, compressed_pair, tmp_path):
         rac, mag = compressed_pair

@@ -372,13 +372,16 @@ class TestStepwiseOracle:
 
 
 def _assert_runs_equal(got, want):
-    tokens, logits, hidden, captures = got
+    tokens, captures = got
     assert tokens == want[0]
-    assert np.array_equal(logits, want[1])
-    assert np.array_equal(hidden, want[2])
-    assert captures.keys() == want[3].keys()
+    assert captures.keys() == want[1].keys()
     for r in captures:
-        assert np.array_equal(captures[r], want[3][r]), str(r)
+        assert np.array_equal(captures[r], want[1][r]), str(r)
+
+
+def _one_batch(model, prompts, refs=(), max_new=0, samplers=None):
+    """The prompts as one lockstep batch, after the runtime's input checks."""
+    return runtime._lockstep(model, *runtime._check_run(model, prompts, refs, max_new, samplers))
 
 
 # Model seed 1 at the small shape: greedy rollouts of these prompts stop on the
@@ -388,13 +391,13 @@ _STOPPING_LENGTHS = (3, 7, 12, 5)
 
 
 class TestLockstep:
-    """A lockstep batch against one _run per prompt, bit for bit."""
+    """A lockstep batch against one rollout per prompt, bit for bit."""
 
     def _check(self, model, prompts, max_new, samplers, refs):
-        got = runtime._run(model, prompts, refs, max_new, samplers)
+        got = _one_batch(model, prompts, refs, max_new, samplers)
         assert len(got) == len(prompts)
         for j, prompt in enumerate(prompts):
-            want = runtime._run(model, [prompt], refs, max_new, [samplers[j]])[0]
+            want = rollout(model, prompt, max_new, samplers[j], refs)
             _assert_runs_equal(got[j], want)
         return got
 
@@ -412,12 +415,10 @@ class TestLockstep:
         prompts = [[int(t) for t in rng.integers(1, 256, size=n)] for n in _STOPPING_LENGTHS]
         refs = all_refs(model.config) if capture else ()
         got = self._check(model, prompts, 40, [GREEDY] * 4, refs)
-        generated = [len(tokens) - len(p) for (tokens, *_), p in zip(got, prompts)]
+        generated = [len(tokens) - len(p) for (tokens, _), p in zip(got, prompts)]
         assert generated == [40, 13, 20, 5]
-        assert [tokens[-1] for tokens, *_ in got][1:] == [0, 0, 0]
-        for (tokens, logits, _, captures), p in zip(got, prompts):
-            # The last token is advanced only when captures are taken.
-            assert len(logits) == len(tokens) - (0 if capture else 1)
+        assert [tokens[-1] for tokens, _ in got][1:] == [0, 0, 0]
+        for tokens, captures in got:
             for rows in captures.values():
                 assert len(rows) == len(tokens)
 
@@ -429,13 +430,14 @@ class TestLockstep:
     def test_only_scored_batch_is_stable(self, tiny_model, rng):
         # Several sequences never share plain matrix products, whose rows
         # could round by the batch they are in.
+        refs = all_refs(tiny_model.config)
         prompts = random_prompts(rng, 3, min_len=5, max_len=30)
-        got = runtime._run(tiny_model, prompts)
-        for (tokens, logits, hidden, _), prompt in zip(got, prompts):
-            _, want_logits, want_hidden, _ = stepwise_run(tiny_model, prompt)
+        got = _one_batch(tiny_model, prompts, refs)
+        for (tokens, captures), prompt in zip(got, prompts):
+            want_captures = stepwise_run(tiny_model, prompt, refs)[3]
             assert tokens == prompt
-            assert np.array_equal(logits, want_logits)
-            assert np.array_equal(hidden, want_hidden)
+            for r in refs:
+                assert np.array_equal(captures[r], want_captures[r]), str(r)
 
     @pytest.mark.parametrize("limit", [1, 2, None])
     def test_rollouts_equal_rollout_at_every_batch_size(self, tiny_model, limit,
@@ -471,6 +473,28 @@ class TestLockstep:
         # calibrate's peak RSS on the rac-c06 benchmark was measured at this size
         model = _c06_shaped_model()
         assert runtime._lockstep_width(model.config, 32 + 128, all_refs(model.config)) == 4
+
+
+class TestSharedCaptures:
+    """Refs that read one activation get the same array object, since
+    calibration computes one Gram per capture object it sees."""
+
+    @pytest.mark.parametrize("entry", ["forward_teacher_forced", "rollout", "rollouts"])
+    def test_q_k_v_share_one_array_per_layer(self, tiny_model, entry):
+        refs = all_refs(tiny_model.config)
+        prompts = [[3, 1, 4], [1, 5, 9, 2, 6]]
+        if entry == "forward_teacher_forced":
+            runs = [forward_teacher_forced(tiny_model, p, refs)[1] for p in prompts]
+        elif entry == "rollout":
+            runs = [rollout(tiny_model, p, 6, GREEDY, refs)[1] for p in prompts]
+        else:
+            runs = [captures for _, captures in rollouts(tiny_model, prompts, 6, None, refs)]
+        for captures in runs:
+            for layer in range(tiny_model.config.n_layers):
+                q, k, v, up = (captures[PrunableLayerRef(layer, slot)]
+                               for slot in ("attn_q", "attn_k", "attn_v", "mlp_up"))
+                assert q is k and k is v, layer
+                assert up is not q, layer
 
 
 class TestAttendLayout:

@@ -79,12 +79,12 @@ def test_cli_choices_are_library_names():
         Sampler(kind=choice.replace("-", "_"))
 
 
-def test_benchmark_checks_pass_on_rac_c06(bench_run, tmp_path, monkeypatch, capsys):
-    """The CLI's artifacts for the rac-c06 workload, seed 1, pass
+def _assert_benchmark_checks_pass(bench_run, name, tmp_path, monkeypatch, capsys):
+    """The CLI's artifacts for workload ``name``, seed 1, pass
     ``bench/run.py``'s checks, which hold them to a whole-sequence forward
     and byte-layout parsers that share no code with rackit."""
     monkeypatch.chdir(tmp_path)
-    workload = bench_run.WORKLOADS["rac-c06"]
+    workload = bench_run.WORKLOADS[name]
     workload.write_inputs(tmp_path, 1)
     commands = [argv for _, argv in workload.setup_commands()]
     commands += [argv for _, _, argv in workload.pipeline_commands(1)]
@@ -94,6 +94,18 @@ def test_benchmark_checks_pass_on_rac_c06(bench_run, tmp_path, monkeypatch, caps
     checks, _ = bench_run.verify(workload, tmp_path)
     assert checks.passed > 0
     assert checks.failures == []
+
+
+def test_benchmark_checks_pass_on_rac_c06(bench_run, tmp_path, monkeypatch, capsys):
+    """On-policy rollouts and replays, greedy OBS masks, two-model diagnose."""
+    _assert_benchmark_checks_pass(bench_run, "rac-c06", tmp_path, monkeypatch, capsys)
+
+
+def test_benchmark_checks_pass_on_offpolicy_wide(bench_run, tmp_path, monkeypatch, capsys):
+    """Trace-model rollouts with target replays, the 2:4 and 4-bit paths and
+    the large eval."""
+    _assert_benchmark_checks_pass(bench_run, "offpolicy-wide", tmp_path, monkeypatch,
+                                  capsys)
 
 
 def _import_time_statements(node):
