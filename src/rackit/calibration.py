@@ -43,6 +43,7 @@ from .errors import ContainerError, ValidationError
 # ``decode`` is no longer called here. It stays in this module's namespace
 # because bench/tracer.py wraps it by that name.
 from .model import (
+    SLOT_INPUT,
     ModelBundle,
     ModelConfig,
     PrunableLayerRef,
@@ -194,20 +195,23 @@ class CalibrationSet:
             if ref in stats:
                 raise ContainerError(f"{path}: duplicate ref {ref}")
             dim = manifest_count(meta, "dim", what)
+            counts = {phase: manifest_count(meta, f"n_{phase}", what)
+                      for phase in ("prompt", "decode")}
             grams = []
-            for key in ("offset_prompt", "offset_decode"):
-                data, end = unpack_array(blob, meta, key, end, (dim, dim), "<f8",
-                                         f"{path}: Gram for {ref}")
+            for phase, count in counts.items():
+                name = f"{path}: {phase} Gram for {ref}"
+                data, end = unpack_array(blob, meta, f"offset_{phase}", end, (dim, dim),
+                                         "<f8", name)
+                # A Gram sums ``count`` outer products x x^T, so it is symmetric,
+                # its diagonal is >= 0, and it is all zero when ``count`` is 0.
                 if not (np.isfinite(data).all() and (data == data.T).all()):
-                    raise ContainerError(
-                        f"{path}: Gram for {ref} is not finite and symmetric"
-                    )
+                    raise ContainerError(f"{name} is not finite and symmetric")
+                if (np.diag(data) < 0).any():
+                    raise ContainerError(f"{name} has a negative diagonal entry")
+                if count == 0 and data.any():
+                    raise ContainerError(f"{name} is not zero, but n_{phase} is 0")
                 grams.append(data.copy())
-            stats[ref] = LayerStats(
-                *grams,
-                n_prompt=manifest_count(meta, "n_prompt", what),
-                n_decode=manifest_count(meta, "n_decode", what),
-            )
+            stats[ref] = LayerStats(*grams, counts["prompt"], counts["decode"])
         if not stats:
             raise ContainerError(f"{path}: calibration container holds no refs")
         return cls(stats, provenance)
@@ -280,17 +284,16 @@ def _accumulate(dest: CalibrationSet, prompt, full, captures, left: dict) -> Non
         if take <= 0:
             continue
         left[phase] -= take
-        prev_cols = prev_gram = None
+        # Refs that read one activation (SLOT_INPUT) receive the same columns.
+        shared = {}
         for ref, st in dest.stats.items():
             gram = st.gram_prompt if phase == "prompt" else st.gram_decode
-            cols = captures[ref]
-            if cols is prev_cols:
-                # Refs that read one activation (SLOT_INPUT) share their
-                # capture array and so have received the same columns.
-                np.copyto(gram, prev_gram)
+            key = (ref.layer_index, SLOT_INPUT[ref.slot])
+            if key in shared:
+                np.copyto(gram, shared[key])
             else:
-                accumulate_gram(gram, cols[start : start + take])
-            prev_cols, prev_gram = cols, gram
+                accumulate_gram(gram, captures[ref][start : start + take])
+                shared[key] = gram
             if phase == "prompt":
                 st.n_prompt += take
             else:

@@ -26,14 +26,17 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .calibration import (
+    MODES,
     CalibrationConfig,
     CalibrationSet,
     collect,
     load_prompt_file,
 )
 from .compress import (
+    COMPRESSION_MODES,
     DEFAULT_BLOCK_SIZE,
     DEFAULT_DAMP_FRACTION,
+    METHODS,
     SparsityPattern,
     compress_model,
 )
@@ -47,6 +50,7 @@ from .diagnostics import (
     ratio_map,
     summarize_phase_errors,
     write_errors_csv,
+    write_json,
     write_ratios_csv,
     write_summary_json,
 )
@@ -56,6 +60,7 @@ from .model import (
     PrunableLayerRef,
     Sampler,
     SLOTS,
+    config_as_dict,
     decode,
     generate_model,
     load_model,
@@ -117,12 +122,6 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_sidecar(target, payload: dict) -> None:
-    Path(str(target) + ".log").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-
-
 def _check_output_paths(*paths) -> None:
     """Raise :class:`OSError` for an output path whose directory is missing or
     that is itself a directory, before a command does its work."""
@@ -138,10 +137,11 @@ def _command_flags(command: str) -> tuple[_Flag, ...]:
 
 
 def _config_value(path, key: str, value, flag: _Flag):
-    """One ``--config`` value, parsed as argparse parses the flag's text."""
-    if flag.repeat and isinstance(value, list):
+    """One ``--config`` value, parsed as argparse parses the flag's text; a
+    repeat flag's value is a list, as if the flag were given once per item."""
+    if flag.repeat:
         return [_config_value(path, key, item, flag._replace(repeat=False))
-                for item in value]
+                for item in (value if isinstance(value, list) else [value])]
     if isinstance(value, (dict, list)):
         raise ValidationError(f"--config {path}: {key} must be a single value, got {value!r}")
     try:
@@ -232,7 +232,7 @@ def _refs_from_flags(layers_spec, slots_spec, n_layers: int):
 # ---------------------------------------------------------------------------
 # gen-model
 
-def _cmd_gen_model(args) -> tuple[int, object, dict]:
+def _cmd_gen_model(args) -> tuple[object, dict]:
     _check_output_paths(args.out)
     d_mlp = args.d_mlp if args.d_mlp is not None else 4 * args.d_model
     config = ModelConfig(
@@ -247,19 +247,14 @@ def _cmd_gen_model(args) -> tuple[int, object, dict]:
     save_model(bundle, args.out)
     digest = model_content_hash(bundle)
     print(json.dumps({"model": str(args.out), "hash": digest,
-                      "config": {"d_model": config.d_model,
-                                 "n_layers": config.n_layers,
-                                 "n_heads": config.n_heads,
-                                 "d_mlp": config.d_mlp,
-                                 "max_positions": config.max_positions},
-                      "seed": args.seed}))
-    return EXIT_OK, args.out, {"model_hash": digest}
+                      "config": config_as_dict(config), "seed": args.seed}))
+    return args.out, {"model_hash": digest}
 
 
 # ---------------------------------------------------------------------------
 # calibrate
 
-def _cmd_calibrate(args) -> tuple[int, object, dict]:
+def _cmd_calibrate(args) -> tuple[object, dict]:
     _check_output_paths(args.out)
     mode = str(args.mode).replace("-", "_")
     if mode == "corpus":
@@ -304,7 +299,7 @@ def _cmd_calibrate(args) -> tuple[int, object, dict]:
                       "refs": len(calib.refs),
                       "n_prompt": first.n_prompt, "n_decode": first.n_decode,
                       "digest": digest}))
-    return EXIT_OK, args.out, {"digest": digest}
+    return args.out, {"digest": digest}
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +328,7 @@ def _pattern_from_flags(args) -> SparsityPattern:
     return SparsityPattern.quantize(args.bits, group_size=args.group_size)
 
 
-def _cmd_prune(args) -> tuple[int, object, dict]:
+def _cmd_prune(args) -> tuple[object, dict]:
     pattern = _pattern_from_flags(args)
     report_path = args.report if args.report is not None else f"{args.out}.report.json"
     _check_output_paths(args.out, report_path)
@@ -377,7 +372,7 @@ def _cmd_prune(args) -> tuple[int, object, dict]:
 
     body = report.as_dict()
     body["seed"] = args.seed
-    Path(report_path).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    write_json(report_path, body)
 
     total_loss = sum(r.loss for r in report.refs)
     print(json.dumps({"model": str(args.out), "report": str(report_path),
@@ -385,15 +380,13 @@ def _cmd_prune(args) -> tuple[int, object, dict]:
                       "refs": len(report.refs), "total_loss": total_loss,
                       "input_model_hash": report.input_model_hash,
                       "output_model_hash": report.output_model_hash}))
-    return EXIT_OK, args.out, {"per_ref_seconds": report.timings()}
+    return args.out, {"per_ref_seconds": report.timings()}
 
 
 # ---------------------------------------------------------------------------
 # diagnose
 
 def _parse_labeled_models(specs) -> list[tuple[str, str]]:
-    if isinstance(specs, str):
-        specs = [specs]
     pairs = []
     for spec in specs:
         label, sep, path = str(spec).partition("=")
@@ -408,7 +401,7 @@ def _parse_labeled_models(specs) -> list[tuple[str, str]]:
     return pairs
 
 
-def _cmd_diagnose(args) -> tuple[int, object, dict]:
+def _cmd_diagnose(args) -> tuple[object, dict]:
     pairs = _parse_labeled_models(args.compressed)
     if not 1 <= len(pairs) <= 2:
         raise ValidationError(
@@ -458,13 +451,13 @@ def _cmd_diagnose(args) -> tuple[int, object, dict]:
 
     print(json.dumps({"out_dir": str(out_dir), "problems": len(traces),
                       "phase_means": summary}))
-    return EXIT_OK, out_dir / "run", {}
+    return out_dir / "run", {}
 
 
 # ---------------------------------------------------------------------------
 # eval
 
-def _cmd_eval(args) -> tuple[int, object, dict]:
+def _cmd_eval(args) -> tuple[object, dict]:
     if args.out is not None:
         _check_output_paths(args.out)
     model = load_model(args.model)
@@ -473,12 +466,17 @@ def _cmd_eval(args) -> tuple[int, object, dict]:
             "budget": args.budget, "model_hash": model_content_hash(model),
             "seed": args.seed}
     if args.out is not None:
-        Path(args.out).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, body)
     print(json.dumps(body))
-    return EXIT_OK, args.out, {}
+    return args.out, {}
 
 
 # ---------------------------------------------------------------------------
+
+def _dashed(names) -> tuple[str, ...]:
+    """The CLI's spelling of the library's names; handlers turn it back."""
+    return tuple(name.replace("_", "-") for name in names)
+
 
 # The one declaration of each command: its handler, its help line and its
 # flags in --help order, each with its default (or _REQUIRED) and its type.
@@ -494,7 +492,7 @@ _COMMANDS = {
     )),
     "calibrate": _Command(_cmd_calibrate, "collect per-layer Gram statistics", (
         _Flag("--model", _REQUIRED),
-        _Flag("--mode", _REQUIRED, choices=("corpus", "prompt-only", "rac", "off-policy")),
+        _Flag("--mode", _REQUIRED, choices=_dashed(MODES)),
         _Flag("--prompts"),
         _Flag("--corpus"),
         _Flag("--t-max", 0, int),
@@ -509,14 +507,14 @@ _COMMANDS = {
     "prune": _Command(_cmd_prune, "compress a model against calibration data", (
         _Flag("--model", _REQUIRED),
         _Flag("--calib", _REQUIRED),
-        _Flag("--method", _REQUIRED, choices=("magnitude", "wanda", "obs", "obs-quant")),
+        _Flag("--method", _REQUIRED, choices=_dashed(METHODS)),
         _Flag("--sparsity", None, float),
         _Flag("--nm"),
         _Flag("--bits", None, int),
         _Flag("--group-size", None, int),
         _Flag("--block-size", DEFAULT_BLOCK_SIZE, int),
         _Flag("--damp", DEFAULT_DAMP_FRACTION, float),
-        _Flag("--calib-mode", choices=("prompt-only", "rac", "corpus")),
+        _Flag("--calib-mode", choices=_dashed(COMPRESSION_MODES)),
         _Flag("--layers"),
         _Flag("--slots"),
         _Flag("--out", _REQUIRED),
@@ -558,8 +556,8 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     Unset flags are filled from ``--config`` and the command table first.
-    Each handler returns (exit code, sidecar target or None, extra sidecar
-    fields); the timing fields every sidecar carries are recorded here.
+    Each handler returns (sidecar target or None, extra sidecar fields); the
+    timing fields every sidecar carries are recorded here.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -567,16 +565,16 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _merge_config(args)
-        code, target, extra = _COMMANDS[args.command].handler(args)
+        target, extra = _COMMANDS[args.command].handler(args)
         if target is not None:
-            _write_sidecar(target, {
+            write_json(f"{target}.log", {
                 "command": args.command,
                 "started_utc": started,
                 "finished_utc": _utc_now(),
                 "duration_s": time.perf_counter() - t0,
                 **extra,
             })
-        return code
+        return EXIT_OK
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

@@ -47,6 +47,7 @@ from .model import (
     ModelBundle,
     PrunableLayerRef,
     apply_compressed,
+    check_ref,
     get_weight,
     model_content_hash,
     slot_input_dim,
@@ -214,11 +215,11 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
     return W, H
 
 
-def _score_mask(W: np.ndarray, scores: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
-    d_in = W.shape[1]
+def _score_mask(scores: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
+    d_in = scores.shape[1]
     if pattern.kind == "unstructured":
         return _keep_mask(scores, row_keep_target(d_in, pattern.sparsity))
-    mask = np.empty(W.shape, dtype=bool)
+    mask = np.empty(scores.shape, dtype=bool)
     for g in range(0, d_in, pattern.m):
         mask[:, g : g + pattern.m] = _keep_mask(scores[:, g : g + pattern.m], pattern.n)
     return mask
@@ -227,7 +228,7 @@ def _score_mask(W: np.ndarray, scores: np.ndarray, pattern: SparsityPattern) -> 
 def prune_magnitude(weights, pattern: SparsityPattern):
     """Keep the largest-magnitude weights; returns (mask, masked weights)."""
     W, _ = _check_inputs(weights, pattern)
-    mask = _score_mask(W, np.abs(W), pattern)
+    mask = _score_mask(np.abs(W), pattern)
     return mask, np.where(mask, W, 0.0)
 
 
@@ -240,7 +241,7 @@ def prune_wanda(weights, gram: np.ndarray, pattern: SparsityPattern):
     diag = np.diag(H)
     if (diag < 0).any():
         raise ValidationError("gram diagonal must be nonnegative")
-    mask = _score_mask(W, np.abs(W) * np.sqrt(diag)[None, :], pattern)
+    mask = _score_mask(np.abs(W) * np.sqrt(diag)[None, :], pattern)
     return mask, np.where(mask, W, 0.0)
 
 
@@ -384,8 +385,8 @@ def prune_obs(weights, gram: np.ndarray, pattern: SparsityPattern,
     factor of the damped inverse Gram, and the survivors finally get an exact
     least-squares polish on their support.
     """
-    W, H = _check_inputs(weights, pattern, gram, block_size)
-    W = W.copy()
+    W_orig, H = _check_inputs(weights, pattern, gram, block_size)
+    W = W_orig.copy()
     d_out, d_in = W.shape
     damped = dampen(H, damp_fraction)
     U = _upper_inverse_factor(damped)
@@ -396,7 +397,6 @@ def prune_obs(weights, gram: np.ndarray, pattern: SparsityPattern,
         prune_total = d_in - row_keep_target(d_in, pattern.sparsity)
         if prune_total == 0:
             return mask, W
-    W_orig = W.copy()
 
     def choose(W, c, i2):
         if pattern.kind == "unstructured" and c % block_size == 0:
@@ -570,11 +570,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         raise ValidationError(f"calibration set lacks refs: {missing}")
     for ref in refs:
         st = calib.stats[ref]
-        if ref.layer_index >= model.config.n_layers:
-            raise ValidationError(
-                f"calibration ref {ref} is out of range for a "
-                f"{model.config.n_layers}-layer model"
-            )
+        check_ref(model.config, ref)
         width = slot_input_dim(model.config, ref.slot)
         if st.gram_prompt.shape[0] != width:
             raise ValidationError(

@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "write_errors_csv",
     "write_ratios_csv",
     "write_summary_json",
+    "write_json",
 ]
 
 RATIO_EPSILON = 1e-12
@@ -51,12 +53,11 @@ class DiagnosticTrace:
 def error_traces(dense: ModelBundle, compressed, sequence) -> list[np.ndarray]:
     """e_t of each model in ``compressed`` for every position of ``sequence``
     under teacher forcing; the dense states are computed once."""
-    compressed = list(compressed)
+    compressed, sequence = list(compressed), list(sequence)
     if any(dense.config != model.config for model in compressed):
         raise ValidationError("dense and compressed models have different shapes")
-    seq = [int(t) for t in sequence]
-    h_dense = last_layer_states(dense, seq)
-    return [np.linalg.norm(h_dense - last_layer_states(model, seq), axis=1)
+    h_dense = last_layer_states(dense, sequence)
+    return [np.linalg.norm(h_dense - last_layer_states(model, sequence), axis=1)
             for model in compressed]
 
 
@@ -172,7 +173,10 @@ def write_ratios_csv(path, problem_ids, ratios) -> None:
 
 
 def write_summary_json(path, summary: dict, extra: dict) -> None:
-    body = {"phase_means": summary, **extra}
-    with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"phase_means": summary, **extra})
+
+
+def write_json(path, body: dict) -> None:
+    """The JSON format of every report and sidecar: indent 2, sorted keys,
+    trailing newline."""
+    Path(path).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")

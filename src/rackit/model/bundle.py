@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "parse_ref",
     "slot_shape",
     "slot_input_dim",
+    "check_ref",
     "get_weight",
     "apply_compressed",
     "generate_model",
@@ -123,6 +124,10 @@ def all_refs(config: ModelConfig) -> tuple[PrunableLayerRef, ...]:
 
 @dataclass(frozen=True)
 class LayerWeights:
+    """One block's tensors, in canonical order. A slot's tensor is named
+    after its field, any other field's with its ``_`` turned into ``.``
+    (``ln1_gain`` is ``layers.<i>.ln1.gain``)."""
+
     ln1_gain: np.ndarray
     ln1_bias: np.ndarray
     attn_q: np.ndarray
@@ -169,21 +174,20 @@ def slot_input_dim(config: ModelConfig, slot: str) -> int:
     return slot_shape(config, slot)[1]
 
 
-def _check_layer(bundle: ModelBundle, ref: PrunableLayerRef) -> None:
-    if ref.layer_index >= bundle.config.n_layers:
-        raise ValidationError(
-            f"ref {ref} out of range for a {bundle.config.n_layers}-layer model"
-        )
+def check_ref(config: ModelConfig, ref: PrunableLayerRef) -> None:
+    """Raise :class:`ValidationError` unless ``ref`` names a block of the model."""
+    if ref.layer_index >= config.n_layers:
+        raise ValidationError(f"ref {ref} out of range for a {config.n_layers}-layer model")
 
 
 def get_weight(bundle: ModelBundle, ref: PrunableLayerRef) -> np.ndarray:
-    _check_layer(bundle, ref)
+    check_ref(bundle.config, ref)
     return getattr(bundle.layers[ref.layer_index], ref.slot)
 
 
 def apply_compressed(bundle: ModelBundle, ref: PrunableLayerRef, weights) -> ModelBundle:
     """Return a bundle with one slot replaced; everything else is shared."""
-    _check_layer(bundle, ref)
+    check_ref(bundle.config, ref)
     arr = np.array(weights, dtype=np.float64)
     expected = slot_shape(bundle.config, ref.slot)
     if arr.shape != expected:
@@ -221,21 +225,6 @@ def generate_model(config: ModelConfig, seed: int) -> ModelBundle:
     return assemble_bundle(config, make, {"kind": "random", "seed": int(seed)})
 
 
-# Per-block tensors in canonical order: (name suffix, LayerWeights field).
-_LAYER_TENSORS = (
-    ("ln1.gain", "ln1_gain"),
-    ("ln1.bias", "ln1_bias"),
-    ("attn_q", "attn_q"),
-    ("attn_k", "attn_k"),
-    ("attn_v", "attn_v"),
-    ("attn_out", "attn_out"),
-    ("ln2.gain", "ln2_gain"),
-    ("ln2.bias", "ln2_bias"),
-    ("mlp_up", "mlp_up"),
-    ("mlp_down", "mlp_down"),
-)
-
-
 def tensor_schema(config: ModelConfig):
     """The one tensor table: (name, block index or None, field, shape) per
     tensor, in the canonical order used by hashing and containers.
@@ -247,9 +236,11 @@ def tensor_schema(config: ModelConfig):
     yield "token_embedding", None, "token_embedding", (vocab, d)
     yield "position_embedding", None, "position_embedding", (config.max_positions, d)
     for i in range(config.n_layers):
-        for suffix, field in _LAYER_TENSORS:
-            shape = slot_shape(config, field) if field in SLOTS else (d,)
-            yield f"layers.{i}.{suffix}", i, field, shape
+        for f in fields(LayerWeights):
+            if f.name in SLOTS:
+                yield f"layers.{i}.{f.name}", i, f.name, slot_shape(config, f.name)
+            else:
+                yield f"layers.{i}.{f.name.replace('_', '.')}", i, f.name, (d,)
     yield "final_norm.gain", None, "final_norm_gain", (d,)
     yield "final_norm.bias", None, "final_norm_bias", (d,)
     yield "output_projection", None, "output_projection", (vocab, d)

@@ -43,6 +43,7 @@ from .bundle import (
     ModelBundle,
     ModelConfig,
     PrunableLayerRef,
+    check_ref,
     slot_input_dim,
     sort_refs,
 )
@@ -278,8 +279,7 @@ def _check_run(model: ModelBundle, prompts, refs, max_new, samplers):
     refs = sort_refs(refs)
     cfg = model.config
     for r in refs:
-        if r.layer_index >= cfg.n_layers:
-            raise ValidationError(f"capture ref {r} out of range")
+        check_ref(cfg, r)
     seqs = [check_tokens(p) for p in prompts]
     if not all(seqs):
         raise ValidationError("token sequence must be nonempty")

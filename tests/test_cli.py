@@ -181,6 +181,22 @@ class TestConfigFile:
         assert from_config(value) == direct
         assert from_config(value if flag.repeat else str(value)) == direct
 
+    def test_one_value_of_a_repeat_flag_from_config(self, tmp_path):
+        """--config {"compressed": "a=x.tmc"} parses as --compressed a=x.tmc."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"compressed": "a=x.tmc"}))
+        common = ["diagnose", "--dense", "d.tmc", "--prompts", "p.txt", "--out-dir", "o"]
+
+        def parsed(argv):
+            args = build_parser().parse_args(common + argv)
+            _merge_config(args)
+            del args.command_parser, args.config
+            return vars(args)
+
+        direct = parsed(["--compressed", "a=x.tmc"])
+        assert direct["compressed"] == ["a=x.tmc"]
+        assert parsed(["--config", str(cfg)]) == direct
+
 
 def _sample_value(flag):
     """A valid JSON value for the flag that differs from its default."""
@@ -555,11 +571,17 @@ class TestPrune:
             offset_decode=m["refs"][0]["offset_prompt"])),
         ("calib", lambda m, blob: m["provenance"].update(model_hash=5)),
         ("calib", lambda m, blob: m["provenance"].update(mode=["rac"])),
+        ("calib", lambda m, blob: [ref.update(n_decode=0) for ref in m["refs"]]),
+        ("calib", lambda m, blob: blob.__setitem__(
+            slice(m["refs"][0]["offset_prompt"], m["refs"][0]["offset_prompt"] + 8),
+            struct.pack("<d", -struct.unpack_from("<d", blob,
+                                                  m["refs"][0]["offset_prompt"])[0]))),
     ], ids=["tmc-negative-offset", "tmc-missing-shape", "tmc-tensors-list",
             "tmc-heads-do-not-divide", "tmc-float-d-model", "tmc-nan-ln-eps",
             "tmc-offset-off-layout", "tmc-inf-weight", "racc-ref-without-layer",
             "racc-duplicate-ref", "racc-nan-gram", "racc-offset-off-layout",
-            "racc-int-model-hash", "racc-list-mode"])
+            "racc-int-model-hash", "racc-list-mode", "racc-zero-count-nonzero-gram",
+            "racc-negative-diagonal"])
     def test_malformed_manifest_exits_3(self, ws, tmp_path, capsys, which, mutate):
         """Each mutation of a good container exits 3 with a one-line message
         that names the damaged file.

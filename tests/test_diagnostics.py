@@ -17,7 +17,7 @@ from rackit.diagnostics import (
     write_summary_json,
 )
 from rackit.errors import ValidationError
-from rackit.model import GREEDY, decode, generate_model
+from rackit.model import GREEDY, decode, generate_model, last_layer_states
 
 from .helpers import small_config
 from .oracle import reference_forward
@@ -56,6 +56,13 @@ class TestErrorTrace:
         wide = generate_model(small_config(d_model=24, d_mlp=48), seed=1)
         with pytest.raises(ValidationError):
             error_trace(tiny_model, wide, [1, 2, 3])
+
+    def test_non_integer_tokens_rejected(self, tiny_model):
+        """A token of 1.5 is rejected, as the forward rejects it, not read as 1."""
+        with pytest.raises(ValidationError, match="not an integer"):
+            error_trace(tiny_model, tiny_model, [1.5, 2.7, 3])
+        with pytest.raises(ValidationError, match="not an integer"):
+            last_layer_states(tiny_model, [1.5, 2.7, 3])
 
 
 class TestRatioMap:

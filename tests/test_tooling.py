@@ -14,6 +14,7 @@ from rackit.compress import COMPRESSION_MODES, METHODS
 from rackit.model import Sampler
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+README = BENCH.parent / "README.md"
 
 
 def _bench_module(monkeypatch, name: str):
@@ -131,3 +132,11 @@ def test_no_module_level_scipy_import():
             found += [f"{path.name}:{stmt.lineno} {name}" for name in names
                       if name == "scipy" or name.startswith("scipy.")]
     assert found == []
+
+
+def test_readme_library_use_runs(capsys):
+    """README's "Library use" example runs as written and prints its result."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, f"{README}:Library use", "exec"), {})
+    assert capsys.readouterr().out.strip()
