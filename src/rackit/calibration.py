@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ from .model import (
     ModelBundle,
     ModelConfig,
     PrunableLayerRef,
+    check_ref,
     decode,
     forward_teacher_forced,
     model_content_hash,
@@ -82,8 +83,12 @@ MODES = ("corpus", "prompt_only", "rac", "off_policy")
 
 @dataclass(frozen=True)
 class CalibrationConfig:
+    """What ``collect`` reads: the prompts, or in ``corpus`` mode the byte
+    stream in ``corpus``, and how far past each prompt it decodes."""
+
     mode: str
     prompts: tuple = ()
+    corpus: bytes | None = None
     t_max: int = 0
     sampler: Sampler = GREEDY
     trace_model: ModelBundle | None = None
@@ -94,20 +99,27 @@ class CalibrationConfig:
             raise ValidationError(f"unknown calibration mode {self.mode!r}")
         if self.t_max < 0:
             raise ValidationError("t_max must be >= 0")
-        decodes = self.mode in ("rac", "off_policy")
-        if decodes and self.t_max == 0:
+        if self.decodes and self.t_max == 0:
             raise ValidationError(f"mode {self.mode!r} requires t_max > 0")
-        if not decodes and (self.t_max > 0 or self.sampler.kind != "greedy"):
+        if not self.decodes and (self.t_max > 0 or self.sampler.kind != "greedy"):
             raise ValidationError(f"mode {self.mode!r} does not decode; it takes no "
                                   "t_max above 0 and no temperature sampler")
         if self.mode == "off_policy" and self.trace_model is None:
             raise ValidationError("off_policy mode requires a trace model")
         if self.mode != "off_policy" and self.trace_model is not None:
             raise ValidationError(f"mode {self.mode!r} takes no trace model; only off_policy does")
-        if self.mode == "corpus" and self.prompts:
-            raise ValidationError("mode 'corpus' takes no prompts; it reads the corpus stream")
+        if self.mode == "corpus" and (self.prompts or not self.corpus):
+            raise ValidationError("mode 'corpus' reads a non-empty corpus stream and "
+                                  "takes no prompts")
+        if self.mode != "corpus" and self.corpus is not None:
+            raise ValidationError(f"mode {self.mode!r} takes no corpus; only corpus does")
         if self.token_budget is not None and self.token_budget <= 0:
             raise ValidationError("token_budget must be positive when set")
+
+    @property
+    def decodes(self) -> bool:
+        """Whether the mode rolls each prompt out and gathers decode columns."""
+        return self.mode in ("rac", "off_policy")
 
 
 @dataclass
@@ -135,6 +147,7 @@ class CalibrationSet:
             raise ValidationError("calibration needs at least one ref")
         stats = {}
         for r in refs:
+            check_ref(config, r)
             dim = slot_input_dim(config, r.slot)
             stats[r] = LayerStats(np.zeros((dim, dim)), np.zeros((dim, dim)))
         return cls(stats)
@@ -258,11 +271,7 @@ def _corpus_chunks(corpus, token_budget, size: int, warnings: list) -> list[list
     sequences; a stream shorter than the budget yields what it has and
     records a warning.
     """
-    if corpus is None:
-        raise ValidationError("corpus mode requires a byte stream")
     data = bytes(corpus)
-    if not data:
-        raise ValidationError("corpus stream is empty")
     if token_budget is not None and len(data) < token_budget:
         msg = f"corpus exhausted after {len(data)} of {token_budget} requested columns"
         logger.warning(msg)
@@ -307,14 +316,9 @@ def _child_sampler(sampler: Sampler, index: int) -> Sampler:
     return replace(sampler, seed=int(child.generate_state(1, np.uint64)[0]))
 
 
-def collect(model: ModelBundle, config: CalibrationConfig, refs,
-            corpus=None) -> CalibrationSet:
-    """Collect the Grams demanded by ``config.mode`` and attach provenance.
-
-    ``corpus`` is the byte stream of corpus mode; no other mode takes one.
-    """
-    if config.mode != "corpus" and corpus is not None:
-        raise ValidationError(f"mode {config.mode!r} takes no corpus; only corpus does")
+def collect(model: ModelBundle, config: CalibrationConfig, refs) -> CalibrationSet:
+    """Collect the Grams demanded by ``config.mode`` and attach provenance."""
+    dest = CalibrationSet.empty(model.config, refs)
     provenance = {
         "mode": config.mode,
         "model_hash": model_content_hash(model),
@@ -333,17 +337,16 @@ def collect(model: ModelBundle, config: CalibrationConfig, refs,
         "warnings": [],
     }
     if config.mode == "corpus":
-        prompts = _corpus_chunks(corpus, config.token_budget, model.config.max_positions,
-                                 provenance["warnings"])
+        prompts = _corpus_chunks(config.corpus, config.token_budget,
+                                 model.config.max_positions, provenance["warnings"])
     else:
         prompts = _check_prompts(config.prompts)
         provenance["prompt_hashes"] = [prompt_digest(p) for p in prompts]
-    dest = CalibrationSet.empty(model.config, refs)
     # A token budget goes to prompt columns first and to decode columns after.
     budget = config.token_budget or math.inf
     prompt_columns = min(budget, sum(len(p) for p in prompts))
     left = {"prompt": prompt_columns,
-            "decode": 0 if config.mode in ("corpus", "prompt_only") else budget - prompt_columns}
+            "decode": budget - prompt_columns if config.decodes else 0}
     source = config.trace_model if config.mode == "off_policy" else model
     m = 0
     while m < len(prompts) and (left["prompt"] or left["decode"]):

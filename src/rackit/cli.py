@@ -52,13 +52,13 @@ from .diagnostics import (
     write_errors_csv,
     write_json,
     write_ratios_csv,
-    write_summary_json,
 )
 from .errors import ContainerError, NumericalError, ValidationError
 from .model import (
     ModelConfig,
     PrunableLayerRef,
     Sampler,
+    SAMPLER_KINDS,
     SLOTS,
     config_as_dict,
     decode,
@@ -196,36 +196,24 @@ def _merge_config(args) -> None:
         raise ValidationError("--seed must be >= 0")
 
 
-def _parse_layers(spec, n_layers: int) -> list[int]:
+def _parse_list(flag: str, spec, everything, parse=str) -> list:
+    """A comma-separated flag value; unset or ``all`` selects ``everything``."""
     if spec is None or spec == "all":
-        return list(range(n_layers))
+        return list(everything)
     try:
-        layers = [int(part) for part in str(spec).split(",") if part != ""]
+        items = [parse(part) for part in str(spec).split(",") if part != ""]
     except ValueError:
-        raise ValidationError(f"bad --layers value {spec!r}") from None
-    if not layers:
-        raise ValidationError("--layers selected nothing")
-    for layer in layers:
-        if not 0 <= layer < n_layers:
-            raise ValidationError(f"layer {layer} out of range [0, {n_layers})")
-    return sorted(set(layers))
-
-
-def _parse_slots(spec) -> list[str]:
-    if spec is None or spec == "all":
-        return list(SLOTS)
-    slots = [part for part in str(spec).split(",") if part != ""]
-    if not slots:
-        raise ValidationError("--slots selected nothing")
-    for slot in slots:
-        if slot not in SLOTS:
-            raise ValidationError(f"unknown slot {slot!r}, expected one of {SLOTS}")
-    return slots
+        raise ValidationError(f"bad {flag} value {spec!r}") from None
+    if not items:
+        raise ValidationError(f"{flag} selected nothing")
+    return items
 
 
 def _refs_from_flags(layers_spec, slots_spec, n_layers: int):
-    layers = _parse_layers(layers_spec, n_layers)
-    slots = _parse_slots(slots_spec)
+    """The refs that --layers and --slots select. ``PrunableLayerRef`` checks
+    each slot name; the library checks each layer against the model."""
+    layers = _parse_list("--layers", layers_spec, range(n_layers), int)
+    slots = _parse_list("--slots", slots_spec, SLOTS)
     return sort_refs(PrunableLayerRef(i, s) for i in layers for s in slots)
 
 
@@ -285,12 +273,13 @@ def _cmd_calibrate(args) -> tuple[object, dict]:
     config = CalibrationConfig(
         mode=mode,
         prompts=prompts,
+        corpus=corpus,
         t_max=args.t_max,
         sampler=sampler,
         trace_model=trace_model,
         token_budget=args.token_budget,
     )
-    calib = collect(model, config, refs, corpus=corpus)
+    calib = collect(model, config, refs)
     calib.provenance["seed"] = args.seed
     calib.save(args.out)
     first = calib.stats[calib.refs[0]]
@@ -447,7 +436,7 @@ def _cmd_diagnose(args) -> tuple[object, dict]:
         write_ratios_csv(out_dir / "ratios.csv",
                          [t.problem_id for t in traces], ratios)
         extra["ratio"] = {"numerator": first, "denominator": second}
-    write_summary_json(out_dir / "summary.json", summary, extra)
+    write_json(out_dir / "summary.json", {"phase_means": summary, **extra})
 
     print(json.dumps({"out_dir": str(out_dir), "problems": len(traces),
                       "phase_means": summary}))
@@ -496,7 +485,7 @@ _COMMANDS = {
         _Flag("--prompts"),
         _Flag("--corpus"),
         _Flag("--t-max", 0, int),
-        _Flag("--sampler", "greedy", choices=("greedy", "temperature")),
+        _Flag("--sampler", "greedy", choices=SAMPLER_KINDS),
         _Flag("--temperature", None, float),
         _Flag("--trace-model"),
         _Flag("--token-budget", None, int),

@@ -565,12 +565,13 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     refs = sort_refs(refs) if refs is not None else calib.refs
     if not refs:
         raise ValidationError("no refs selected for compression")
+    for ref in refs:
+        check_ref(model.config, ref)
     missing = [r for r in refs if r not in calib.stats]
     if missing:
         raise ValidationError(f"calibration set lacks refs: {missing}")
     for ref in refs:
         st = calib.stats[ref]
-        check_ref(model.config, ref)
         width = slot_input_dim(model.config, ref.slot)
         if st.gram_prompt.shape[0] != width:
             raise ValidationError(

@@ -34,7 +34,6 @@ __all__ = [
     "eval_nll",
     "write_errors_csv",
     "write_ratios_csv",
-    "write_summary_json",
     "write_json",
 ]
 
@@ -170,10 +169,6 @@ def write_ratios_csv(path, problem_ids, ratios) -> None:
             for t, value in enumerate(row):
                 cell = "" if np.isnan(value) else repr(float(value))
                 writer.writerow([pid, t, cell])
-
-
-def write_summary_json(path, summary: dict, extra: dict) -> None:
-    write_json(path, {"phase_means": summary, **extra})
 
 
 def write_json(path, body: dict) -> None:

@@ -50,6 +50,7 @@ from .bundle import (
 
 __all__ = [
     "STOP_BYTE",
+    "SAMPLER_KINDS",
     "Sampler",
     "GREEDY",
     "DecodeState",
@@ -73,6 +74,8 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 # 3.4 MB, so a batch takes 4 of them.
 _LOCKSTEP_BYTES = 2**24
 
+SAMPLER_KINDS = ("greedy", "temperature")
+
 
 @dataclass(frozen=True)
 class Sampler:
@@ -83,7 +86,7 @@ class Sampler:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("greedy", "temperature"):
+        if self.kind not in SAMPLER_KINDS:
             raise ValidationError(f"unknown sampler kind {self.kind!r}")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValidationError("temperature must be finite and positive")

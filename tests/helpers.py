@@ -1,7 +1,13 @@
-"""Shared builders for test inputs."""
+"""Shared builders for test inputs, and a fresh-interpreter launcher."""
 
-import numpy as np
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import rackit
 from rackit.model import ModelConfig
 
 
@@ -25,3 +31,36 @@ def random_prompts(rng, count, min_len=3, max_len=8):
         n = int(rng.integers(min_len, max_len + 1))
         out.append([int(t) for t in rng.integers(1, 256, size=n)])
     return out
+
+
+def fresh_python(code: str, *args, cwd=None) -> dict:
+    """Run ``code`` in a fresh interpreter with rackit on the path; its last
+    stdout line, parsed as JSON."""
+    src = str(Path(rackit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# For fresh_python: runs each argument vector (split at "--") through
+# rackit.cli.main and reports the exit codes, the scipy modules loaded, and
+# then the number of OpenBLAS builds that the thread pin finds.
+CLI_PROBE = """
+    import json, sys
+    from rackit import numkernel
+    from rackit.cli import main
+
+    argv, runs = sys.argv[1:] + ["--"], []
+    while argv:
+        runs.append(argv[:argv.index("--")])
+        argv = argv[argv.index("--") + 1:]
+    codes = [main(run) for run in runs]
+    print(json.dumps({
+        "codes": codes,
+        "scipy_modules": sorted(m for m in sys.modules
+                                if m == "scipy" or m.startswith("scipy.")),
+        "openblas": len(numkernel._openblas_thread_controls()),
+    }))
+"""

@@ -17,7 +17,6 @@ and asserts the same condition, so the suite doubles as a checklist:
 """
 
 import hashlib
-import json
 import time
 from itertools import combinations
 
@@ -47,6 +46,7 @@ from rackit.model import (
     rollouts,
 )
 
+from .helpers import random_gram
 from .oracle import rtn_quantize, uncached_greedy_decode
 
 HALF = SparsityPattern.unstructured(0.5)
@@ -56,11 +56,6 @@ def _report(ok: bool, label: str) -> None:
     line = f"{'PASS' if ok else 'FAIL'}: {label}"
     print(f"\n{line}")
     assert ok, line
-
-
-def _gram(rng, dim, n_cols):
-    X = rng.standard_normal((dim, n_cols))
-    return X @ X.T, X
 
 
 def _sha256(path) -> str:
@@ -74,7 +69,7 @@ def test_c01_pruning_quality_sandwich():
     bad = []
     for i in range(100):
         rng = np.random.default_rng(1000 + i)
-        gram, _ = _gram(rng, d_in, n_cols)
+        gram, _ = random_gram(rng, d_in, n_cols)
         w = rng.standard_normal((1, d_in))
 
         _, obs_w = prune_obs(w, gram, HALF, damp_fraction=0.0)
@@ -104,7 +99,7 @@ def test_c02_single_weight_closed_form():
     ok = True
     for i in range(50):
         rng = np.random.default_rng(2000 + i)
-        gram, _ = _gram(rng, d_in, 32)
+        gram, _ = random_gram(rng, d_in, 32)
         w = rng.standard_normal(d_in)
 
         mask, out = prune_obs(w[None, :], gram,
@@ -255,7 +250,7 @@ def test_c07_mask_feasibility_accounting():
         d_out = int(rng.integers(2, 7))
         d_in = int(rng.integers(2, 9)) * 4
         W = rng.standard_normal((d_out, d_in))
-        gram, _ = _gram(rng, d_in, 2 * d_in)
+        gram, _ = random_gram(rng, d_in, 2 * d_in)
 
         runs = []
         for s in (0.25, 0.5, 0.75):
@@ -289,7 +284,7 @@ def test_c08_nested_mask_monotone_refit_loss():
     ok = True
     for i in range(50):
         rng = np.random.default_rng(8000 + i)
-        gram, _ = _gram(rng, d_in, 24)
+        gram, _ = random_gram(rng, d_in, 24)
         w = rng.standard_normal((1, d_in))
         losses = []
         for s in (0.25, 0.5, 0.75):

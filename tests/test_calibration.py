@@ -8,6 +8,7 @@ import pytest
 
 import rackit.calibration
 from rackit.calibration import (
+    MODES,
     CalibrationConfig,
     CalibrationSet,
     collect,
@@ -43,8 +44,8 @@ def _materialized_gram(model, sequences, ref, start_at=0):
 
 
 def _corpus(model, data, refs, token_budget):
-    return collect(model, CalibrationConfig(mode="corpus", token_budget=token_budget),
-                   refs, corpus=data)
+    return collect(model, CalibrationConfig(mode="corpus", corpus=data,
+                                            token_budget=token_budget), refs)
 
 
 def _prompt_only(model, prompts, refs, token_budget=None):
@@ -294,11 +295,25 @@ class TestCollect:
                                   sampler=Sampler("temperature", 0.8))
         with pytest.raises(ValidationError, match="takes no prompts"):
             CalibrationConfig(mode="corpus", prompts=((1, 2),), token_budget=8)
-        refs = all_refs(tiny_model.config)
-        for config in (CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=4),
-                       CalibrationConfig(mode="prompt_only", prompts=PROMPTS)):
+        for mode, t_max in (("rac", 4), ("prompt_only", 0)):
             with pytest.raises(ValidationError, match="takes no corpus"):
-                collect(tiny_model, config, refs, corpus=b"some bytes")
+                CalibrationConfig(mode=mode, prompts=PROMPTS, t_max=t_max,
+                                  corpus=b"some bytes")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bad_ref_is_rejected_before_any_forward(self, tiny_model, mode, monkeypatch):
+        """Every mode checks the refs against the target before its first
+        forward; off_policy before the trace model's rollouts too."""
+        for name in ("forward_teacher_forced", "rollouts"):
+            monkeypatch.setattr(rackit.calibration, name,
+                                lambda *args, **kwargs: pytest.fail("forward ran"))
+        inputs = {"corpus": dict(corpus=b"some bytes", token_budget=8),
+                  "prompt_only": dict(prompts=PROMPTS),
+                  "rac": dict(prompts=PROMPTS, t_max=4),
+                  "off_policy": dict(prompts=PROMPTS, t_max=4, trace_model=tiny_model)}
+        ref = PrunableLayerRef(tiny_model.config.n_layers, "mlp_up")
+        with pytest.raises(ValidationError, match="ref 2.mlp_up out of range for a 2-layer"):
+            collect(tiny_model, CalibrationConfig(mode=mode, **inputs[mode]), [ref])
 
     @pytest.mark.parametrize("prompt, message", [
         ((1, 256), "token 256 outside byte vocabulary"),
@@ -467,9 +482,8 @@ class TestCorpus:
 
     def test_collect_mode_corpus_round_trip(self, tiny_model, rng):
         data = bytes(rng.integers(1, 256, size=100).tolist())
-        cfg = CalibrationConfig(mode="corpus", token_budget=80)
-        calib = collect(tiny_model, cfg, all_refs(tiny_model.config)[:1],
-                        corpus=data)
+        cfg = CalibrationConfig(mode="corpus", corpus=data, token_budget=80)
+        calib = collect(tiny_model, cfg, all_refs(tiny_model.config)[:1])
         assert calib.provenance["mode"] == "corpus"
         assert calib.stats[calib.refs[0]].n_prompt == 80
 

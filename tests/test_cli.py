@@ -6,7 +6,7 @@ import pytest
 
 from rackit.calibration import CalibrationSet
 from rackit.cli import _COMMANDS, _REQUIRED, _command_flags, _merge_config, build_parser, main
-from rackit.model import load_model, model_content_hash
+from rackit.model import SLOTS, load_model, model_content_hash
 
 
 def run(argv):
@@ -525,11 +525,6 @@ class TestPrune:
         assert err == [f"error: {message}"]
         assert not out.exists()
 
-    def test_missing_input_is_io_error(self, ws, tmp_path):
-        assert run(["prune", "--model", str(tmp_path / "ghost.tmc"), "--calib",
-                    str(ws["calib"]), "--method", "obs", "--sparsity", "0.5",
-                    "--out", str(tmp_path / "x.tmc")]) == 3
-
     @pytest.mark.parametrize("out, report", [
         ("x.tmc", "nodir/r.json"), ("nodir/x.tmc", None), ("x.tmc", "."),
     ], ids=["report-dir-missing", "out-dir-missing", "report-is-a-directory"])
@@ -607,6 +602,26 @@ class TestPrune:
                     "--sparsity", "0.5", "--out", str(tmp_path / "x.tmc")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"i/o failure: {inputs[which]}: ")
+
+
+@pytest.mark.parametrize("command", ["calibrate", "prune"])
+@pytest.mark.parametrize("flags, message", [
+    (["--layers", "5"], "ref 5.attn_q out of range for a 1-layer model"),
+    (["--slots", "foo"], f"unknown slot 'foo', expected one of {SLOTS}"),
+], ids=["layer-out-of-range", "unknown-slot"])
+def test_bad_ref_flags_exit_1_with_the_library_message(ws, tmp_path, capsys, command,
+                                                       flags, message):
+    """--layers and --slots are checked where refs are: an unknown slot by
+    PrunableLayerRef, a layer the model lacks by check_ref."""
+    out = tmp_path / "out"
+    inputs = {"calibrate": ["--mode", "prompt-only", "--prompts", str(ws["prompts"])],
+              "prune": ["--calib", str(ws["calib"]), "--method", "obs",
+                        "--sparsity", "0.5"]}[command]
+    capsys.readouterr()
+    assert run([command, "--model", str(ws["model"]), *inputs, *flags,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -778,10 +793,6 @@ class TestEval:
         assert body["tokens"] == 50
         assert json.loads(out.read_text())["tokens"] == 50
         assert np.isfinite(body["mean_nll"])
-
-    def test_missing_text_is_io_error(self, ws, tmp_path):
-        assert run(["eval", "--model", str(ws["model"]),
-                    "--text", str(tmp_path / "ghost.bin")]) == 3
 
     @pytest.mark.parametrize("out", [".", "nodir/eval.json"], ids=["directory", "dir-missing"])
     def test_unwritable_out_prints_nothing(self, ws, tmp_path, capsys, monkeypatch, out):

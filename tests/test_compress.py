@@ -1,11 +1,7 @@
 import functools
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
-import textwrap
 from itertools import combinations
 from pathlib import Path
 
@@ -14,7 +10,6 @@ import pytest
 import scipy
 from hypothesis import given, strategies as st
 
-import rackit
 from rackit import compress as compress_module
 from rackit import numkernel
 from rackit.calibration import CalibrationConfig, CalibrationSet, collect
@@ -37,7 +32,7 @@ from rackit.errors import CholeskyError, NumericalError, ValidationError
 from rackit.model import all_refs, generate_model, get_weight, model_content_hash
 from rackit.numkernel import dampen, single_blas_thread
 
-from .helpers import random_gram, small_config
+from .helpers import CLI_PROBE, fresh_python, random_gram, small_config
 from .oracle import (
     direct_loss,
     greedy_block_mask_per_row,
@@ -125,10 +120,6 @@ class TestMagnitude:
                     "quantize": dict(bits=4)}[kind]
             with pytest.raises(ValidationError, match="takes no"):
                 SparsityPattern(kind, **used, **unused)
-
-    def test_group_width_must_divide_input(self):
-        with pytest.raises(ValidationError):
-            prune_magnitude(np.ones((2, 6)), SparsityPattern.semi_structured(2, 4))
 
     @given(seed=st.integers(0, 10_000),
            d_out=st.integers(1, 6),
@@ -240,17 +231,6 @@ class TestObs:
         mask, out = prune_obs(W, gram, HALF)
         assert (out[~mask] == 0.0).all()
 
-    def test_block_size_must_align_with_groups(self, rng):
-        W = rng.standard_normal((2, 8))
-        gram, _ = random_gram(rng, 8)
-        with pytest.raises(ValidationError):
-            prune_obs(W, gram, SparsityPattern.semi_structured(2, 4), block_size=6)
-
-    def test_gram_dimension_checked(self, rng):
-        gram, _ = random_gram(rng, 6)
-        with pytest.raises(ValidationError):
-            prune_obs(np.ones((2, 8)), gram, HALF)
-
     def test_singular_gram_without_damping_raises(self):
         gram = np.zeros((4, 4))
         with pytest.raises(CholeskyError):
@@ -346,11 +326,6 @@ class TestQuantize:
         with pytest.raises(ValidationError):
             SparsityPattern.quantize(5)
 
-    def test_group_size_must_divide_width(self, rng):
-        pat = SparsityPattern.quantize(4, group_size=3)
-        with pytest.raises(ValidationError):
-            quantize_obs(rng.standard_normal((2, 8)), identity_gram(8), pat)
-
     def test_compensation_reduces_loss_on_correlated_inputs(self):
         rng = np.random.default_rng(8)
         W = rng.standard_normal((6, 16))
@@ -420,11 +395,6 @@ class TestRefit:
         gram = np.ones((2, 2))
         with pytest.raises(NumericalError, match="singular"):
             refit_fixed_mask(np.ones((1, 2)), gram, np.ones((1, 2), dtype=bool))
-
-    def test_mask_shape_checked(self, rng):
-        gram, _ = random_gram(rng, 4)
-        with pytest.raises(ValidationError):
-            refit_fixed_mask(np.ones((2, 4)), gram, np.ones((3, 4), dtype=bool))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_direct_solve_oracle(self, seed):
@@ -721,7 +691,7 @@ def _record_counts_in_prune_obs(monkeypatch, controls):
 
 # Reads and sets the wheels' OpenBLAS thread counts without rackit, then
 # imports rackit.compress and reports what the import changed.
-_IMPORT_PROBE = textwrap.dedent("""
+_IMPORT_PROBE = """
     import ctypes, json, os
     from pathlib import Path
     import numpy, scipy, scipy.linalg
@@ -744,7 +714,7 @@ _IMPORT_PROBE = textwrap.dedent("""
         "environ_kept": dict(os.environ) == environ,
         "lookups": rackit.numkernel._openblas_thread_controls.cache_info().currsize,
     }))
-""")
+"""
 
 
 def _bundled_openblas() -> list:
@@ -752,25 +722,6 @@ def _bundled_openblas() -> list:
     return [path for pkg in (np, scipy)
             for path in (Path(pkg.__file__).parent.parent
                          / f"{pkg.__name__}.libs").glob("libscipy_openblas*.so")]
-
-
-# Runs gen-model and prune through rackit.cli.main in a fresh interpreter, in
-# the current directory, and reports the scipy modules and OpenBLAS builds the
-# process ended up with.
-_PRUNE_PROBE = textwrap.dedent("""
-    import json, sys
-    from rackit import numkernel
-    from rackit.cli import main
-
-    codes = [main(sys.argv[1:sys.argv.index("--")]),
-             main(sys.argv[sys.argv.index("--") + 1:])]
-    print(json.dumps({
-        "codes": codes,
-        "scipy_modules": sorted(m for m in sys.modules
-                                if m == "scipy" or m.startswith("scipy.")),
-        "openblas": len(numkernel._openblas_thread_controls()),
-    }))
-""")
 
 
 class TestSingleBlasThread:
@@ -804,13 +755,7 @@ class TestSingleBlasThread:
         assert cli_main(prune) == 0
         (fresh / "c.racc").write_bytes((here / "c.racc").read_bytes())
 
-        src = str(Path(rackit.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", _PRUNE_PROBE, *gen, "--", *prune],
-                              cwd=fresh, env=env, capture_output=True, text=True,
-                              check=True)
-        probe = json.loads(proc.stdout.strip().splitlines()[-1])
+        probe = fresh_python(CLI_PROBE, *gen, "--", *prune, cwd=fresh)
         assert probe == {"codes": [0, 0], "scipy_modules": [],
                          "openblas": len(bundled)}
         for name in ("m.tmc", "p.tmc", "p.tmc.report.json"):
@@ -852,12 +797,7 @@ class TestSingleBlasThread:
             assert np.array_equal(get_weight(first[0], ref), get_weight(second[0], ref))
 
     def test_import_changes_no_thread_count_or_environment(self):
-        src = str(Path(rackit.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
-                              capture_output=True, text=True, check=True)
-        probe = json.loads(proc.stdout)
+        probe = fresh_python(_IMPORT_PROBE)
         if not probe["before"]:
             pytest.skip("numpy and scipy bundle no OpenBLAS on this host")
         assert probe["after"] == probe["before"]

@@ -13,8 +13,8 @@ from rackit.diagnostics import (
     ratio_map,
     summarize_phase_errors,
     write_errors_csv,
+    write_json,
     write_ratios_csv,
-    write_summary_json,
 )
 from rackit.errors import ValidationError
 from rackit.model import GREEDY, decode, generate_model, last_layer_states
@@ -203,7 +203,7 @@ class TestWriters:
     def test_summary_json_structure(self, tmp_path):
         path = tmp_path / "summary.json"
         summary = summarize_phase_errors(self._traces())
-        write_summary_json(path, summary, {"t_max": 8})
+        write_json(path, {"phase_means": summary, "t_max": 8})
         body = json.loads(path.read_text())
         assert body["t_max"] == 8
         assert set(body["phase_means"]) == {"prompt_only", "rac"}

@@ -1,18 +1,12 @@
 import dataclasses
 import hashlib
-import json
-import os
-import subprocess
 import sys
-import textwrap
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 
-import rackit
 from rackit.cli import main as cli_main
 from rackit.errors import ContainerError, ValidationError
 from rackit.model import (
@@ -39,7 +33,7 @@ from rackit.model import (
 )
 from rackit.model import runtime
 
-from .helpers import random_prompts, small_config
+from .helpers import CLI_PROBE, fresh_python, random_prompts, small_config
 from .oracle import reference_forward, stepwise_run, uncached_greedy_decode
 
 
@@ -180,42 +174,12 @@ class TestForward:
                 rollouts(tiny_model, [[1, 2]], bad)
 
 
-def _fresh_python(code: str, *args, cwd=None) -> dict:
-    """Run ``code`` in a fresh interpreter with rackit on the path; its last
-    stdout line, parsed as JSON."""
-    src = str(Path(rackit.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
-                          cwd=cwd, env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-# Runs each argument vector (split at "--") through rackit.cli.main in a
-# fresh interpreter and reports the exit codes and the scipy modules loaded.
-_FORWARD_PROBE = """
-    import json, sys
-    from rackit.cli import main
-
-    argv, runs = sys.argv[1:] + ["--"], []
-    while argv:
-        runs.append(argv[:argv.index("--")])
-        argv = argv[argv.index("--") + 1:]
-    codes = [main(run) for run in runs]
-    print(json.dumps({
-        "codes": codes,
-        "scipy_modules": sorted(m for m in sys.modules
-                                if m == "scipy" or m.startswith("scipy.")),
-    }))
-"""
-
-
 class TestErf:
     """GELU's erf is scipy's ufunc, loaded without importing scipy.special."""
 
     @pytest.mark.parametrize("first", ["rackit", "scipy.special"])
     def test_is_scipy_special_erf_in_either_import_order(self, first):
-        probe = _fresh_python(f"""
+        probe = fresh_python(f"""
             import importlib, json, sys
             importlib.import_module({first!r})
             from rackit.model import runtime
@@ -272,10 +236,10 @@ class TestErf:
         assert cli_main(evaluate) == 0
         assert "scipy.special" in sys.modules
 
-        probe = _fresh_python(_FORWARD_PROBE, *calibrate, "--", *diagnose, "--",
-                              *evaluate, cwd=fresh)
-        assert probe == {"codes": [0, 0, 0],
-                         "scipy_modules": ["scipy.special._special_ufuncs"]}
+        probe = fresh_python(CLI_PROBE, *calibrate, "--", *diagnose, "--", *evaluate,
+                             cwd=fresh)
+        assert probe["codes"] == [0, 0, 0]
+        assert probe["scipy_modules"] == ["scipy.special._special_ufuncs"]
         for name in ("c.racc", "diag/errors.csv", "diag/summary.json", "eval.json"):
             assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
