@@ -60,6 +60,7 @@ from .model import (
     Sampler,
     SAMPLER_KINDS,
     SLOTS,
+    check_ref,
     config_as_dict,
     decode,
     generate_model,
@@ -261,6 +262,8 @@ def _cmd_calibrate(args) -> tuple[object, dict]:
         raise ValidationError("--temperature requires --sampler temperature")
     model = load_model(args.model)
     refs = _refs_from_flags(args.layers, args.slots, model.config.n_layers)
+    for ref in refs:  # before the trace model and the prompts are read
+        check_ref(model.config, ref)
 
     trace_model = load_model(args.trace_model) if args.trace_model else None
     temperature = 1.0 if args.temperature is None else args.temperature

@@ -36,6 +36,7 @@ each ref is compressed on its own and results are stitched in ref order.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -539,6 +540,59 @@ def _prune_audit(mask: np.ndarray, pattern: SparsityPattern) -> dict:
     return audit
 
 
+# The solve a forked pool worker runs; set by the pool's initializer, so it
+# reaches the workers through fork and is never pickled.
+_worker_solve = None
+
+
+def _install_worker_solve(solve) -> None:
+    global _worker_solve
+    _worker_solve = solve
+
+
+def _run_worker_solve(index: int):
+    return _worker_solve(index)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _solve_all(solve, count: int) -> list:
+    """``[solve(i) for i in range(count)]``, spread over forked workers.
+
+    One worker per usable CPU, at most ``count``. Results come back in index
+    order, and the error of the first failing index is raised, as the plain
+    loop would; a worker that dies raises ``BrokenProcessPool``. The workers
+    inherit everything ``solve`` reads, the caller's BLAS thread counts
+    included. Where one worker would do, or where this process cannot fork
+    children safely (no ``fork`` on the platform, a daemonic process, or a
+    second Python thread that may hold a lock at the fork), the loop runs
+    here instead. No worker is left running on return, also on error.
+    """
+    workers = min(count, _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon
+                or threading.active_count() > 1):
+            workers = 1
+    if workers == 1:
+        return [solve(i) for i in range(count)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # With fork, the executor starts every worker before its own threads. On
+    # an error, map cancels the solves not yet handed out, and leaving the
+    # block joins every worker.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_worker_solve,
+                             initargs=(solve,)) as pool:
+        return list(pool.map(_run_worker_solve, range(count)))
+
+
 def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
                    method: str, pattern: SparsityPattern, refs=None,
                    block_size: int = DEFAULT_BLOCK_SIZE,
@@ -549,10 +603,11 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     and ``corpus`` use the prompt-phase Gram alone. ``mode`` and ``method``
     take the underscore names of :data:`COMPRESSION_MODES` and :data:`METHODS`.
     Reported losses are evaluated on the same (undamped) Gram the solver
-    consumed. The solvers run with BLAS on one thread
+    consumed. The refs are solved in forked workers, one per usable CPU
+    (:func:`_solve_all`), each with BLAS on one thread
     (:func:`single_blas_thread`), which is faster on these small matrices and
-    keeps the result independent of the caller's thread count. Returns
-    (compressed bundle, :class:`CompressionReport`).
+    keeps the result independent of the caller's thread count and of the
+    number of CPUs. Returns (compressed bundle, :class:`CompressionReport`).
     """
     if mode not in COMPRESSION_MODES:
         raise ValidationError(f"unknown compression mode {mode!r}")
@@ -587,7 +642,8 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
                 f"mode {mode!r} requires prompt columns, but {ref} has none"
             )
 
-    def solve(ref: PrunableLayerRef):
+    def solve(index: int):
+        ref = refs[index]
         start = time.perf_counter()
         W = get_weight(model, ref)
         gram = merged_gram(calib, ref) if mode == "rac" else calib.stats[ref].gram_prompt
@@ -615,7 +671,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         return RefReport(ref, loss, time.perf_counter() - start, achieved), W_new
 
     with single_blas_thread():
-        solved = [solve(ref) for ref in refs]
+        solved = _solve_all(solve, len(refs))
 
     bundle = model
     for (ref_report, W_new), ref in zip(solved, refs):

@@ -29,6 +29,11 @@ class CholeskyError(NumericalError):
             "definite (increase dampening)"
         )
 
+    def __reduce__(self):
+        # The default rebuilds from the message; a worker process sends this
+        # error back to its parent pickled.
+        return CholeskyError, (self.index,)
+
 
 class ContainerError(RackitError, ValueError):
     """Malformed or truncated on-disk artifact."""

@@ -42,7 +42,6 @@ from .bundle import (
     SLOT_INPUT,
     ModelBundle,
     ModelConfig,
-    PrunableLayerRef,
     check_ref,
     slot_input_dim,
     sort_refs,

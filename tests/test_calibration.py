@@ -26,7 +26,7 @@ from rackit.model import (
     generate_model,
 )
 
-from .helpers import random_prompts, small_config
+from .helpers import small_config
 from .oracle import accumulate_gram_per_column
 
 PROMPTS = ((10, 20, 30), (40, 50, 60, 70))

@@ -6,7 +6,8 @@ import pytest
 
 from rackit.calibration import CalibrationSet
 from rackit.cli import _COMMANDS, _REQUIRED, _command_flags, _merge_config, build_parser, main
-from rackit.model import SLOTS, load_model, model_content_hash
+from rackit.errors import CholeskyError
+from rackit.model import SLOTS, all_refs, load_model, model_content_hash
 
 
 def run(argv):
@@ -477,6 +478,24 @@ class TestPrune:
                     "--damp", "0", "--slots", "mlp_down",
                     "--out", str(tmp_path / "x.tmc")]) == 2
 
+    def test_several_singular_grams_fail_with_one_line(self, ws, tmp_path, capsys):
+        """Refs solved in worker processes fail as one ref solved here does:
+        exit 2 and the first failing ref's message, with no traceback."""
+        model = load_model(ws["model"])
+        refs = all_refs(model.config)[:3]
+        calib = CalibrationSet.empty(model.config, refs)
+        for ref in refs:
+            calib.stats[ref].n_prompt = 1  # zero Grams
+        calib.save(tmp_path / "zero.racc")
+        out = tmp_path / "x.tmc"
+        capsys.readouterr()
+        assert run(["prune", "--model", str(ws["model"]), "--calib",
+                    str(tmp_path / "zero.racc"), "--method", "obs", "--sparsity", "0.5",
+                    "--damp", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure: {CholeskyError(0)}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("method", ["magnitude", "wanda", "obs"])
     def test_non_finite_damp_rejected(self, ws, tmp_path, capsys, method, value):
@@ -621,6 +640,17 @@ def test_bad_ref_flags_exit_1_with_the_library_message(ws, tmp_path, capsys, com
     assert run([command, "--model", str(ws["model"]), *inputs, *flags,
                 "--out", str(out)]) == 1
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_calibrate_checks_layers_before_reading_prompts(ws, tmp_path, capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["calibrate", "--model", str(ws["model"]), "--mode", "prompt-only",
+                "--prompts", str(tmp_path / "missing.txt"), "--layers", "5",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: ref 5.attn_q out of range for a 1-layer model"]
     assert not out.exists()
 
 

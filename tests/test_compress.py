@@ -1,7 +1,13 @@
 import functools
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 import re
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 from pathlib import Path
 
@@ -658,6 +664,152 @@ class TestCompressModel:
         assert achieved["scale_max"] >= achieved["scale_mean"] > 0.0
 
 
+def _record_in_prune_obs(monkeypatch, log: Path, probe):
+    """What ``probe()`` returns at every ``prune_obs`` call.
+
+    Each call appends one JSON line to ``log``, so calls made in forked
+    workers are recorded too; the returned function reads them back.
+    """
+    real = compress_module.prune_obs
+
+    def spy(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(json.dumps(probe()) + "\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compress_module, "prune_obs", spy)
+    return lambda: ([json.loads(line) for line in log.read_text().splitlines()]
+                    if log.exists() else [])
+
+
+def _singular_calibration(model, pivots):
+    """A calibration set for the first ``len(pivots)`` refs whose prompt Grams
+    are the identity with a zero at each given index, so undamped OBS fails
+    there."""
+    refs = all_refs(model.config)[:len(pivots)]
+    calib = CalibrationSet.empty(model.config, refs)
+    for ref, pivot in zip(refs, pivots):
+        stats = calib.stats[ref]
+        stats.n_prompt = 1
+        stats.gram_prompt[...] = np.eye(stats.gram_prompt.shape[0])
+        stats.gram_prompt[pivot, pivot] = 0.0
+    return calib
+
+
+def _obs_hash_with_two_cpus(model, calib):
+    """Runs in a pool worker, so the patch stays in that process."""
+    compress_module._usable_cpus = lambda: 2
+    return model_content_hash(compress_model(model, calib, "rac", "obs", HALF)[0])
+
+
+class TestWorkers:
+    """``compress_model`` solves refs in forked workers, one per usable CPU."""
+
+    @pytest.mark.parametrize("method, pattern", [
+        ("obs", HALF),
+        ("obs", SparsityPattern.semi_structured(2, 4)),
+        ("obs_quant", SparsityPattern.quantize(4, group_size=8)),
+    ], ids=["obs", "obs-2:4", "obs-quant"])
+    def test_pool_and_in_process_agree(self, rac_setup, monkeypatch, method, pattern):
+        model, calib, refs = rac_setup
+        runs = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(compress_module, "_usable_cpus", lambda: cpus)
+            runs.append(compress_model(model, calib, "rac", method, pattern, block_size=8))
+        (pooled, pooled_report), (local, local_report) = runs
+        assert model_content_hash(pooled) == model_content_hash(local)
+        assert pooled_report.as_dict() == local_report.as_dict()
+        for ref in refs:
+            assert np.array_equal(get_weight(pooled, ref), get_weight(local, ref))
+
+    def test_solves_run_in_workers_and_none_is_left(self, rac_setup, monkeypatch,
+                                                    tmp_path):
+        model, calib, _ = rac_setup
+        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        pids = _record_in_prune_obs(monkeypatch, tmp_path / "pids.jsonl", os.getpid)
+        compress_model(model, calib, "rac", "obs", HALF)
+        assert pids() and os.getpid() not in pids()
+        assert multiprocessing.active_children() == []
+
+        with pytest.raises(CholeskyError):
+            compress_model(model, _singular_calibration(model, [0, 0, 0]),
+                           "prompt_only", "obs", HALF, damp_fraction=0.0)
+        assert multiprocessing.active_children() == []
+
+    def test_a_threaded_caller_solves_in_process(self, rac_setup, monkeypatch,
+                                                 tmp_path):
+        """Forking beside a second thread could copy a lock that thread holds."""
+        model, calib, _ = rac_setup
+        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        pids = _record_in_prune_obs(monkeypatch, tmp_path / "pids.jsonl", os.getpid)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            compress_model(model, calib, "rac", "obs", HALF)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert set(pids()) == {os.getpid()}
+
+    def test_a_daemonic_caller_solves_in_process(self, rac_setup):
+        """A daemonic process, such as a pool worker, may not start children."""
+        model, calib, _ = rac_setup
+        here, _ = compress_model(model, calib, "rac", "obs", HALF)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            there = pool.apply(_obs_hash_with_two_cpus, (model, calib))
+        assert there == model_content_hash(here)
+
+    def test_a_dying_worker_raises_instead_of_hanging(self, rac_setup, monkeypatch):
+        model, calib, _ = rac_setup
+        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        parent, real = os.getpid(), compress_module.prune_obs
+
+        def die_in_worker(weights, gram, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(weights, gram, *args, **kwargs)
+
+        monkeypatch.setattr(compress_module, "prune_obs", die_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            compress_model(model, calib, "rac", "obs", HALF)
+        assert multiprocessing.active_children() == []
+
+    def test_first_failure_in_ref_order_is_raised(self, monkeypatch):
+        """The first ref fails later in time than the second; its error wins."""
+        model = generate_model(small_config(), seed=13)
+        calib = _singular_calibration(model, [3, 0])
+        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        real = compress_module.prune_obs
+
+        def slow_first(weights, gram, *args, **kwargs):
+            if gram[0, 0] == 1.0:
+                time.sleep(0.3)
+            return real(weights, gram, *args, **kwargs)
+
+        monkeypatch.setattr(compress_module, "prune_obs", slow_first)
+        with pytest.raises(CholeskyError) as failure:
+            compress_model(model, calib, "prompt_only", "obs", HALF, damp_fraction=0.0)
+        assert failure.value.index == 3
+        assert str(failure.value) == str(CholeskyError(3))
+
+    def test_cholesky_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(CholeskyError(7)))
+        assert type(error) is CholeskyError
+        assert error.index == 7
+        assert str(error) == str(CholeskyError(7))
+
+    def test_importing_the_cli_loads_no_multiprocessing(self):
+        loaded = fresh_python("""
+            import json, sys
+            import rackit.cli
+            print(json.dumps(sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "multiprocessing")))
+        """)
+        assert loaded == []
+
+
 @pytest.fixture
 def blas_controls():
     """Every loaded OpenBLAS at its own count above one (2, 3, ...), restored after."""
@@ -674,19 +826,6 @@ def blas_controls():
 
 def _thread_counts(controls):
     return [getter() for _, getter in controls]
-
-
-def _record_counts_in_prune_obs(monkeypatch, controls):
-    """Counts seen by every ``prune_obs`` call inside ``compress_model``."""
-    seen = []
-    real = compress_module.prune_obs
-
-    def spy(*args, **kwargs):
-        seen.append(_thread_counts(controls))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(compress_module, "prune_obs", spy)
-    return seen
 
 
 # Reads and sets the wheels' OpenBLAS thread counts without rackit, then
@@ -762,24 +901,29 @@ class TestSingleBlasThread:
             assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
     def test_counts_restored_after_compress_model(self, rac_setup, blas_controls,
-                                                  monkeypatch):
+                                                  monkeypatch, tmp_path):
         model, calib, _ = rac_setup
+        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
         before = _thread_counts(blas_controls)
-        seen = _record_counts_in_prune_obs(monkeypatch, blas_controls)
+        record = _record_in_prune_obs(monkeypatch, tmp_path / "counts.jsonl",
+                                      lambda: _thread_counts(blas_controls))
         compress_model(model, calib, "rac", "obs", HALF)
+        seen = record()
         assert seen and all(counts == [1] * len(before) for counts in seen)
         assert _thread_counts(blas_controls) == before
 
     def test_counts_restored_when_compress_model_raises(self, blas_controls,
-                                                        monkeypatch):
+                                                        monkeypatch, tmp_path):
         model = generate_model(small_config(), seed=13)
         ref = all_refs(model.config)[0]
         calib = CalibrationSet.empty(model.config, [ref])
         calib.stats[ref].n_prompt = 1  # a zero Gram, which damping 0 leaves singular
         before = _thread_counts(blas_controls)
-        seen = _record_counts_in_prune_obs(monkeypatch, blas_controls)
+        record = _record_in_prune_obs(monkeypatch, tmp_path / "counts.jsonl",
+                                      lambda: _thread_counts(blas_controls))
         with pytest.raises(CholeskyError):
             compress_model(model, calib, "prompt_only", "obs", HALF, damp_fraction=0.0)
+        seen = record()
         assert seen == [[1] * len(before)]
         assert _thread_counts(blas_controls) == before
 

@@ -14,7 +14,6 @@ from rackit.model import (
     ModelConfig,
     PrunableLayerRef,
     Sampler,
-    SLOTS,
     all_refs,
     apply_compressed,
     decode,
