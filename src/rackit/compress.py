@@ -559,26 +559,22 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _solve_all(solve, count: int) -> list:
-    """``[solve(i) for i in range(count)]``, spread over forked workers.
+def _solve_all(solve, count: int, workers: int) -> list:
+    """``[solve(i) for i in range(count)]``, spread over ``workers`` forked workers.
 
-    One worker per usable CPU, at most ``count``. Results come back in index
-    order, and the error of the first failing index is raised, as the plain
-    loop would; a worker that dies raises ``BrokenProcessPool``. The workers
-    inherit everything ``solve`` reads, the caller's BLAS thread counts
-    included. Where one worker would do, or where this process cannot fork
-    children safely (no ``fork`` on the platform, a daemonic process, or a
+    Results come back in index order, and the error of the first failing
+    index is raised, as the plain loop would; a worker that dies raises
+    ``BrokenProcessPool``. The workers inherit everything ``solve`` reads,
+    the caller's BLAS thread counts included. Where one worker would do, or
+    where this process cannot fork children safely (a daemonic process, or a
     second Python thread that may hold a lock at the fork), the loop runs
     here instead. No worker is left running on return, also on error.
     """
-    workers = min(count, _usable_cpus())
     if workers > 1:
         import multiprocessing
         import threading
 
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon
-                or threading.active_count() > 1):
+        if multiprocessing.current_process().daemon or threading.active_count() > 1:
             workers = 1
     if workers == 1:
         return [solve(i) for i in range(count)]
@@ -603,8 +599,10 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     and ``corpus`` use the prompt-phase Gram alone. ``mode`` and ``method``
     take the underscore names of :data:`COMPRESSION_MODES` and :data:`METHODS`.
     Reported losses are evaluated on the same (undamped) Gram the solver
-    consumed. The refs are solved in forked workers, one per usable CPU
-    (:func:`_solve_all`), each with BLAS on one thread
+    consumed. The Gram solvers ``obs`` and ``obs_quant`` run in forked
+    workers, one per usable CPU (:func:`_solve_all`); ``magnitude`` and
+    ``wanda`` take a few milliseconds a ref, less than starting the workers
+    costs, and run here. Every solve has BLAS on one thread
     (:func:`single_blas_thread`), which is faster on these small matrices and
     keeps the result independent of the caller's thread count and of the
     number of CPUs. Returns (compressed bundle, :class:`CompressionReport`).
@@ -670,8 +668,9 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         loss = trace_form_loss(W, W_new, gram)
         return RefReport(ref, loss, time.perf_counter() - start, achieved), W_new
 
+    workers = min(len(refs), _usable_cpus()) if method in ("obs", "obs_quant") else 1
     with single_blas_thread():
-        solved = _solve_all(solve, len(refs))
+        solved = _solve_all(solve, len(refs), workers)
 
     bundle = model
     for (ref_report, W_new), ref in zip(solved, refs):

@@ -664,20 +664,20 @@ class TestCompressModel:
         assert achieved["scale_max"] >= achieved["scale_mean"] > 0.0
 
 
-def _record_in_prune_obs(monkeypatch, log: Path, probe):
-    """What ``probe()`` returns at every ``prune_obs`` call.
+def _record_calls(monkeypatch, name: str, log: Path, probe):
+    """What ``probe()`` returns at every call of ``compress.<name>``.
 
     Each call appends one JSON line to ``log``, so calls made in forked
     workers are recorded too; the returned function reads them back.
     """
-    real = compress_module.prune_obs
+    real = getattr(compress_module, name)
 
     def spy(*args, **kwargs):
         with open(log, "a") as f:
             f.write(json.dumps(probe()) + "\n")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(compress_module, "prune_obs", spy)
+    monkeypatch.setattr(compress_module, name, spy)
     return lambda: ([json.loads(line) for line in log.read_text().splitlines()]
                     if log.exists() else [])
 
@@ -726,7 +726,8 @@ class TestWorkers:
                                                     tmp_path):
         model, calib, _ = rac_setup
         monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
-        pids = _record_in_prune_obs(monkeypatch, tmp_path / "pids.jsonl", os.getpid)
+        pids = _record_calls(monkeypatch, "prune_obs", tmp_path / "pids.jsonl",
+                             os.getpid)
         compress_model(model, calib, "rac", "obs", HALF)
         assert pids() and os.getpid() not in pids()
         assert multiprocessing.active_children() == []
@@ -736,12 +737,25 @@ class TestWorkers:
                            "prompt_only", "obs", HALF, damp_fraction=0.0)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("method", ["magnitude", "wanda"])
+    def test_cheap_methods_solve_in_process(self, rac_setup, monkeypatch, tmp_path,
+                                            method):
+        """Their solves take less time than starting the workers would."""
+        model, calib, _ = rac_setup
+        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        pids = _record_calls(monkeypatch, f"prune_{method}", tmp_path / "pids.jsonl",
+                             os.getpid)
+        compress_model(model, calib, "rac", method, HALF)
+        assert set(pids()) == {os.getpid()}
+        assert multiprocessing.active_children() == []
+
     def test_a_threaded_caller_solves_in_process(self, rac_setup, monkeypatch,
                                                  tmp_path):
         """Forking beside a second thread could copy a lock that thread holds."""
         model, calib, _ = rac_setup
         monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
-        pids = _record_in_prune_obs(monkeypatch, tmp_path / "pids.jsonl", os.getpid)
+        pids = _record_calls(monkeypatch, "prune_obs", tmp_path / "pids.jsonl",
+                             os.getpid)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
@@ -905,8 +919,8 @@ class TestSingleBlasThread:
         model, calib, _ = rac_setup
         monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
         before = _thread_counts(blas_controls)
-        record = _record_in_prune_obs(monkeypatch, tmp_path / "counts.jsonl",
-                                      lambda: _thread_counts(blas_controls))
+        record = _record_calls(monkeypatch, "prune_obs", tmp_path / "counts.jsonl",
+                               lambda: _thread_counts(blas_controls))
         compress_model(model, calib, "rac", "obs", HALF)
         seen = record()
         assert seen and all(counts == [1] * len(before) for counts in seen)
@@ -919,8 +933,8 @@ class TestSingleBlasThread:
         calib = CalibrationSet.empty(model.config, [ref])
         calib.stats[ref].n_prompt = 1  # a zero Gram, which damping 0 leaves singular
         before = _thread_counts(blas_controls)
-        record = _record_in_prune_obs(monkeypatch, tmp_path / "counts.jsonl",
-                                      lambda: _thread_counts(blas_controls))
+        record = _record_calls(monkeypatch, "prune_obs", tmp_path / "counts.jsonl",
+                               lambda: _thread_counts(blas_controls))
         with pytest.raises(CholeskyError):
             compress_model(model, calib, "prompt_only", "obs", HALF, damp_fraction=0.0)
         seen = record()
