@@ -24,9 +24,20 @@ phase of a sequence goes to a Gram as one block of columns in position
 order, whose bits equal those of one rank-1 update per column, and sequences
 are consumed in input order, so a given collection is bit-reproducible. The
 refs that read the same activation (``attn_q``, ``attn_k`` and ``attn_v``
-all take the first layer norm's output) get that Gram computed once.
+all take the first layer norm's output) get that Gram computed once, for the
+first of them, and copied to the others when the collection ends.
 Prompt-phase and decode-phase Grams are kept separate so one collection pass
 can later serve both prompt-only and decode-aware compression.
+
+The Gram updates run on a thread pool, one thread per usable CPU
+(:func:`rackit.numkernel.usable_cpus`), while the calling thread runs the
+next sequence's forward; numpy's loops release the GIL. One rule keeps the
+bits: a sequence's blocks go to the pool only once every update of the
+sequence before has finished, so each Gram is updated by one thread at a
+time, in sequence order, with the same kernel. The digest does not depend on
+the number of CPUs. Column counts and the token budget stay in the calling
+thread, and an update's error is raised there unchanged. No pool thread
+outlives :func:`collect`.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ from .model.container import (
     write_container,
 )
 from .model.runtime import GREEDY, Sampler, check_tokens
-from .numkernel import accumulate_gram
+from .numkernel import accumulate_gram, usable_cpus
 
 logger = logging.getLogger(__name__)
 
@@ -280,33 +291,47 @@ def _corpus_chunks(corpus, token_budget, size: int, warnings: list) -> list[list
     return [list(data[i : i + size]) for i in range(0, len(data), size)]
 
 
-def _accumulate(dest: CalibrationSet, prompt, full, captures, left: dict) -> None:
-    """Stream one sequence's captured columns into the destination Grams:
-    the prompt positions, then the generated ones, each phase taking at most
-    the ``left[phase]`` columns its budget has left, which it then lowers.
+def _readers(refs) -> dict:
+    """Map each ref to the first of ``refs`` that reads the same activation
+    (SLOT_INPUT) of its layer; refs that read one activation receive the same
+    columns, so only that first one's Grams need folding."""
+    first = {}
+    return {ref: first.setdefault((ref.layer_index, SLOT_INPUT[ref.slot]), ref)
+            for ref in refs}
 
-    Every ref consumes the same positions. The captures come in as an
-    argument, so that nothing holds them once the call returns.
+
+def _accumulate(pool, previous: list, dest: CalibrationSet, readers: dict, prompt,
+                full, captures, left: dict) -> list:
+    """Hand one sequence's captured columns to ``pool`` to fold into the
+    destination Grams, and return the folds' futures: the prompt positions,
+    then the generated ones, each phase taking at most the ``left[phase]``
+    columns its budget has left, which it then lowers.
+
+    It first waits for ``previous``, the folds of the sequence before, so
+    each Gram takes its blocks one at a time and in sequence order. Only the
+    refs that ``readers`` maps to themselves get Grams folded; every ref's
+    counts rise here. The captures come in as an argument, so that nothing
+    holds them once the returned folds are done.
     """
+    for fold in previous:
+        fold.result()
+    blocks = []
     for phase, start, stop in (("prompt", 0, len(prompt)), ("decode", len(prompt), len(full))):
         take = min(stop - start, left[phase])
         if take <= 0:
             continue
         left[phase] -= take
-        # Refs that read one activation (SLOT_INPUT) receive the same columns.
-        shared = {}
         for ref, st in dest.stats.items():
-            gram = st.gram_prompt if phase == "prompt" else st.gram_decode
-            key = (ref.layer_index, SLOT_INPUT[ref.slot])
-            if key in shared:
-                np.copyto(gram, shared[key])
-            else:
-                accumulate_gram(gram, captures[ref][start : start + take])
-                shared[key] = gram
             if phase == "prompt":
                 st.n_prompt += take
             else:
                 st.n_decode += take
+            if readers[ref] == ref:
+                gram = st.gram_prompt if phase == "prompt" else st.gram_decode
+                blocks.append((gram, captures[ref][start : start + take]))
+    # The widest Grams take longest, so they start first.
+    blocks.sort(key=lambda block: -block[0].shape[0])
+    return [pool.submit(accumulate_gram, gram, columns) for gram, columns in blocks]
 
 
 def _child_sampler(sampler: Sampler, index: int) -> Sampler:
@@ -348,33 +373,53 @@ def collect(model: ModelBundle, config: CalibrationConfig, refs) -> CalibrationS
     left = {"prompt": prompt_columns,
             "decode": budget - prompt_columns if config.decodes else 0}
     source = config.trace_model if config.mode == "off_policy" else model
-    m = 0
-    while m < len(prompts) and (left["prompt"] or left["decode"]):
-        if left["decode"] == 0:
-            batch = prompts[m : m + 1]
-            sequences = ((p, forward_teacher_forced(model, p, dest.refs)[1]) for p in batch)
-        else:
-            # A batch admits only prompts that are certain to be rolled out:
-            # each earlier member takes at most t_max decode columns.
-            batch = [p for i, p in enumerate(prompts[m:]) if left["decode"] > i * config.t_max]
-            for i, prompt in enumerate(batch, m):
-                for cfg, who in ((model.config, "target"), (source.config, "trace")):
-                    if len(prompt) + config.t_max > cfg.max_positions:
-                        raise ValidationError(
-                            f"prompt {i} + t_max exceeds {who} model "
-                            f"max_positions={cfg.max_positions}"
-                        )
-            samplers = [_child_sampler(config.sampler, i) for i in range(m, m + len(batch))]
-            if config.mode == "rac":
-                sequences = rollouts(model, batch, config.t_max, samplers, dest.refs)
+    readers = _readers(dest.refs)
+    # Imported here, so that commands that never calibrate do not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Leaving the block joins every pool thread, also on error.
+    with ThreadPoolExecutor(usable_cpus()) as pool:
+        folds = []
+        m = 0
+        while m < len(prompts) and (left["prompt"] or left["decode"]):
+            if left["decode"] == 0:
+                batch = prompts[m : m + 1]
+                sequences = ((p, forward_teacher_forced(model, p, dest.refs)[1])
+                             for p in batch)
             else:
-                sequences = ((full, forward_teacher_forced(model, full, dest.refs)[1])
-                             for full, _ in rollouts(source, batch, config.t_max, samplers))
-        # Sequences are drawn one at a time and their captures passed straight
-        # on, so a lockstep batch does not start while the previous batch's
-        # captures are still held.
-        for prompt in batch:
-            _accumulate(dest, prompt, *next(sequences), left)
-        m += len(batch)
+                # A batch admits only prompts that are certain to be rolled out:
+                # each earlier member takes at most t_max decode columns.
+                batch = [p for i, p in enumerate(prompts[m:])
+                         if left["decode"] > i * config.t_max]
+                for i, prompt in enumerate(batch, m):
+                    for cfg, who in ((model.config, "target"), (source.config, "trace")):
+                        if len(prompt) + config.t_max > cfg.max_positions:
+                            raise ValidationError(
+                                f"prompt {i} + t_max exceeds {who} model "
+                                f"max_positions={cfg.max_positions}"
+                            )
+                samplers = [_child_sampler(config.sampler, i)
+                            for i in range(m, m + len(batch))]
+                if config.mode == "rac":
+                    sequences = rollouts(model, batch, config.t_max, samplers, dest.refs)
+                else:
+                    sequences = ((full, forward_teacher_forced(model, full, dest.refs)[1])
+                                 for full, _ in rollouts(source, batch, config.t_max,
+                                                         samplers))
+            # Sequences are drawn one at a time and their captures passed
+            # straight on: the pool folds one sequence while the next one's
+            # forward runs, and lets go of its captures once those folds are
+            # done.
+            for prompt in batch:
+                folds = _accumulate(pool, folds, dest, readers, prompt, *next(sequences),
+                                    left)
+            m += len(batch)
+        for fold in folds:
+            fold.result()
+    for ref, first in readers.items():
+        if first != ref:
+            st, source_st = dest.stats[ref], dest.stats[first]
+            np.copyto(st.gram_prompt, source_st.gram_prompt)
+            np.copyto(st.gram_decode, source_st.gram_decode)
     dest.provenance = provenance
     return dest

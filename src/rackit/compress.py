@@ -36,7 +36,6 @@ each ref is compressed on its own and results are stitched in ref order.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -61,6 +60,7 @@ from .numkernel import (
     inverse_via_cholesky,
     single_blas_thread,
     solve_spd,
+    usable_cpus,
 )
 
 __all__ = [
@@ -554,11 +554,6 @@ def _run_worker_solve(index: int):
     return _worker_solve(index)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _solve_all(solve, count: int, workers: int) -> list:
     """``[solve(i) for i in range(count)]``, spread over ``workers`` forked workers.
 
@@ -600,12 +595,12 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     take the underscore names of :data:`COMPRESSION_MODES` and :data:`METHODS`.
     Reported losses are evaluated on the same (undamped) Gram the solver
     consumed. The Gram solvers ``obs`` and ``obs_quant`` run in forked
-    workers, one per usable CPU (:func:`_solve_all`); ``magnitude`` and
-    ``wanda`` take a few milliseconds a ref, less than starting the workers
-    costs, and run here. Every solve has BLAS on one thread
-    (:func:`single_blas_thread`), which is faster on these small matrices and
-    keeps the result independent of the caller's thread count and of the
-    number of CPUs. Returns (compressed bundle, :class:`CompressionReport`).
+    workers, one per usable CPU (:func:`usable_cpus`, :func:`_solve_all`);
+    ``magnitude`` and ``wanda`` take a few milliseconds a ref, less than
+    starting the workers costs, and run here. Every solve has BLAS on one
+    thread (:func:`single_blas_thread`), which is faster on these small
+    matrices and keeps the result independent of the caller's thread count
+    and of the number of CPUs. Returns (compressed bundle, :class:`CompressionReport`).
     """
     if mode not in COMPRESSION_MODES:
         raise ValidationError(f"unknown compression mode {mode!r}")
@@ -668,7 +663,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         loss = trace_form_loss(W, W_new, gram)
         return RefReport(ref, loss, time.perf_counter() - start, achieved), W_new
 
-    workers = min(len(refs), _usable_cpus()) if method in ("obs", "obs_quant") else 1
+    workers = min(len(refs), usable_cpus()) if method in ("obs", "obs_quant") else 1
     with single_blas_thread():
         solved = _solve_all(solve, len(refs), workers)
 

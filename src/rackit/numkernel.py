@@ -29,6 +29,10 @@ the host would pick. The thread lookup only finds libraries already loaded,
 so it loads LAPACK first; otherwise, in a fresh process, scipy's OpenBLAS
 would be loaded after the pin and run on the host's count.
 
+:func:`usable_cpus` is the one count of the CPUs this process may use, for
+every pool that spreads work over them: the affinity mask, lowered to the
+CPU quota of the process's own cgroup (:func:`_cgroup_cpu_limit` parses it).
+
 Accumulators are single-writer: nothing here locks, callers must not share a
 matrix between concurrent updates.
 """
@@ -56,6 +60,7 @@ __all__ = [
     "solve_spd",
     "inverse_via_cholesky",
     "single_blas_thread",
+    "usable_cpus",
 ]
 
 
@@ -356,3 +361,48 @@ def single_blas_thread():
     finally:
         for (setter, _), count in zip(controls, saved):
             setter(count)
+
+
+def _cgroup_cpu_limit(text: str) -> int | None:
+    """CPUs a cgroup quota allows, from its ``"<quota> <period>"`` text.
+
+    That is cgroup v2's ``cpu.max``, or v1's ``cpu.cfs_quota_us`` and
+    ``cpu.cfs_period_us`` joined by a space. The limit is the quota over the
+    period, rounded up. ``max``, a negative quota, or text that does not hold
+    both numbers means no quota: None.
+    """
+    try:
+        quota, period = (int(field) for field in text.split()[:2])
+    except ValueError:
+        return None
+    return math.ceil(quota / period) if quota > 0 and period > 0 else None
+
+
+def _cgroup_quota_text() -> str:
+    """The CPU quota of this process's own cgroup as :func:`_cgroup_cpu_limit`
+    reads it; empty where no quota file can be read."""
+    try:
+        lines = Path("/proc/self/cgroup").read_text().splitlines()
+    except OSError:
+        return ""
+    for line in lines:
+        try:
+            _, controllers, path = line.split(":", 2)
+            here = path.lstrip("/")
+            if controllers == "":  # cgroup v2: one unified hierarchy
+                return (Path("/sys/fs/cgroup") / here / "cpu.max").read_text()
+            if "cpu" in controllers.split(","):
+                base = Path("/sys/fs/cgroup/cpu") / here
+                return " ".join((base / name).read_text()
+                                for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
+        except (OSError, ValueError):
+            continue
+    return ""
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, lowered to the CPU
+    quota of its own cgroup where one is set; 1 where the platform cannot
+    say."""
+    count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(count, _cgroup_cpu_limit(_cgroup_quota_text()) or count)

@@ -7,7 +7,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import rackit
+import rackit.calibration
 from rackit.model import ModelConfig
 
 
@@ -31,6 +34,19 @@ def random_prompts(rng, count, min_len=3, max_len=8):
         n = int(rng.integers(min_len, max_len + 1))
         out.append([int(t) for t in rng.integers(1, 256, size=n)])
     return out
+
+
+def nan_in_first_capture(monkeypatch):
+    """Make ``collect``'s teacher-forced forwards capture a NaN in the first
+    column of one activation, so its Gram update fails."""
+    real = rackit.calibration.forward_teacher_forced
+
+    def forward(model, tokens, capture=()):
+        logits, captures = real(model, tokens, capture)
+        next(iter(captures.values()))[0, 0] = np.nan
+        return logits, captures
+
+    monkeypatch.setattr(rackit.calibration, "forward_teacher_forced", forward)
 
 
 def fresh_python(code: str, *args, cwd=None) -> dict:

@@ -1,12 +1,15 @@
 import hashlib
 import logging
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rackit.calibration
+from rackit import compress as compress_module
 from rackit.calibration import (
     MODES,
     CalibrationConfig,
@@ -15,6 +18,7 @@ from rackit.calibration import (
     load_prompt_file,
     merged_gram,
 )
+from rackit.compress import SparsityPattern, compress_model
 from rackit.errors import ContainerError, ValidationError
 from rackit.model import (
     GREEDY,
@@ -26,8 +30,9 @@ from rackit.model import (
     generate_model,
 )
 
-from .helpers import small_config
+from .helpers import nan_in_first_capture, small_config
 from .oracle import accumulate_gram_per_column
+from .test_compress import _record_calls
 
 PROMPTS = ((10, 20, 30), (40, 50, 60, 70))
 
@@ -327,6 +332,66 @@ class TestCollect:
                                    t_max=4 if mode == "rac" else 0)
         with pytest.raises(ValidationError, match=message):
             collect(tiny_model, config, all_refs(tiny_model.config))
+
+
+class TestPool:
+    """``collect`` folds Grams on a thread pool, one thread per usable CPU."""
+
+    # Budgets that cut a sequence inside a phase: 5 inside the second
+    # prompt, 10 inside the first rollout, 70 inside the second corpus chunk.
+    @pytest.mark.parametrize("mode, budget", [
+        ("corpus", None), ("corpus", 70), ("prompt_only", None), ("prompt_only", 5),
+        ("rac", None), ("rac", 10), ("off_policy", None), ("off_policy", 10),
+    ])
+    def test_digest_does_not_depend_on_the_thread_count(self, tiny_model, monkeypatch,
+                                                        mode, budget):
+        inputs = {"corpus": dict(corpus=bytes(range(1, 101))),
+                  "prompt_only": dict(prompts=PROMPTS),
+                  "rac": dict(prompts=PROMPTS, t_max=16),
+                  "off_policy": dict(prompts=PROMPTS, t_max=16,
+                                     trace_model=generate_model(small_config(), seed=99))}
+        config = CalibrationConfig(mode=mode, token_budget=budget, **inputs[mode])
+        digests = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(rackit.calibration, "usable_cpus", lambda: cpus)
+            digests.add(collect(tiny_model, config, all_refs(tiny_model.config))
+                        .content_digest())
+        assert len(digests) == 1
+
+    def test_no_thread_is_left_after_a_return_or_a_raise(self, tiny_model, monkeypatch):
+        config = CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=8)
+        monkeypatch.setattr(rackit.calibration, "usable_cpus", lambda: 3)
+        before = threading.active_count()
+        collect(tiny_model, config, all_refs(tiny_model.config))
+        assert threading.active_count() == before
+        nan_in_first_capture(monkeypatch)
+        with pytest.raises(ValidationError):
+            collect(tiny_model, replace(config, mode="prompt_only", t_max=0),
+                    all_refs(tiny_model.config))
+        assert threading.active_count() == before
+
+    def test_a_non_finite_capture_raises_from_a_pool_thread(self, tiny_model,
+                                                            monkeypatch):
+        folded_in = set()
+        real = rackit.calibration.accumulate_gram
+        monkeypatch.setattr(rackit.calibration, "accumulate_gram",
+                            lambda gram, cols: folded_in.add(threading.get_ident())
+                            or real(gram, cols))
+        nan_in_first_capture(monkeypatch)
+        with pytest.raises(ValidationError, match="^column entries must be finite$"):
+            _prompt_only(tiny_model, PROMPTS, all_refs(tiny_model.config))
+        assert folded_in and threading.get_ident() not in folded_in
+
+    def test_compress_model_still_forks_after_collect(self, tiny_model, monkeypatch,
+                                                      tmp_path):
+        """The pool's threads are joined, so ``compress_model`` does not fall
+        back to solving in-process beside a second thread."""
+        calib = collect(tiny_model, CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=8),
+                        all_refs(tiny_model.config))
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
+        pids = _record_calls(monkeypatch, "prune_obs", tmp_path / "pids.jsonl", os.getpid)
+        compress_model(tiny_model, calib, "rac", "obs", SparsityPattern.unstructured(0.5))
+        assert pids() and os.getpid() not in pids()
 
 
 def _two_pass_oracle(target, config, refs):

@@ -9,6 +9,8 @@ from rackit.cli import _COMMANDS, _REQUIRED, _command_flags, _merge_config, buil
 from rackit.errors import CholeskyError
 from rackit.model import SLOTS, all_refs, load_model, model_content_hash
 
+from .helpers import nan_in_first_capture
+
 
 def run(argv):
     try:
@@ -253,6 +255,20 @@ class TestCalibrate:
         assert captured.err.startswith("i/o failure: output ")
         assert collects == []
         assert list(tmp_path.rglob("*")) == []
+
+    def test_a_non_finite_capture_exits_1_with_one_line(self, ws, tmp_path, capsys,
+                                                         monkeypatch):
+        """The Gram update that rejects it runs on a pool thread; its
+        ValidationError still ends in one stderr line and no traceback."""
+        nan_in_first_capture(monkeypatch)
+        out = tmp_path / "c.racc"
+        capsys.readouterr()
+        assert run(["calibrate", "--model", str(ws["model"]), "--mode", "prompt-only",
+                    "--prompts", str(ws["prompts"]), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: column entries must be finite"]
+        assert not out.exists()
 
     def test_corpus_mode_needs_budget_and_stream(self, ws, tmp_path):
         corpus = tmp_path / "c.bin"

@@ -698,7 +698,7 @@ def _singular_calibration(model, pivots):
 
 def _obs_hash_with_two_cpus(model, calib):
     """Runs in a pool worker, so the patch stays in that process."""
-    compress_module._usable_cpus = lambda: 2
+    compress_module.usable_cpus = lambda: 2
     return model_content_hash(compress_model(model, calib, "rac", "obs", HALF)[0])
 
 
@@ -714,7 +714,7 @@ class TestWorkers:
         model, calib, refs = rac_setup
         runs = []
         for cpus in (2, 1):
-            monkeypatch.setattr(compress_module, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(compress_module, "usable_cpus", lambda: cpus)
             runs.append(compress_model(model, calib, "rac", method, pattern, block_size=8))
         (pooled, pooled_report), (local, local_report) = runs
         assert model_content_hash(pooled) == model_content_hash(local)
@@ -725,7 +725,7 @@ class TestWorkers:
     def test_solves_run_in_workers_and_none_is_left(self, rac_setup, monkeypatch,
                                                     tmp_path):
         model, calib, _ = rac_setup
-        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
         pids = _record_calls(monkeypatch, "prune_obs", tmp_path / "pids.jsonl",
                              os.getpid)
         compress_model(model, calib, "rac", "obs", HALF)
@@ -742,7 +742,7 @@ class TestWorkers:
                                             method):
         """Their solves take less time than starting the workers would."""
         model, calib, _ = rac_setup
-        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
         pids = _record_calls(monkeypatch, f"prune_{method}", tmp_path / "pids.jsonl",
                              os.getpid)
         compress_model(model, calib, "rac", method, HALF)
@@ -753,7 +753,7 @@ class TestWorkers:
                                                  tmp_path):
         """Forking beside a second thread could copy a lock that thread holds."""
         model, calib, _ = rac_setup
-        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
         pids = _record_calls(monkeypatch, "prune_obs", tmp_path / "pids.jsonl",
                              os.getpid)
         release = threading.Event()
@@ -777,7 +777,7 @@ class TestWorkers:
 
     def test_a_dying_worker_raises_instead_of_hanging(self, rac_setup, monkeypatch):
         model, calib, _ = rac_setup
-        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
         parent, real = os.getpid(), compress_module.prune_obs
 
         def die_in_worker(weights, gram, *args, **kwargs):
@@ -794,7 +794,7 @@ class TestWorkers:
         """The first ref fails later in time than the second; its error wins."""
         model = generate_model(small_config(), seed=13)
         calib = _singular_calibration(model, [3, 0])
-        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
         real = compress_module.prune_obs
 
         def slow_first(weights, gram, *args, **kwargs):
@@ -917,7 +917,7 @@ class TestSingleBlasThread:
     def test_counts_restored_after_compress_model(self, rac_setup, blas_controls,
                                                   monkeypatch, tmp_path):
         model, calib, _ = rac_setup
-        monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
         before = _thread_counts(blas_controls)
         record = _record_calls(monkeypatch, "prune_obs", tmp_path / "counts.jsonl",
                                lambda: _thread_counts(blas_controls))

@@ -290,3 +290,27 @@ def test_missing_lapack_raises_numerical_error_naming_the_extension(monkeypatch)
     finally:
         numkernel._lapack.cache_clear()
     assert "\n" not in str(exc.value)
+
+
+class TestUsableCpus:
+    @pytest.mark.parametrize("text, limit", [
+        ("max 100000", None),        # cgroup v2, no quota
+        ("150000 100000", 2),        # 1.5 CPUs round up
+        ("50000 100000", 1),
+        ("-1", None),                # cgroup v1 quota file alone, no quota
+        ("-1 100000", None),         # v1 quota and period joined
+        ("", None),                  # no quota file could be read
+    ])
+    def test_quota_text_parses(self, text, limit):
+        assert numkernel._cgroup_cpu_limit(text) == limit
+
+    @pytest.mark.parametrize("text, cpus", [("max 100000", 2), ("50000 100000", 1),
+                                            ("1000000 100000", 2), ("", 2)])
+    def test_quota_lowers_the_affinity_count(self, monkeypatch, text, cpus):
+        monkeypatch.setattr(numkernel.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(numkernel, "_cgroup_quota_text", lambda: text)
+        assert numkernel.usable_cpus() == cpus
+
+    def test_counts_at_least_one_cpu_here(self):
+        assert numkernel.usable_cpus() >= 1
