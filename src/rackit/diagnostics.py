@@ -6,6 +6,15 @@ teacher-forced on the identical sequence (in practice the dense model's own
 greedy rollout on a held-out prompt, so errors are comparable across
 compression variants). Positions before the rollout boundary are the prompt
 phase; the rest are the decode phase.
+
+:func:`eval_nll` scores its chunks on a thread pool, one thread per usable
+CPU (:func:`rackit.numkernel.usable_cpus`), with every loaded OpenBLAS on one
+thread (:func:`rackit.numkernel.single_blas_thread`): two Python threads that
+each drive a multi-threaded OpenBLAS slow each other down. numpy releases the
+GIL in every product of a chunk. The chunk sums are added in chunk order on
+the calling thread, so the result has the bits of a serial loop whatever the
+CPU count; a chunk's error is raised there unchanged, and no pool thread
+outlives the call.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ModelBundle, forward_teacher_forced, last_layer_states
+from .model.runtime import check_count, check_tokens
+from .numkernel import single_blas_thread, usable_cpus
 
 logger = logging.getLogger(__name__)
 
@@ -113,34 +124,55 @@ class EvalResult:
     tokens: int
 
 
+def _chunk_nll(model: ModelBundle, chunk: bytes) -> float:
+    """Summed negative log-likelihood of the T - 1 next-byte predictions in
+    a chunk of T bytes."""
+    logits, _ = forward_teacher_forced(model, list(chunk))
+    peak = logits.max(axis=1)
+    lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+    targets = np.frombuffer(chunk, dtype=np.uint8)[1:]
+    picked = logits[np.arange(len(chunk) - 1), targets]
+    return float((lse[:-1] - picked).sum())
+
+
 def eval_nll(model: ModelBundle, text, budget: int) -> EvalResult:
     """Teacher-forced mean next-byte negative log-likelihood.
 
-    The stream is consumed in non-overlapping max_positions-sized chunks; a
-    chunk of length T scores T - 1 predictions. Stops once ``budget`` tokens
-    are scored, or earlier (with a warning) if the stream runs out.
+    ``text`` is bytes-like, or a sequence of byte tokens; ``budget`` is an
+    integer >= 1. The stream is consumed in non-overlapping
+    max_positions-sized chunks; a chunk of length T scores T - 1
+    predictions. Stops once ``budget`` tokens are scored, or earlier (with a
+    warning) if the stream runs out. Chunks are scored on a thread pool and
+    their sums added in chunk order.
     """
-    data = bytes(text)
-    if budget <= 0:
-        raise ValidationError("budget must be positive")
+    budget = check_count("budget", budget, 1)
+    if isinstance(text, str):
+        raise ValidationError("text must be bytes or byte tokens, got str")
+    bytes_like = isinstance(text, (bytes, bytearray, memoryview))
+    data = bytes(text) if bytes_like else bytes(check_tokens(text))
     if len(data) < 2:
         raise ValidationError("text stream too short to score")
     size = model.config.max_positions
+    if size < 2:
+        raise ValidationError(f"max_positions={size} leaves no next byte to score")
+    chunks = []
     offset = 0
     scored = 0
-    total = 0.0
     while scored < budget and offset < len(data):
         chunk = data[offset : offset + min(size, budget - scored + 1)]
         offset += len(chunk)
         if len(chunk) < 2:
             break
-        logits, _ = forward_teacher_forced(model, list(chunk))
-        peak = logits.max(axis=1)
-        lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
-        targets = np.frombuffer(chunk, dtype=np.uint8)[1:]
-        picked = logits[np.arange(len(chunk) - 1), targets]
-        total += float((lse[:-1] - picked).sum())
+        chunks.append(chunk)
         scored += len(chunk) - 1
+    # Imported here, so that importing rackit does not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    total = 0.0
+    # Leaving the block joins every pool thread, also on error.
+    with single_blas_thread(), ThreadPoolExecutor(usable_cpus()) as pool:
+        for chunk_sum in pool.map(_chunk_nll, [model] * len(chunks), chunks):
+            total += chunk_sum
     if scored < budget:
         logger.warning("stream exhausted after scoring %d of %d tokens", scored, budget)
     return EvalResult(mean_nll=total / scored, tokens=scored)

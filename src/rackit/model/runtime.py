@@ -31,6 +31,7 @@ import importlib.util
 import math
 import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "Sampler",
     "GREEDY",
     "DecodeState",
+    "check_count",
     "check_tokens",
     "forward_teacher_forced",
     "last_layer_states",
@@ -97,8 +99,10 @@ GREEDY = Sampler()
 
 
 def check_tokens(tokens) -> list[int]:
-    """``tokens`` as a list of ints; a token that is not an integral byte
-    value raises :class:`ValidationError`."""
+    """``tokens`` as a list of ints; ``tokens`` that is not iterable, or a
+    token that is not an integral byte value, raises :class:`ValidationError`."""
+    if not isinstance(tokens, Iterable):
+        raise ValidationError(f"tokens must be iterable, got {type(tokens).__name__}")
     seq = []
     for t in tokens:
         try:
@@ -111,6 +115,16 @@ def check_tokens(tokens) -> list[int]:
             raise ValidationError(f"token {i} outside byte vocabulary")
         seq.append(i)
     return seq
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; a bool, a value that is not integral, or one
+    below ``least`` raises :class:`ValidationError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 class DecodeState:
@@ -285,11 +299,7 @@ def _check_run(model: ModelBundle, prompts, refs, max_new, samplers):
     seqs = [check_tokens(p) for p in prompts]
     if not all(seqs):
         raise ValidationError("token sequence must be nonempty")
-    if isinstance(max_new, bool) or not isinstance(max_new, numbers.Integral):
-        raise ValidationError(f"max_new must be an integer, got {max_new!r}")
-    max_new = int(max_new)
-    if max_new < 0:
-        raise ValidationError(f"max_new must be >= 0, got {max_new}")
+    max_new = check_count("max_new", max_new, 0)
     samplers = [GREEDY] * len(seqs) if samplers is None else list(samplers)
     if len(samplers) != len(seqs):
         raise ValidationError(f"{len(samplers)} samplers for {len(seqs)} prompts")

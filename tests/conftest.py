@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from rackit import numkernel
 from rackit.model import generate_model
 
 from .helpers import small_config
@@ -22,3 +23,17 @@ def tiny_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def blas_controls():
+    """Every loaded OpenBLAS at its own count above one (2, 3, ...), restored after."""
+    controls = numkernel._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no loaded OpenBLAS exports a thread setter and getter")
+    saved = [getter() for _, getter in controls]
+    for count, (setter, _) in enumerate(controls, start=2):
+        setter(count)
+    yield controls
+    for (setter, _), count in zip(controls, saved):
+        setter(count)

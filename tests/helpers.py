@@ -36,6 +36,12 @@ def random_prompts(rng, count, min_len=3, max_len=8):
     return out
 
 
+def thread_counts(controls) -> list:
+    """The thread count of each OpenBLAS in ``controls``, as (setter, getter)
+    pairs."""
+    return [getter() for _, getter in controls]
+
+
 def nan_in_first_capture(monkeypatch):
     """Make ``collect``'s teacher-forced forwards capture a NaN in the first
     column of one activation, so its Gram update fails."""

@@ -38,7 +38,7 @@ from rackit.errors import CholeskyError, NumericalError, ValidationError
 from rackit.model import all_refs, generate_model, get_weight, model_content_hash
 from rackit.numkernel import dampen, single_blas_thread
 
-from .helpers import CLI_PROBE, fresh_python, random_gram, small_config
+from .helpers import CLI_PROBE, fresh_python, random_gram, small_config, thread_counts
 from .oracle import (
     direct_loss,
     greedy_block_mask_per_row,
@@ -824,24 +824,6 @@ class TestWorkers:
         assert loaded == []
 
 
-@pytest.fixture
-def blas_controls():
-    """Every loaded OpenBLAS at its own count above one (2, 3, ...), restored after."""
-    controls = numkernel._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no loaded OpenBLAS exports a thread setter and getter")
-    saved = [getter() for _, getter in controls]
-    for count, (setter, _) in enumerate(controls, start=2):
-        setter(count)
-    yield controls
-    for (setter, _), count in zip(controls, saved):
-        setter(count)
-
-
-def _thread_counts(controls):
-    return [getter() for _, getter in controls]
-
-
 # Reads and sets the wheels' OpenBLAS thread counts without rackit, then
 # imports rackit.compress and reports what the import changed.
 _IMPORT_PROBE = """
@@ -918,13 +900,13 @@ class TestSingleBlasThread:
                                                   monkeypatch, tmp_path):
         model, calib, _ = rac_setup
         monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
-        before = _thread_counts(blas_controls)
+        before = thread_counts(blas_controls)
         record = _record_calls(monkeypatch, "prune_obs", tmp_path / "counts.jsonl",
-                               lambda: _thread_counts(blas_controls))
+                               lambda: thread_counts(blas_controls))
         compress_model(model, calib, "rac", "obs", HALF)
         seen = record()
         assert seen and all(counts == [1] * len(before) for counts in seen)
-        assert _thread_counts(blas_controls) == before
+        assert thread_counts(blas_controls) == before
 
     def test_counts_restored_when_compress_model_raises(self, blas_controls,
                                                         monkeypatch, tmp_path):
@@ -932,14 +914,14 @@ class TestSingleBlasThread:
         ref = all_refs(model.config)[0]
         calib = CalibrationSet.empty(model.config, [ref])
         calib.stats[ref].n_prompt = 1  # a zero Gram, which damping 0 leaves singular
-        before = _thread_counts(blas_controls)
+        before = thread_counts(blas_controls)
         record = _record_calls(monkeypatch, "prune_obs", tmp_path / "counts.jsonl",
-                               lambda: _thread_counts(blas_controls))
+                               lambda: thread_counts(blas_controls))
         with pytest.raises(CholeskyError):
             compress_model(model, calib, "prompt_only", "obs", HALF, damp_fraction=0.0)
         seen = record()
         assert seen == [[1] * len(before)]
-        assert _thread_counts(blas_controls) == before
+        assert thread_counts(blas_controls) == before
 
     def test_output_does_not_depend_on_the_callers_thread_count(self, rac_setup,
                                                                 blas_controls):

@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import json
 import logging
+import threading
 
 import numpy as np
 import pytest
 
+import rackit.diagnostics
 from rackit.diagnostics import (
     DiagnosticTrace,
     error_trace,
@@ -17,9 +19,15 @@ from rackit.diagnostics import (
     write_ratios_csv,
 )
 from rackit.errors import ValidationError
-from rackit.model import GREEDY, decode, generate_model, last_layer_states
+from rackit.model import (
+    GREEDY,
+    decode,
+    forward_teacher_forced,
+    generate_model,
+    last_layer_states,
+)
 
-from .helpers import small_config
+from .helpers import small_config, thread_counts
 from .oracle import reference_forward
 
 
@@ -157,6 +165,123 @@ class TestEvalNll:
             eval_nll(tiny_model, b"abcd", budget=0)
         with pytest.raises(ValidationError):
             eval_nll(tiny_model, b"a", budget=4)
+        for budget in (1.5, float("nan"), True, "4", None):
+            with pytest.raises(ValidationError, match="budget must be an integer"):
+                eval_nll(tiny_model, b"hello world", budget)
+        with pytest.raises(ValidationError, match="budget must be >= 1"):
+            eval_nll(tiny_model, b"hello world", -3)
+        with pytest.raises(ValidationError, match="text must be bytes or byte tokens"):
+            eval_nll(tiny_model, "hello world", 4)
+        for text in (5, None):
+            with pytest.raises(ValidationError, match="tokens must be iterable"):
+                eval_nll(tiny_model, text, 4)
+        with pytest.raises(ValidationError, match="token 300 outside byte vocabulary"):
+            eval_nll(tiny_model, [104, 300, 108], 2)
+        with pytest.raises(ValidationError, match="not an integer"):
+            eval_nll(tiny_model, [104.5, 101, 108], 2)
+        one_position = generate_model(small_config(max_positions=1), seed=7)
+        with pytest.raises(ValidationError, match="max_positions=1"):
+            eval_nll(one_position, b"hello world", 4)
+
+    def test_bytes_like_and_token_texts_score_alike(self, tiny_model, rng):
+        data = bytes(rng.integers(0, 256, size=150).tolist())
+        want = eval_nll(tiny_model, data, 120)
+        for text in (bytearray(data), memoryview(data), list(data),
+                     np.frombuffer(data, dtype=np.uint8)):
+            assert eval_nll(tiny_model, text, np.int64(120)) == want
+
+
+def _serial_nll(model, data: bytes, budget: int) -> tuple[float, int]:
+    """``eval_nll`` as a serial loop: each chunk's forward in turn, its sum
+    added to the total as soon as it is computed."""
+    size = model.config.max_positions
+    offset = scored = 0
+    total = 0.0
+    while scored < budget and offset < len(data):
+        chunk = data[offset : offset + min(size, budget - scored + 1)]
+        offset += len(chunk)
+        if len(chunk) < 2:
+            break
+        logits, _ = forward_teacher_forced(model, list(chunk))
+        peak = logits.max(axis=1)
+        lse = peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1))
+        targets = np.frombuffer(chunk, dtype=np.uint8)[1:]
+        total += float((lse[:-1] - logits[np.arange(len(chunk) - 1), targets]).sum())
+        scored += len(chunk) - 1
+    return total / scored, scored
+
+
+def _failing_forward(monkeypatch, error: Exception, probe=lambda: None):
+    """Make ``eval_nll``'s forwards record ``probe()`` and the calling
+    thread, then raise ``error`` on the third chunk; returns the records."""
+    real = rackit.diagnostics.forward_teacher_forced
+    calls = []
+
+    def forward(model, tokens, capture=()):
+        calls.append((threading.get_ident(), probe()))
+        if len(calls) == 3:
+            raise error
+        return real(model, tokens, capture)
+
+    monkeypatch.setattr(rackit.diagnostics, "forward_teacher_forced", forward)
+    return calls
+
+
+class TestEvalPool:
+    """``eval_nll`` scores its chunks on a thread pool, one thread per usable
+    CPU, with OpenBLAS on one thread."""
+
+    # 64-byte chunks: 300 bytes hold 4 full chunks and a 44-byte one, 257
+    # bytes 4 full chunks and a lone byte that scores nothing. Budget 1
+    # scores one pair, 100 ends inside the second chunk, 252 at the end of
+    # the fourth, and 1000 exhausts either stream.
+    @pytest.mark.parametrize("length", [300, 257])
+    @pytest.mark.parametrize("budget", [1, 100, 252, 1000])
+    def test_bits_do_not_depend_on_the_thread_count(self, tiny_model, rng, monkeypatch,
+                                                     length, budget):
+        data = bytes(rng.integers(0, 256, size=length).tolist())
+        want = _serial_nll(tiny_model, data, budget)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(rackit.diagnostics, "usable_cpus", lambda: cpus)
+            result = eval_nll(tiny_model, data, budget)
+            assert (result.mean_nll, result.tokens) == want, cpus
+
+    def test_no_thread_is_left_after_a_return_or_a_raise(self, tiny_model, rng,
+                                                         monkeypatch):
+        data = bytes(rng.integers(0, 256, size=500).tolist())
+        monkeypatch.setattr(rackit.diagnostics, "usable_cpus", lambda: 3)
+        before = threading.active_count()
+        eval_nll(tiny_model, data, 400)
+        assert threading.active_count() == before
+        _failing_forward(monkeypatch, ValidationError("third chunk"))
+        with pytest.raises(ValidationError, match="^third chunk$"):
+            eval_nll(tiny_model, data, 400)
+        assert threading.active_count() == before
+
+    def test_a_chunk_error_reaches_the_caller_unchanged(self, tiny_model, rng,
+                                                        monkeypatch):
+        data = bytes(rng.integers(0, 256, size=500).tolist())
+        monkeypatch.setattr(rackit.diagnostics, "usable_cpus", lambda: 2)
+        error = ValueError("third chunk")
+        calls = _failing_forward(monkeypatch, error)
+        with pytest.raises(ValueError) as raised:
+            eval_nll(tiny_model, data, 400)
+        assert raised.value is error
+        assert threading.get_ident() not in {ident for ident, _ in calls}
+
+    def test_openblas_runs_on_one_thread_and_gets_its_counts_back(
+            self, tiny_model, rng, monkeypatch, blas_controls):
+        data = bytes(rng.integers(0, 256, size=500).tolist())
+        before = thread_counts(blas_controls)
+        calls = _failing_forward(monkeypatch, ValidationError("third chunk"),
+                                 lambda: thread_counts(blas_controls))
+        with pytest.raises(ValidationError):
+            eval_nll(tiny_model, data, 400)
+        assert thread_counts(blas_controls) == before
+        assert eval_nll(tiny_model, data, 100).tokens == 100
+        assert len(calls) >= 3 + 2  # the failing call, and the two chunks of budget 100
+        assert all(counts == [1] * len(before) for _, counts in calls)
+        assert thread_counts(blas_controls) == before
 
 
 class TestWriters:

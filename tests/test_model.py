@@ -156,7 +156,8 @@ class TestForward:
         outside, fractional = "outside byte vocabulary", "is not an integer"
         for bad, message in (([256], outside), ([1, -1, 3], outside),
                              ([1, 2, 256], outside), ([1.5, 2], fractional),
-                             ([1, np.nan], fractional), (["1"], fractional)):
+                             ([1, np.nan], fractional), (["1"], fractional),
+                             (7, "tokens must be iterable")):
             with pytest.raises(ValidationError, match=message):
                 forward_teacher_forced(tiny_model, bad)
             with pytest.raises(ValidationError, match=message):

@@ -101,9 +101,9 @@ def _import_time_statements(node):
             yield from _import_time_statements(child)
 
 
-def test_no_module_level_scipy_import():
-    """A scipy import at module level makes every command pay for it at
-    start-up, including gen-model and prune, which need no scipy module."""
+def _import_time_imports(*packages: str) -> list[str]:
+    """``file:line name`` of each import of one of ``packages``, or of a
+    module inside one, that runs when a module of rackit is imported."""
     found = []
     for path in sorted(Path(rackit.__file__).parent.rglob("*.py")):
         for stmt in _import_time_statements(ast.parse(path.read_text(), str(path))):
@@ -112,8 +112,21 @@ def test_no_module_level_scipy_import():
             else:  # relative imports name rackit's own modules
                 names = [stmt.module] if stmt.level == 0 else []
             found += [f"{path.name}:{stmt.lineno} {name}" for name in names
-                      if name == "scipy" or name.startswith("scipy.")]
-    assert found == []
+                      if name.split(".")[0] in packages]
+    return found
+
+
+def test_no_module_level_scipy_import():
+    """A scipy import at module level makes every command pay for it at
+    start-up, including gen-model and prune, which need no scipy module."""
+    assert _import_time_imports("scipy") == []
+
+
+def test_no_module_level_pool_import():
+    """The pools are imported by the functions that open them, so that
+    ``cli.import_s`` never pays for ``concurrent.futures`` or
+    ``multiprocessing``."""
+    assert _import_time_imports("concurrent", "multiprocessing") == []
 
 
 def test_readme_library_use_runs(capsys):
