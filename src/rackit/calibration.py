@@ -73,7 +73,7 @@ from .model.container import (
     unpack_array,
     write_container,
 )
-from .model.runtime import GREEDY, Sampler, check_tokens
+from .model.runtime import GREEDY, Sampler, check_count, check_tokens
 from .numkernel import accumulate_gram, usable_cpus
 
 logger = logging.getLogger(__name__)
@@ -108,8 +108,11 @@ class CalibrationConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"unknown calibration mode {self.mode!r}")
-        if self.t_max < 0:
-            raise ValidationError("t_max must be >= 0")
+        # Store the checked ints, so a numpy integer still serializes.
+        object.__setattr__(self, "t_max", check_count("t_max", self.t_max, 0))
+        if self.token_budget is not None:
+            object.__setattr__(self, "token_budget",
+                               check_count("token_budget", self.token_budget, 1))
         if self.decodes and self.t_max == 0:
             raise ValidationError(f"mode {self.mode!r} requires t_max > 0")
         if not self.decodes and (self.t_max > 0 or self.sampler.kind != "greedy"):
@@ -124,8 +127,6 @@ class CalibrationConfig:
                                   "takes no prompts")
         if self.mode != "corpus" and self.corpus is not None:
             raise ValidationError(f"mode {self.mode!r} takes no corpus; only corpus does")
-        if self.token_budget is not None and self.token_budget <= 0:
-            raise ValidationError("token_budget must be positive when set")
 
     @property
     def decodes(self) -> bool:

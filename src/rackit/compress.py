@@ -50,7 +50,6 @@ from .model import (
     check_ref,
     get_weight,
     model_content_hash,
-    slot_input_dim,
     sort_refs,
 )
 from .numkernel import (
@@ -162,23 +161,17 @@ def _keep_mask(scores: np.ndarray, keep: int) -> np.ndarray:
     return mask
 
 
-def _check_block_size(block_size: int, pattern: SparsityPattern) -> None:
-    if block_size < 1:
-        raise ValidationError("block_size must be >= 1")
-    if pattern.kind == "semi_structured" and block_size % pattern.m != 0:
-        raise ValidationError(f"block_size {block_size} must be a multiple of m={pattern.m}")
-
-
 def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
-                  block_size: int | None = None, quantize: bool = False):
-    """The one input check of every entry point.
+                  block_size: int | None = None, quantize: bool = False,
+                  ref: PrunableLayerRef | None = None):
+    """The one input check of every entry point and of each compressed ref.
 
     Returns ``weights`` and ``gram`` as float64 arrays (``gram`` stays None
     when not given). ``pattern`` must be a quantize pattern when ``quantize``
     is set and a pruning pattern otherwise; None (the refit) skips the
     pattern checks, as a None ``gram`` or ``block_size`` skips theirs. The
     weights need at least one input column. A Gram must be square, finite,
-    exactly symmetric and as wide as the weights.
+    exactly symmetric and as wide as the weights (a mismatch names ``ref``, if given).
     """
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
@@ -208,11 +201,15 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
         if not (H == H.T).all():
             raise ValidationError("matrix is not exactly symmetric")
         if H.shape[0] != d_in:
+            source = f"calibration ref {ref}: " if ref is not None else ""
             raise ValidationError(
-                f"gram dimension {H.shape[0]} does not match input width {d_in}"
+                f"{source}gram dimension {H.shape[0]} does not match input width {d_in}"
             )
     if block_size is not None:
-        _check_block_size(block_size, pattern)
+        if block_size < 1:
+            raise ValidationError("block_size must be >= 1")
+        if pattern.kind == "semi_structured" and block_size % pattern.m != 0:
+            raise ValidationError(f"block_size {block_size} must be a multiple of m={pattern.m}")
     return W, H
 
 
@@ -594,7 +591,8 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     and ``corpus`` use the prompt-phase Gram alone. ``mode`` and ``method``
     take the underscore names of :data:`COMPRESSION_MODES` and :data:`METHODS`.
     Reported losses are evaluated on the same (undamped) Gram the solver
-    consumed. The Gram solvers ``obs`` and ``obs_quant`` run in forked
+    consumed. The calibration's model and every ref are checked here before
+    any solve starts. The Gram solvers ``obs`` and ``obs_quant`` run in forked
     workers, one per usable CPU (:func:`usable_cpus`, :func:`_solve_all`);
     ``magnitude`` and ``wanda`` take a few milliseconds a ref, less than
     starting the workers costs, and run here. Every solve has BLAS on one
@@ -602,12 +600,17 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     matrices and keeps the result independent of the caller's thread count
     and of the number of CPUs. Returns (compressed bundle, :class:`CompressionReport`).
     """
+    model_hash = model_content_hash(model)
+    recorded = calib.provenance.get("model_hash")
+    if recorded is not None and recorded != model_hash:
+        raise ValidationError(
+            "calibration set was collected on a different model "
+            f"(calibration {str(recorded)[:12]}.., model {model_hash[:12]}..)"
+        )
     if mode not in COMPRESSION_MODES:
         raise ValidationError(f"unknown compression mode {mode!r}")
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
-    # Every method checks both, also those that never damp or walk blocks.
-    _check_block_size(block_size, pattern)
     check_damp_fraction(damp_fraction)
 
     refs = sort_refs(refs) if refs is not None else calib.refs
@@ -620,12 +623,8 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         raise ValidationError(f"calibration set lacks refs: {missing}")
     for ref in refs:
         st = calib.stats[ref]
-        width = slot_input_dim(model.config, ref.slot)
-        if st.gram_prompt.shape[0] != width:
-            raise ValidationError(
-                f"calibration ref {ref} has a {st.gram_prompt.shape[0]}-wide Gram, "
-                f"but the model's {ref.slot} input is {width} wide"
-            )
+        _check_inputs(get_weight(model, ref), pattern, st.gram_prompt, block_size,
+                      quantize=method == "obs_quant", ref=ref)
         if mode == "rac" and st.n_decode == 0:
             raise ValidationError(
                 f"mode 'rac' requires decode columns, but {ref} has none"
@@ -674,7 +673,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         method=method,
         pattern=pattern.describe(),
         calibration_mode=mode,
-        input_model_hash=model_content_hash(model),
+        input_model_hash=model_hash,
         output_model_hash=model_content_hash(bundle),
         refs=[r for r, _ in solved],
     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import NumericalError, ValidationError
 from ..numkernel import _scipy_extension
 from .bundle import (
     BYTE_VOCAB,
@@ -282,9 +282,12 @@ def _advance(model: ModelBundle, state: DecodeState, tokens, collect, stable):
 def _sample(logits, sampler: Sampler, rng):
     if sampler.kind == "greedy":
         return int(np.argmax(logits))
-    z = logits / sampler.temperature
-    z = z - z.max()
-    p = np.exp(z)
+    with np.errstate(over="ignore"):
+        z = logits / sampler.temperature
+    top = z.max()
+    if not np.isfinite(top):
+        raise NumericalError(f"logits overflow at temperature {sampler.temperature!r}")
+    p = np.exp(z - top)
     p /= p.sum()
     return int(rng.choice(p.size, p=p))
 

@@ -290,6 +290,14 @@ class TestCollect:
             CalibrationConfig(mode="off_policy", prompts=PROMPTS, t_max=4)
         with pytest.raises(ValidationError):
             CalibrationConfig(mode="prompt_only", prompts=PROMPTS, token_budget=0)
+        with pytest.raises(ValidationError, match="t_max must be >= 0, got -1"):
+            CalibrationConfig(mode="prompt_only", prompts=PROMPTS, t_max=-1)
+        for budget in (2.5, True, float("nan")):
+            with pytest.raises(ValidationError, match="token_budget must be an integer"):
+                CalibrationConfig(mode="prompt_only", prompts=PROMPTS, token_budget=budget)
+        config = CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=np.int64(4),
+                                   token_budget=np.int64(5))
+        assert type(config.t_max) is int and type(config.token_budget) is int
         with pytest.raises(ValidationError, match="takes no trace model"):
             CalibrationConfig(mode="rac", prompts=PROMPTS, t_max=4, trace_model=tiny_model)
         for mode in ("prompt_only", "corpus"):
@@ -554,6 +562,14 @@ class TestCorpus:
 
 
 class TestMergedGram:
+    def test_ref_the_set_lacks_rejected(self, tiny_model):
+        refs = all_refs(tiny_model.config)
+        calib = CalibrationSet.empty(tiny_model.config, refs[:1])
+        with pytest.raises(ValidationError, match=f"ref {refs[1]} not present"):
+            merged_gram(calib, refs[1])
+        with pytest.raises(ValidationError, match="calibration needs at least one ref"):
+            CalibrationSet.empty(tiny_model.config, [])
+
     def test_is_elementwise_sum_of_phases(self, tiny_model):
         refs = all_refs(tiny_model.config)
         calib = collect(tiny_model,

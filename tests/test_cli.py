@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,14 @@ class TestConfigFile:
         assert run(["gen-model", "--config", str(cfg),
                     "--out", str(tmp_path / "x.tmc")]) == 1
 
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([self.BASE]))
+        assert run(["gen-model", "--config", str(cfg),
+                    "--out", str(tmp_path / "x.tmc")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: --config {cfg}: expected a JSON object"]
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert run(["gen-model", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "x.tmc")]) == 3
@@ -133,6 +142,8 @@ class TestConfigFile:
         ("calibrate", {"t_max": 3.5}),
         ("eval", {"budget": 10.5}),
         ("eval", {"seed": "x"}),
+        ("calibrate", {"t_max": [4]}),
+        ("calibrate", {"sampler": "beam"}),
     ])
     def test_wrong_typed_value_rejected(self, ws, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
@@ -304,6 +315,18 @@ class TestCalibrate:
                     "--prompts", str(ws["prompts"]),
                     "--out", str(tmp_path / "x.racc")]) == 3
 
+    def test_model_manifest_that_is_not_json_is_io_error(self, tmp_path, ws, capsys):
+        data = ws["model"].read_bytes()
+        (mlen,) = struct.unpack_from("<Q", data, 4)
+        bad = tmp_path / "bad.tmc"
+        bad.write_bytes(data[:4] + struct.pack("<Q", 9) + b"{not json" + data[12 + mlen:])
+        capsys.readouterr()
+        assert run(["calibrate", "--model", str(bad), "--mode", "prompt-only",
+                    "--prompts", str(ws["prompts"]),
+                    "--out", str(tmp_path / "x.racc")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"i/o failure: {bad}: bad manifest")
+
     def test_trace_model_needs_off_policy_mode(self, ws, tmp_path, capsys):
         base = ["calibrate", "--model", str(ws["model"]), "--prompts", str(ws["prompts"]),
                 "--t-max", "4", "--trace-model", str(ws["model"])]
@@ -325,6 +348,20 @@ class TestCalibrate:
         assert err == ["error: temperature must be finite and positive"]
         assert not out.exists()
 
+    def test_overflowing_temperature_exits_2_with_one_line(self, ws, tmp_path, capsys):
+        """The logits over 1e-308 overflow: a numerical failure, not numpy's
+        NaN probabilities, and no overflow warning either."""
+        out = tmp_path / "x.racc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["calibrate", "--model", str(ws["model"]), "--mode", "rac",
+                        "--prompts", str(ws["prompts"]), "--t-max", "4",
+                        "--sampler", "temperature", "--temperature", "1e-308",
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical failure: logits overflow at temperature 1e-308"]
+        assert not out.exists()
+
     def test_greedy_run_records_the_default_temperature(self, ws):
         """--temperature defaults to unset, so that greedy can reject it; the
         provenance of a greedy run still records 1.0."""
@@ -341,7 +378,9 @@ class TestCalibrate:
          "--mode corpus takes no --prompts"),
         (["--mode", "rac", "--t-max", "4", "--prompts", "PROMPTS", "--temperature", "0.5"],
          "--temperature requires --sampler temperature"),
-    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts", "greedy-temperature"])
+        (["--mode", "corpus", "--token-budget", "100"], "--mode corpus requires --corpus"),
+    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts", "greedy-temperature",
+            "corpus-without-stream"])
     def test_unread_input_rejected_before_any_file_is_read(self, ws, tmp_path, capsys,
                                                            flags, message):
         """The model path does not exist: the flag check comes first."""
@@ -445,6 +484,19 @@ class TestPrune:
         assert run(["prune", "--model", str(ws["model"]), "--calib",
                     str(ws["calib"]), "--method", "obs", "--nm", "24",
                     "--out", str(tmp_path / "x.tmc")]) == 1
+
+    @pytest.mark.parametrize("nm, message", [
+        ("4:2", "need 0 < n < m, got n=4 m=2"),
+        ("0:4", "need 0 < n < m, got n=0 m=4"),
+        ("a:b", "--nm expects integers 'n:m', got 'a:b'"),
+    ], ids=["n-above-m", "n-zero", "not-integers"])
+    def test_nm_flag_names_the_fault(self, ws, tmp_path, capsys, nm, message):
+        out = tmp_path / "x.tmc"
+        capsys.readouterr()
+        assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                    "--method", "obs", "--nm", nm, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_quantize_pipeline(self, ws, tmp_path, capsys):
         out = tmp_path / "q.tmc"
@@ -643,7 +695,9 @@ class TestPrune:
 @pytest.mark.parametrize("flags, message", [
     (["--layers", "5"], "ref 5.attn_q out of range for a 1-layer model"),
     (["--slots", "foo"], f"unknown slot 'foo', expected one of {SLOTS}"),
-], ids=["layer-out-of-range", "unknown-slot"])
+    (["--layers", "x"], "bad --layers value 'x'"),
+    (["--layers", ","], "--layers selected nothing"),
+], ids=["layer-out-of-range", "unknown-slot", "layer-not-an-integer", "layers-empty"])
 def test_bad_ref_flags_exit_1_with_the_library_message(ws, tmp_path, capsys, command,
                                                        flags, message):
     """--layers and --slots are checked where refs are: an unknown slot by
@@ -818,6 +872,15 @@ class TestDiagnose:
                     "--compressed", f"x={rac}", "--compressed", f"x={mag}",
                     "--prompts", str(ws["prompts"]),
                     "--out-dir", str(tmp_path / "dup")]) == 1
+
+    def test_empty_label_rejected(self, ws, compressed_pair, tmp_path, capsys):
+        rac, _ = compressed_pair
+        capsys.readouterr()
+        assert run(["diagnose", "--dense", str(ws["model"]),
+                    "--compressed", f"={rac}", "--prompts", str(ws["prompts"]),
+                    "--out-dir", str(tmp_path / "empty")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: empty label in --compressed '={rac}'"]
 
     def test_more_than_two_models_rejected(self, ws, compressed_pair, tmp_path):
         rac, mag = compressed_pair

@@ -35,7 +35,13 @@ from rackit.compress import (
     trace_form_loss,
 )
 from rackit.errors import CholeskyError, NumericalError, ValidationError
-from rackit.model import all_refs, generate_model, get_weight, model_content_hash
+from rackit.model import (
+    PrunableLayerRef,
+    all_refs,
+    generate_model,
+    get_weight,
+    model_content_hash,
+)
 from rackit.numkernel import dampen, single_blas_thread
 
 from .helpers import CLI_PROBE, fresh_python, random_gram, small_config, thread_counts
@@ -116,6 +122,8 @@ class TestMagnitude:
             SparsityPattern.semi_structured(4, 4)
         with pytest.raises(ValidationError):
             SparsityPattern(kind="mystery")
+        with pytest.raises(ValidationError, match="group_size must be >= 1 or None"):
+            SparsityPattern.quantize(4, group_size=0)
         for kind, unused in [
             ("unstructured", dict(group_size=4, bits=3, n=1, m=9)),
             ("unstructured", dict(group_size=3)),
@@ -662,6 +670,67 @@ class TestCompressModel:
         assert achieved["bits"] == 8
         assert achieved["groups_per_row"] == 2
         assert achieved["scale_max"] >= achieved["scale_mean"] > 0.0
+
+
+def _no_prompt_columns(model):
+    """A calibration set for the first ref with decode columns only."""
+    calib = CalibrationSet.empty(model.config, all_refs(model.config)[:1])
+    calib.stats[calib.refs[0]].n_decode = 1
+    return calib
+
+
+# (model, calibration) -> a compress_model call that the request check rejects.
+_REJECTED_REQUESTS = {
+    "obs-quantize-pattern": (
+        lambda model, calib: compress_model(model, calib, "rac", "obs",
+                                            SparsityPattern.quantize(4)),
+        "pruning requires an unstructured or semi_structured pattern"),
+    "group-size-width": (
+        lambda model, calib: compress_model(model, calib, "rac", "obs_quant",
+                                            SparsityPattern.quantize(4, group_size=32),
+                                            refs=[PrunableLayerRef(0, "mlp_down"),
+                                                  PrunableLayerRef(1, "attn_q")]),
+        "group_size 32 does not divide input width 16"),
+    "block-size-not-multiple-of-m": (
+        lambda model, calib: compress_model(model, calib, "rac", "obs",
+                                            SparsityPattern.semi_structured(2, 4),
+                                            block_size=6),
+        "block_size 6 must be a multiple of m=4"),
+    "foreign-calibration": (
+        lambda model, calib: compress_model(generate_model(small_config(), seed=14),
+                                            calib, "rac", "obs", HALF),
+        "calibration set was collected on a different model (calibration "),
+    "non-string-model-hash": (
+        lambda model, calib: compress_model(model, CalibrationSet(calib.stats,
+                                                                  {"model_hash": 5}),
+                                            "rac", "obs", HALF),
+        "calibration set was collected on a different model (calibration 5.., model "),
+    "no-refs": (
+        lambda model, calib: compress_model(model, calib, "rac", "obs", HALF, refs=()),
+        "no refs selected for compression"),
+    "prompt-only-without-prompt-columns": (
+        lambda model, calib: compress_model(model, _no_prompt_columns(model),
+                                            "prompt_only", "obs", HALF),
+        "mode 'prompt_only' requires prompt columns, but 0.attn_q has none"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_REQUESTS))
+def test_request_is_rejected_before_any_solve(rac_setup, monkeypatch, case):
+    """compress_model checks every ref, and the calibration's model, in the
+    calling process: no solve starts, in a worker or here."""
+    model, calib, _ = rac_setup
+    call, message = _REJECTED_REQUESTS[case]
+    solves, real = [], compress_module._solve_all
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compress_module, "_solve_all", spy)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(model, calib)
+    assert solves == []
 
 
 def _record_calls(monkeypatch, name: str, log: Path, probe):

@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 from rackit.cli import main as cli_main
-from rackit.errors import ContainerError, ValidationError
+from rackit.errors import ContainerError, NumericalError, ValidationError
 from rackit.model import (
     GREEDY,
     ModelConfig,
@@ -100,6 +100,8 @@ class TestRefs:
         for bad in ("", "1", "x.attn_q", "0.nonsense", "0.attn_q.extra"):
             with pytest.raises(ValidationError):
                 parse_ref(bad)
+        with pytest.raises(ValidationError, match="layer_index must be >= 0, got -1"):
+            parse_ref("-1.attn_q")
 
     def test_sort_refs_canonical_order(self):
         shuffled = [
@@ -544,6 +546,12 @@ class TestDecode:
         tokens, caps = rollout(forced, [5, 6], 10, GREEDY, [ref])
         assert tokens == [5, 6, 0]
         assert np.array_equal(caps[ref], forward_teacher_forced(forced, tokens, [ref])[1][ref])
+
+    def test_overflowing_temperature_is_a_numerical_error(self, tiny_model):
+        """Logits over a tiny temperature overflow; numpy would sample from NaN."""
+        sampler = Sampler("temperature", 1e-308)
+        with pytest.raises(NumericalError, match="logits overflow at temperature 1e-308"):
+            list(rollouts(tiny_model, [[1, 2, 3]], 4, [sampler]))
 
     def test_sampler_validation(self):
         with pytest.raises(ValidationError):
