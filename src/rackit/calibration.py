@@ -173,8 +173,8 @@ class CalibrationSet:
         h = hashlib.sha256()
         for ref, st in self.stats.items():
             h.update(f"{ref}:{st.n_prompt}:{st.n_decode}".encode())
-            h.update(np.ascontiguousarray(st.gram_prompt, dtype="<f8").tobytes())
-            h.update(np.ascontiguousarray(st.gram_decode, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(st.gram_prompt, dtype="<f8"))
+            h.update(np.ascontiguousarray(st.gram_decode, dtype="<f8"))
         return h.hexdigest()
 
     def save(self, path) -> None:
@@ -189,7 +189,7 @@ class CalibrationSet:
                 "n_decode": st.n_decode,
                 "offset_prompt": offsets[2 * i],
                 "offset_decode": offsets[2 * i + 1],
-                "length": len(parts[2 * i]),
+                "length": parts[2 * i].nbytes,
             }
             for i, (ref, st) in enumerate(self.stats.items())
         ]
@@ -235,7 +235,7 @@ class CalibrationSet:
                     raise ContainerError(f"{name} has a negative diagonal entry")
                 if count == 0 and data.any():
                     raise ContainerError(f"{name} is not zero, but n_{phase} is 0")
-                grams.append(data.copy())
+                grams.append(data)
             stats[ref] = LayerStats(*grams, counts["prompt"], counts["decode"])
         if not stats:
             raise ContainerError(f"{path}: calibration container holds no refs")

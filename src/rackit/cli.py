@@ -12,6 +12,14 @@ sidecar, never into artifact bodies. An optional ``--config <json>`` supplies
 defaults for any flag, with explicit flags taking precedence; its keys are
 the flag names without the leading dashes, other dashes turned into
 underscores (``--t-max`` is ``"t_max"``).
+
+Each sidecar also records what its command cost: ``cpu_s``, the user and
+system seconds of the process and of the children it reaped during the
+command; ``peak_rss_mb``, the process's peak resident set in MiB; and
+``children_peak_rss_mb``, that of its largest reaped child (0 for none), which
+is not the sum of ``prune``'s workers and, since a child's peak cannot be
+reset, is exact only in a fresh process. They need the Unix ``resource``
+module.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+try:
+    import resource
+except ImportError:  # Unix only
+    resource = None
 
 from .calibration import (
     MODES,
@@ -121,6 +134,30 @@ class _Parser(argparse.ArgumentParser):
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+# ru_maxrss is in bytes on macOS and in KiB elsewhere.
+_MAXRSS_MIB = 1 / 2**20 if sys.platform == "darwin" else 1 / 2**10
+
+
+def _cpu_seconds() -> float:
+    """User plus system seconds of this process and its reaped children so far."""
+    if resource is None:
+        return 0.0
+    return sum(usage.ru_utime + usage.ru_stime for usage in map(
+        resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+
+
+def _cost_fields(cpu_start: float) -> dict:
+    """The sidecar's CPU and memory fields, CPU counted from ``cpu_start``."""
+    if resource is None:
+        return {}
+    return {
+        "cpu_s": _cpu_seconds() - cpu_start,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_MIB,
+        "children_peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * _MAXRSS_MIB,
+    }
 
 
 def _check_output_paths(*paths) -> None:
@@ -542,12 +579,13 @@ def main(argv=None) -> int:
 
     Unset flags are filled from ``--config`` and the command table first.
     Each handler returns (sidecar target or None, extra sidecar fields); the
-    timing fields every sidecar carries are recorded here.
+    timing and cost fields every sidecar carries are recorded here.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     started = _utc_now()
     t0 = time.perf_counter()
+    cpu0 = _cpu_seconds()
     try:
         _merge_config(args)
         target, extra = _COMMANDS[args.command].handler(args)
@@ -557,6 +595,7 @@ def main(argv=None) -> int:
                 "started_utc": started,
                 "finished_utc": _utc_now(),
                 "duration_s": time.perf_counter() - t0,
+                **_cost_fields(cpu0),
                 **extra,
             })
         return EXIT_OK

@@ -481,7 +481,13 @@ def trace_form_loss(original, compressed, gram: np.ndarray) -> float:
             f"compressed shape {B.shape} does not match original shape {A.shape}"
         )
     _, H = _check_inputs(A, None, gram)
-    D = A - B
+    return _trace_loss(A, B, H)
+
+
+def _trace_loss(W: np.ndarray, W_new: np.ndarray, H: np.ndarray) -> float:
+    """:func:`trace_form_loss` on float64 matrices of one shape and a checked
+    Gram, without the checks."""
+    D = W - W_new
     return float(np.einsum("ij,ij->", D @ H, D))
 
 
@@ -659,7 +665,8 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
                 "scale_mean": float(scales.mean()),
                 "scale_max": float(scales.max()),
             }
-        loss = trace_form_loss(W, W_new, gram)
+        # The Gram solvers have checked ``gram``; magnitude reads it only here.
+        loss = (trace_form_loss if method == "magnitude" else _trace_loss)(W, W_new, gram)
         return RefReport(ref, loss, time.perf_counter() - start, achieved), W_new
 
     workers = min(len(refs), usable_cpus()) if method in ("obs", "obs_quant") else 1

@@ -286,6 +286,6 @@ def model_content_hash(bundle: ModelBundle) -> str:
     h.update(json.dumps(config_as_dict(bundle.config), separators=(",", ":")).encode())
     for name, arr in named_tensors(bundle):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        h.update(np.ascontiguousarray(arr, dtype="<f4"))
     return h.hexdigest()
 

@@ -8,6 +8,12 @@ concatenated in ``tensor_schema`` order), and free-form provenance. Tensors
 are row-major. Saving is atomic (temp file + rename) and re-saving a loaded
 bundle reproduces the input bytes exactly.
 
+Neither direction builds the whole payload in memory. The writer streams the
+header, the manifest and then each array, through the buffer protocol, into
+the temp file. The reader reads the blob with one ``readinto`` into a fresh
+buffer of its own, so the blob starts at offset 0 of its allocation and every
+array, at a multiple of its itemsize, is aligned.
+
 The calibration container (``RACC``) shares this framing, stated once in
 ``write_container`` and ``read_container`` (each format's magic is in
 ``_MAGIC``), and the packing rule of the blob, which ``pack_arrays`` and
@@ -37,7 +43,6 @@ from .bundle import (
 __all__ = [
     "save_model",
     "load_model",
-    "atomic_write_bytes",
     "write_container",
     "read_container",
     "manifest_count",
@@ -50,45 +55,59 @@ _MAGIC = {"TMC": b"TMC1", "RACC": b"RACC"}
 _HEADER = struct.Struct("<Q")
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-
-
 def write_container(path, fmt: str, fields: dict, parts) -> None:
     """Atomically write ``magic + u64 LE manifest length + JSON + blob``; the
-    manifest is ``format``, ``version`` 1, then ``fields`` in their order."""
+    manifest is ``format``, ``version`` 1, then ``fields`` in their order.
+
+    ``parts`` are the blob's arrays (or any C-contiguous buffers), written in
+    order. On any error the temp file is removed and ``path`` is untouched.
+    """
     manifest = {"format": fmt, "version": 1, **fields}
     mbytes = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-    atomic_write_bytes(path, _MAGIC[fmt] + _HEADER.pack(len(mbytes)) + mbytes + b"".join(parts))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC[fmt] + _HEADER.pack(len(mbytes)) + mbytes)
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def read_container(path, fmt: str) -> tuple[dict, bytes]:
+def read_container(path, fmt: str) -> tuple[dict, memoryview]:
     """Parse the framing written by :func:`write_container`.
 
     Returns (manifest, blob). The manifest must be a JSON object naming
-    ``fmt`` at version 1, with an object (or no) ``provenance``.
+    ``fmt`` at version 1, with an object (or no) ``provenance``. The blob is
+    a writable view of a buffer that holds it alone.
     """
     magic = _MAGIC[fmt]
-    data = Path(path).read_bytes()
-    if len(data) < len(magic) + _HEADER.size or data[: len(magic)] != magic:
-        raise ContainerError(f"{path}: not a {fmt} container")
-    (mlen,) = _HEADER.unpack_from(data, len(magic))
     start = len(magic) + _HEADER.size
-    if start + mlen > len(data):
-        raise ContainerError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(data[start : start + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"{path}: bad manifest ({exc})") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != fmt \
-            or manifest.get("version") != 1:
-        raise ContainerError(f"{path}: unsupported {fmt} container version")
-    if not isinstance(manifest.get("provenance", {}), dict):
-        raise ContainerError(f"{path}: provenance must be an object")
-    return manifest, data[start + mlen :]
+    with open(path, "rb") as f:
+        head = f.read(start)
+        if len(head) < start or head[: len(magic)] != magic:
+            raise ContainerError(f"{path}: not a {fmt} container")
+        (mlen,) = _HEADER.unpack_from(head, len(magic))
+        size = os.fstat(f.fileno()).st_size - start - mlen
+        if size < 0:
+            raise ContainerError(f"{path}: truncated manifest")
+        try:
+            manifest = json.loads(f.read(mlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContainerError(f"{path}: bad manifest ({exc})") from exc
+        if not isinstance(manifest, dict) or manifest.get("format") != fmt \
+                or manifest.get("version") != 1:
+            raise ContainerError(f"{path}: unsupported {fmt} container version")
+        if not isinstance(manifest.get("provenance", {}), dict):
+            raise ContainerError(f"{path}: provenance must be an object")
+        blob = np.empty(size, np.uint8)
+        got = f.readinto(blob)
+    if got != size:
+        raise ContainerError(f"{path}: data blob is {got} bytes, expected {size}")
+    return manifest, memoryview(blob)
 
 
 def manifest_count(entry, key: str, what: str) -> int:
@@ -99,22 +118,23 @@ def manifest_count(entry, key: str, what: str) -> int:
     return value
 
 
-def pack_arrays(arrays, dtype: str) -> tuple[list[bytes], list[int]]:
+def pack_arrays(arrays, dtype: str) -> tuple[list[np.ndarray], list[int]]:
     """The packing rule of both containers: arrays sit back to back in the
-    order given, as raw ``dtype`` bytes. Returns (parts, offset of each part
-    in the blob)."""
+    order given, as raw ``dtype`` bytes. Returns (each array as a C-contiguous
+    ``dtype`` array, which is the array itself when it already is one, and
+    its offset in the blob)."""
     parts, offsets, offset = [], [], 0
     for arr in arrays:
-        parts.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        parts.append(np.ascontiguousarray(arr, dtype=dtype))
         offsets.append(offset)
-        offset += len(parts[-1])
+        offset += parts[-1].nbytes
     return parts, offsets
 
 
-def unpack_array(blob: bytes, entry, key: str, expected_offset: int, shape, dtype: str,
+def unpack_array(blob, entry, key: str, expected_offset: int, shape, dtype: str,
                  what: str) -> tuple[np.ndarray, int]:
-    """The read-only array that ``entry[key]`` locates in ``blob``, and the
-    offset where the next array must start.
+    """The array that ``entry[key]`` locates in ``blob``, a view of it, and
+    the offset where the next array must start.
 
     Under :func:`pack_arrays` the array sits at ``expected_offset``, the end
     of the one before it; ``entry["length"]`` must be its byte size and it
@@ -138,8 +158,8 @@ def save_model(bundle: ModelBundle, path) -> None:
     names, arrays = zip(*named_tensors(bundle))
     parts, offsets = pack_arrays(arrays, "<f4")
     directory = {
-        name: {"shape": list(arr.shape), "offset": offset, "length": len(raw)}
-        for name, arr, raw, offset in zip(names, arrays, parts, offsets)
+        name: {"shape": list(arr.shape), "offset": offset, "length": part.nbytes}
+        for name, arr, part, offset in zip(names, arrays, parts, offsets)
     }
     write_container(path, "TMC", {
         "config": config_as_dict(bundle.config),

@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from rackit.calibration import (
     MODES,
     CalibrationConfig,
     CalibrationSet,
+    LayerStats,
     collect,
     load_prompt_file,
     merged_gram,
@@ -645,6 +647,79 @@ class TestContainerRoundTrip:
         before = calib.content_digest()
         calib.provenance["mode"] = "relabeled"
         assert calib.content_digest() == before
+
+
+def _wide_set(dim=256, count=4) -> CalibrationSet:
+    """A set of ``count`` refs with ``dim``-wide random Grams, 4 MiB in all at
+    the defaults."""
+    rng = np.random.default_rng(3)
+    stats = {}
+    for layer in range(count):
+        grams = []
+        for _ in range(2):
+            X = rng.standard_normal((dim, dim))
+            grams.append(X @ X.T)
+        stats[PrunableLayerRef(layer, "attn_q")] = LayerStats(*grams, dim, dim)
+    return CalibrationSet(stats, {"mode": "rac"})
+
+
+def _peak_allocation(call) -> int:
+    """Bytes allocated at the peak of ``call()`` beyond what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestContainerMemory:
+    """The writer streams each Gram into the file and the reader reads the
+    blob once, into one aligned buffer: neither holds the payload twice."""
+
+    def test_save_allocates_a_fraction_of_the_grams(self, tmp_path):
+        calib = _wide_set()
+        gram_bytes = sum(g.nbytes for st in calib.stats.values()
+                         for g in (st.gram_prompt, st.gram_decode))
+        peak = _peak_allocation(lambda: calib.save(tmp_path / "c.racc"))
+        assert peak < 0.25 * gram_bytes
+
+    def test_load_allocates_little_more_than_the_file(self, tmp_path):
+        path = tmp_path / "c.racc"
+        _wide_set().save(path)
+        peak = _peak_allocation(lambda: CalibrationSet.load(path))
+        assert peak < 1.25 * path.stat().st_size
+
+    def test_loaded_grams_are_aligned_writable_and_separate(self, tmp_path):
+        path = tmp_path / "c.racc"
+        calib = _wide_set(dim=24, count=3)
+        calib.save(path)
+        loaded = CalibrationSet.load(path)
+        grams = [g for st in loaded.stats.values() for g in (st.gram_prompt, st.gram_decode)]
+        for gram in grams:
+            assert gram.flags.aligned and gram.flags.c_contiguous and gram.flags.writeable
+        grams[2][...] = -1.0
+        assert (grams[2] == -1.0).all()
+        originals = [g for st in calib.stats.values() for g in (st.gram_prompt, st.gram_decode)]
+        for i, (gram, original) in enumerate(zip(grams, originals)):
+            if i != 2:
+                assert np.array_equal(gram, original), i
+
+    def test_short_read_is_a_container_error(self, tmp_path, monkeypatch):
+        """The reader parses no part of a blob that came up short: here the
+        file looks 8 bytes longer than it is."""
+        path = tmp_path / "c.racc"
+        _wide_set(dim=8, count=1).save(path)
+        real = os.fstat
+
+        def fstat(fd):
+            stat = real(fd)
+            return os.stat_result((*stat[:6], stat.st_size + 8, *stat[7:]))
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        with pytest.raises(ContainerError, match="data blob is .* bytes, expected"):
+            CalibrationSet.load(path)
 
 
 class TestPromptFile:

@@ -1,6 +1,9 @@
 import json
+import math
+import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ from rackit.calibration import CalibrationSet
 from rackit.cli import _COMMANDS, _REQUIRED, _command_flags, _merge_config, build_parser, main
 from rackit.errors import CholeskyError
 from rackit.model import SLOTS, all_refs, load_model, model_content_hash
+from rackit.numkernel import usable_cpus
 
-from .helpers import nan_in_first_capture
+from .helpers import fresh_python, nan_in_first_capture
 
 
 def run(argv):
@@ -92,6 +96,22 @@ class TestGenModel:
         assert captured.err.startswith("i/o failure: output ")
         assert made == []
         assert list(tmp_path.rglob("*")) == []
+
+    def test_failed_rename_exits_3_and_keeps_the_old_file(self, tmp_path, capsys,
+                                                          monkeypatch):
+        out = tmp_path / "m.tmc"
+        out.write_bytes(b"earlier")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        capsys.readouterr()
+        assert run(["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2",
+                    "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == ["i/o failure: rename refused"]
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b"earlier"
 
 
 class TestConfigFile:
@@ -934,3 +954,51 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+
+_COST_FIELDS = ("cpu_s", "peak_rss_mb", "children_peak_rss_mb")
+
+
+class TestSidecarCost:
+    """Every sidecar records the command's CPU seconds and peak memory."""
+
+    def test_every_command_records_its_cost(self, ws, compressed_pair, tmp_path):
+        pytest.importorskip("resource")
+        text = tmp_path / "text.bin"
+        text.write_bytes(bytes(range(1, 101)))
+        model, calib, pruned = tmp_path / "m.tmc", tmp_path / "c.racc", tmp_path / "p.tmc"
+        runs = [
+            (["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2",
+              "--out", str(model)], model),
+            (["calibrate", "--model", str(ws["model"]), "--mode", "prompt-only",
+              "--prompts", str(ws["prompts"]), "--out", str(calib)], calib),
+            (["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+              "--method", "magnitude", "--sparsity", "0.5", "--out", str(pruned)], pruned),
+            (["diagnose", "--dense", str(ws["model"]),
+              "--compressed", f"obs={compressed_pair[0]}", "--prompts", str(ws["prompts"]),
+              "--t-max", "4", "--out-dir", str(tmp_path / "diag")], tmp_path / "diag" / "run"),
+            (["eval", "--model", str(ws["model"]), "--text", str(text), "--budget", "20",
+              "--out", str(tmp_path / "eval.json")], tmp_path / "eval.json"),
+        ]
+        for argv, target in runs:
+            assert run(argv) == 0, argv[0]
+            log = json.loads(Path(f"{target}.log").read_text())
+            for field in _COST_FIELDS:
+                assert math.isfinite(log[field]) and log[field] >= 0, (argv[0], field)
+            assert log["peak_rss_mb"] > 0
+
+    def test_obs_prune_records_its_largest_worker(self, ws, tmp_path):
+        """In a fresh process the only children are the prune's workers."""
+        pytest.importorskip("resource")
+        if usable_cpus() < 2:
+            pytest.skip("obs solves run in workers only with two usable CPUs")
+        out = tmp_path / "p.tmc"
+        fresh_python("""
+            import sys
+            from rackit.cli import main
+            sys.exit(main(sys.argv[1:]))
+        """, "prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                     "--method", "obs", "--sparsity", "0.5", "--out", str(out))
+        log = json.loads(Path(f"{out}.log").read_text())
+        assert log["children_peak_rss_mb"] > 0
+        assert log["cpu_s"] > 0

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from rackit import compress as compress_module
 from rackit import numkernel
-from rackit.calibration import CalibrationConfig, CalibrationSet, collect
+from rackit.calibration import CalibrationConfig, CalibrationSet, LayerStats, collect
 from rackit.cli import main as cli_main
 from rackit.compress import (
     _STACK_ENTRIES,
@@ -749,6 +749,45 @@ def _record_calls(monkeypatch, name: str, log: Path, probe):
     monkeypatch.setattr(compress_module, name, spy)
     return lambda: ([json.loads(line) for line in log.read_text().splitlines()]
                     if log.exists() else [])
+
+
+@pytest.mark.parametrize("method, pattern", [
+    ("obs", HALF),
+    ("obs_quant", SparsityPattern.quantize(4)),
+    ("wanda", HALF),
+    ("magnitude", HALF),
+])
+def test_each_gram_is_checked_twice(rac_setup, monkeypatch, tmp_path, method, pattern):
+    """A Gram is checked up front and once more where the statistic the
+    solve reads is built: by the Gram solvers, or for magnitude, whose mask
+    reads no Gram, by the loss. The loss of a Gram solver checks nothing."""
+    model, calib, refs = rac_setup
+    real = compress_module._check_inputs
+    log = tmp_path / "grams"
+
+    def spy(weights, pattern, gram=None, *args, **kwargs):
+        # Appended to a file, so checks made in forked workers count too.
+        if gram is not None:
+            with open(log, "a") as f:
+                f.write("gram\n")
+        return real(weights, pattern, gram, *args, **kwargs)
+
+    monkeypatch.setattr(compress_module, "_check_inputs", spy)
+    compress_model(model, calib, "rac", method, pattern)
+    assert len(log.read_text().splitlines()) == 2 * len(refs)
+
+
+def test_magnitude_loss_rejects_an_overflowing_rac_gram(rac_setup):
+    """prompt + decode can overflow though each Gram is finite; magnitude's
+    loss is the check that sees the sum."""
+    model, calib, refs = rac_setup
+    st = calib.stats[refs[0]]
+    huge = np.full_like(st.gram_prompt, 1e308)
+    big = CalibrationSet({refs[0]: LayerStats(huge, huge.copy(), st.n_prompt, st.n_decode)},
+                         calib.provenance)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValidationError, match="matrix entries must be finite"):
+        compress_model(model, big, "rac", "magnitude", HALF)
 
 
 def _singular_calibration(model, pivots):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import sys
 import types
 
@@ -616,6 +617,21 @@ class TestContainer:
         save_model(tiny_model, tmp_path / "m.tmc")
         digest = hashlib.sha256((tmp_path / "m.tmc").read_bytes()).hexdigest()
         assert digest == "24c05631053907216333953a5cc6b86d7ebec1b79acb7a21a01545af2bfb1b1c"
+
+    def test_failed_save_leaves_no_temp_file(self, tiny_model, tmp_path, monkeypatch):
+        """A save that fails at the rename removes its temp file, and the
+        file it would have replaced keeps its bytes."""
+        path = tmp_path / "m.tmc"
+        path.write_bytes(b"earlier")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            save_model(tiny_model, path)
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"earlier"
 
     def test_bad_magic_rejected(self, tiny_model, tmp_path):
         path = tmp_path / "m.tmc"
