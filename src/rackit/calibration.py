@@ -243,11 +243,13 @@ class CalibrationSet:
 
 
 def merged_gram(calib: CalibrationSet, ref: PrunableLayerRef) -> np.ndarray:
-    """Prompt Gram + decode Gram; the statistic for decode-aware compression."""
+    """Prompt Gram + decode Gram; the statistic for decode-aware compression.
+    An overflow gives infinities, without a warning, for the solvers' check."""
     st = calib.stats.get(ref)
     if st is None:
         raise ValidationError(f"ref {ref} not present in calibration set")
-    return st.gram_prompt + st.gram_decode
+    with np.errstate(over="ignore"):
+        return st.gram_prompt + st.gram_decode
 
 
 def prompt_digest(prompt) -> str:

@@ -171,7 +171,7 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
     is set and a pruning pattern otherwise; None (the refit) skips the
     pattern checks, as a None ``gram`` or ``block_size`` skips theirs. The
     weights need at least one input column. A Gram must be square, finite,
-    exactly symmetric and as wide as the weights (a mismatch names ``ref``, if given).
+    exactly symmetric and as wide as the weights (a failure names ``ref``, if given).
     """
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
@@ -194,14 +194,14 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
     H = None
     if gram is not None:
         H = np.asarray(gram, dtype=np.float64)
+        source = f"calibration ref {ref}: " if ref is not None else ""
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {H.shape}")
+            raise ValidationError(f"{source}expected a square matrix, got shape {H.shape}")
         if not np.isfinite(H).all():
-            raise ValidationError("matrix entries must be finite")
+            raise ValidationError(f"{source}matrix entries must be finite")
         if not (H == H.T).all():
-            raise ValidationError("matrix is not exactly symmetric")
+            raise ValidationError(f"{source}matrix is not exactly symmetric")
         if H.shape[0] != d_in:
-            source = f"calibration ref {ref}: " if ref is not None else ""
             raise ValidationError(
                 f"{source}gram dimension {H.shape[0]} does not match input width {d_in}"
             )
@@ -627,9 +627,13 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     missing = [r for r in refs if r not in calib.stats]
     if missing:
         raise ValidationError(f"calibration set lacks refs: {missing}")
+
+    def gram_of(ref):  # the Gram that mode solves against
+        return merged_gram(calib, ref) if mode == "rac" else calib.stats[ref].gram_prompt
+
     for ref in refs:
         st = calib.stats[ref]
-        _check_inputs(get_weight(model, ref), pattern, st.gram_prompt, block_size,
+        _check_inputs(get_weight(model, ref), pattern, gram_of(ref), block_size,
                       quantize=method == "obs_quant", ref=ref)
         if mode == "rac" and st.n_decode == 0:
             raise ValidationError(
@@ -644,7 +648,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         ref = refs[index]
         start = time.perf_counter()
         W = get_weight(model, ref)
-        gram = merged_gram(calib, ref) if mode == "rac" else calib.stats[ref].gram_prompt
+        gram = gram_of(ref)
         if method == "magnitude":
             mask, W_new = prune_magnitude(W, pattern)
             achieved = _prune_audit(mask, pattern)

@@ -27,17 +27,15 @@ batches of as many sequences as fit in :data:`_LOCKSTEP_BYTES`.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
 import numbers
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import NumericalError, ValidationError
-from ..numkernel import _scipy_extension
+from ..numkernel import _scipy_module
 from .bundle import (
     BYTE_VOCAB,
     SLOT_INPUT,
@@ -158,29 +156,18 @@ def _layer_norm(v, gain, bias, eps):
     return centered * (gain / np.sqrt(var + eps)) + bias
 
 
-_ERF_MODULE = "scipy.special._special_ufuncs"
-
-
 @functools.cache
 def _erf():
     """scipy's ``erf`` ufunc, loaded on the first forward.
 
     ``import scipy.special`` takes 0.2-0.3 s, most of it in scipy's array-API
     layer, so the ufunc is taken from the extension module that defines it,
-    which loads in a few milliseconds. The module is registered under its
-    own name, so a later ``import scipy.special`` reuses it and both see one
-    ``erf`` object. A scipy without that extension, or whose extension has
-    no ``erf``, goes through ``scipy.special``.
+    which :func:`_scipy_module` loads in a few milliseconds; a later
+    ``import scipy.special`` reuses that module, so both see one ``erf``
+    object. A scipy without that extension, or whose extension has no
+    ``erf``, goes through ``scipy.special``.
     """
-    module = sys.modules.get(_ERF_MODULE)
-    if module is None:
-        path = _scipy_extension("special", "_special_ufuncs")
-        if path is not None:
-            spec = importlib.util.spec_from_file_location(_ERF_MODULE, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_ERF_MODULE] = module
-    erf = getattr(module, "erf", None)
+    erf = getattr(_scipy_module("special", "_special_ufuncs"), "erf", None)
     if erf is None:
         from scipy.special import erf
     return erf

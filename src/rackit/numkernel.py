@@ -8,26 +8,21 @@ through LAPACK (dpotrf/dpotrs/dpotri) so the solvers only ever see explicitly
 symmetric matrices. Every routine works in 64-bit floats regardless of how
 model weights are stored.
 
-LAPACK is the library that ``scipy.linalg.lapack`` calls, reached without
-importing any scipy module: :func:`_scipy_extension` locates scipy's
-``linalg/_flapack`` extension, ctypes opens it on the first call and
-resolves each routine through its handle (``scipy_dpotrf_`` in the
-scipy-openblas wheels, else ``dpotrf_``). Inputs are copied to Fortran
-order and factored with ``uplo='L'``, as scipy's wrappers do with
-``lower=1``, so the bits are theirs.
-
-:func:`_scipy_extension` is the one place that knows where scipy's compiled
-extensions live. It finds a file from scipy's package directory and the
-interpreter's extension suffixes, and imports nothing. The runtime's GELU
-loads ``special/_special_ufuncs`` through it, for scipy's own ``erf`` ufunc
-without importing ``scipy.special``.
+LAPACK is called through the f2py wrappers that ``scipy.linalg.lapack``
+exports, with ``lower=1`` as ``scipy.linalg``'s Cholesky routines pass it,
+so the bits are scipy's. :func:`_scipy_module` is the one place that loads
+scipy's compiled code: one extension module from its file, here
+``linalg/_flapack`` and, for the runtime's GELU, ``special/_special_ufuncs``,
+so that no command pays for ``import scipy.linalg`` (0.3-0.4 s) or
+``import scipy.special`` (0.2-0.3 s).
 
 :func:`single_blas_thread` runs a block with the loaded OpenBLAS builds on
 one thread. OpenBLAS's dpotrf and dpotri round differently at different
 thread counts, so inside the block their bits no longer depend on the count
-the host would pick. The thread lookup only finds libraries already loaded,
-so it loads LAPACK first; otherwise, in a fresh process, scipy's OpenBLAS
-would be loaded after the pin and run on the host's count.
+the host would pick. The thread setters have no Python API and are called
+through ctypes. The lookup only finds libraries already loaded, so it loads
+LAPACK first; otherwise, in a fresh process, scipy's OpenBLAS would be
+loaded after the pin and run on the host's count.
 
 :func:`usable_cpus` is the one count of the CPUs this process may use, for
 every pool that spreads work over them: the affinity mask, lowered to the
@@ -39,11 +34,11 @@ matrix between concurrent updates.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import importlib.util
 import math
 import os
+import sys
 from contextlib import contextmanager, suppress
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -135,10 +130,13 @@ def check_damp_fraction(fraction: float) -> None:
         raise ValidationError(f"dampening fraction must be finite and >= 0, got {fraction}")
 
 
-def _check_square(m: np.ndarray) -> None:
-    """Raise :class:`ValidationError` unless ``m`` is a non-empty square matrix."""
+def _check_square(m) -> np.ndarray:
+    """``m`` as a float64 array; :class:`ValidationError` unless it is a
+    non-empty square matrix. The LAPACK helpers call it before any call."""
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValidationError(f"matrix of shape {m.shape} is empty or not square")
+    return m
 
 
 def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
@@ -157,34 +155,14 @@ def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
     return out
 
 
-def _square_copy(a) -> np.ndarray:
-    """Fortran-ordered float64 copy of ``a``, checked by :func:`_check_square`.
-
-    LAPACK reads ``n * n`` entries through a bare pointer, so a wrong shape
-    must be caught here, before any call.
-    """
-    c = np.array(a, dtype=np.float64, order="F")
-    _check_square(c)
-    return c
-
-
-def _lapack_call(name: str, *args) -> int:
-    """Run LAPACK routine ``name`` on the lower triangle; return its info (>= 0)."""
-    info = ctypes.c_int()
-    _lapack()[name](b"L", *args, info, 1)
-    if info.value < 0:
-        raise NumericalError(f"{name} rejected argument {-info.value}")
-    return info.value
-
-
-def _factor(c: np.ndarray) -> np.ndarray:
-    """:func:`cholesky` in place on a :func:`_square_copy`, upper triangle untouched.
+def _factor(a: np.ndarray, clean: int = 0) -> np.ndarray:
+    """dpotrf's lower factor of a :func:`_check_square` matrix, as a new array.
 
     dpotrs and dpotri never read the upper triangle, so only the public
-    :func:`cholesky` pays for zeroing it.
+    :func:`cholesky` has dpotrf zero it (``clean=1``). f2py sizes every
+    LAPACK argument from the arrays, so no routine can reject one.
     """
-    n = ctypes.c_int(c.shape[0])
-    info = _lapack_call("dpotrf", n, c.ctypes.data, n)
+    c, info = _flapack().dpotrf(a, lower=1, clean=clean)
     if info > 0:
         raise CholeskyError(info - 1)
     diag = c.diagonal()
@@ -203,9 +181,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     infinity through with no error, so a factor whose diagonal is not finite
     and positive raises :class:`NumericalError`.
     """
-    c = _factor(_square_copy(a))
-    np.copyto(c, 0.0, where=np.tri(c.shape[0], k=-1, dtype=bool).T)
-    return c
+    return _factor(_check_square(a), clean=1)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,27 +192,22 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fails raises as :func:`cholesky` does, and a ``b`` whose length is not
     the order of ``a`` raises :class:`ValidationError`.
     """
-    c = _square_copy(a)
-    if np.ndim(b) not in (1, 2) or np.shape(b)[0] != c.shape[0]:
+    a = _check_square(a)
+    if np.ndim(b) not in (1, 2) or np.shape(b)[0] != a.shape[0]:
         raise ValidationError(
-            f"right-hand side has shape {np.shape(b)}, matrix has order {c.shape[0]}"
+            f"right-hand side has shape {np.shape(b)}, matrix has order {a.shape[0]}"
         )
-    x = np.array(b, dtype=np.float64, order="F")
-    n = ctypes.c_int(c.shape[0])
-    nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
-    _lapack_call("dpotrs", n, nrhs, _factor(c).ctypes.data, n, x.ctypes.data, n)
+    x, _ = _flapack().dpotrs(_factor(a), b, lower=1)
     return x
 
 
 def inverse_via_cholesky(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via its Cholesky factor."""
-    c = _factor(_square_copy(m))
-    n = ctypes.c_int(c.shape[0])
-    info = _lapack_call("dpotri", n, c.ctypes.data, n)
+    inv, info = _flapack().dpotri(_factor(_check_square(m)), lower=1)
     if info:
         raise NumericalError(f"dpotri failed with info={info}")
     # dpotri fills the lower triangle only; mirror it so symmetry is exact.
-    full = np.tril(c) + np.tril(c, -1).T
+    full = np.tril(inv) + np.tril(inv, -1).T
     if not np.isfinite(full).all():
         raise NumericalError("inverse contains non-finite entries")
     return full
@@ -248,60 +219,43 @@ def _package_dir(name: str) -> Path | None:
     return Path(spec.origin).parent if spec is not None and spec.origin else None
 
 
-def _scipy_extension(subpackage: str, name: str) -> Path | None:
-    """Path of scipy's compiled extension ``<subpackage>/<name>``, or None.
+def _scipy_module(subpackage: str, name: str):
+    """scipy's compiled extension ``scipy.<subpackage>.<name>``, or None.
 
-    Found from scipy's package directory and the interpreter's extension
-    suffixes, without importing any scipy module.
+    The file is found from scipy's directory and the interpreter's extension
+    suffixes, loaded alone and registered under its own name, so that a
+    later scipy import reuses it; one already registered is returned.
     """
+    full_name = f"scipy.{subpackage}.{name}"
+    module = sys.modules.get(full_name)
+    if module is not None:
+        return module
     scipy_dir = _package_dir("scipy")
     if scipy_dir is None:
         return None
-    return next((path for suffix in EXTENSION_SUFFIXES
+    path = next((path for suffix in EXTENSION_SUFFIXES
                  if (path := scipy_dir / subpackage / f"{name}{suffix}").is_file()), None)
-
-
-# scipy's ``linalg/_flapack`` extension links the LAPACK that scipy.linalg
-# calls (the wheels bundle it in an OpenBLAS build that exports every routine
-# with a ``scipy_`` prefix). Arguments go by reference, with 32-bit integers
-# (the extension is LP64) and, last, the hidden length of the ``uplo``
-# character. Each tuple lists the arguments between ``uplo`` and ``info``.
-_INT = ctypes.POINTER(ctypes.c_int)
-_PTR = ctypes.c_void_p
-_LAPACK_ARGS = {
-    "dpotrf": (_INT, _PTR, _INT),                    # n, a, lda
-    "dpotrs": (_INT, _INT, _PTR, _INT, _PTR, _INT),  # n, nrhs, a, lda, b, ldb
-    "dpotri": (_INT, _PTR, _INT),                    # n, a, lda
-}
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(full_name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[full_name] = module
+    return module
 
 
 @functools.cache
-def _lapack() -> dict:
-    """dpotrf, dpotrs and dpotri from scipy's LAPACK; resolved once, on first use.
+def _flapack():
+    """scipy's ``linalg/_flapack``, the f2py wrappers of ``scipy.linalg.lapack``.
 
-    Loading the extension also loads scipy's OpenBLAS, which
-    :func:`_openblas_thread_controls` can only find once it is loaded. A
-    library or routine that cannot be found raises :class:`NumericalError`
-    naming the extension.
+    Loading it loads scipy's OpenBLAS, for :func:`_openblas_thread_controls`.
+    Where it is missing, :class:`NumericalError` names the file.
     """
-    path = _scipy_extension("linalg", "_flapack")
-    if path is None:
+    module = _scipy_module("linalg", "_flapack")
+    if module is None:
         tried = ", ".join(f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES)
         raise NumericalError(f"cannot load LAPACK: scipy's linalg has none of {tried}")
-    try:
-        lib = ctypes.CDLL(str(path), mode=os.RTLD_LAZY)
-    except OSError as exc:
-        raise NumericalError(f"cannot load LAPACK: {exc}") from None
-    routines = {}
-    for name, args in _LAPACK_ARGS.items():
-        symbol = next((s for s in (f"scipy_{name}_", f"{name}_") if hasattr(lib, s)), None)
-        if symbol is None:
-            raise NumericalError(f"LAPACK routine {name} not found in {path}")
-        routine = getattr(lib, symbol)
-        routine.argtypes = [ctypes.c_char_p, *args, _INT, ctypes.c_size_t]
-        routine.restype = None
-        routines[name] = routine
-    return routines
+    return module
 
 
 # The OpenBLAS builds that numpy and scipy wheels bundle sit in the
@@ -309,7 +263,7 @@ def _lapack() -> dict:
 # ``libscipy_openblas*.so``. Each is opened with RTLD_NOLOAD, which only
 # returns a handle to a library the process has already loaded (and raises
 # OSError otherwise), so the lookup itself loads nothing: scipy's build is
-# loaded by :func:`_lapack`, called first. numpy's ILP64 build exports the
+# loaded by :func:`_flapack`, called first. numpy's ILP64 build exports the
 # thread setter and getter with a ``64_`` suffix, scipy's without.
 _THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
@@ -320,8 +274,10 @@ _THREAD_SYMBOLS = (
 @functools.cache
 def _openblas_thread_controls() -> tuple:
     """(setter, getter) of every loaded OpenBLAS; looked up once, on first use."""
+    import ctypes
+
     with suppress(NumericalError):  # no LAPACK: its first call raises instead
-        _lapack()
+        _flapack()
     controls = []
     for name in ("numpy", "scipy"):
         package_dir = _package_dir(name)

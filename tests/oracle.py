@@ -175,6 +175,15 @@ def cho_solve_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
 
 
+def inverse_scipy(a: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix by scipy's dpotri on its lower Cholesky
+    factor, the lower triangle mirrored into the upper."""
+    inv, info = scipy.linalg.lapack.dpotri(scipy.linalg.cho_factor(a, lower=True)[0],
+                                           lower=1)
+    assert info == 0
+    return np.tril(inv) + np.tril(inv, -1).T
+
+
 def _solve_on_support(H_SS: np.ndarray, rhs: np.ndarray, row: int) -> np.ndarray:
     """Solve H_SS x = rhs by Cholesky for one row's support."""
     try:

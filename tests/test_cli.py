@@ -483,6 +483,25 @@ class TestPrune:
         assert body["input_model_hash"] == body["output_model_hash"]
         assert body["total_loss"] == 0.0
 
+    def test_overflowing_rac_gram_sum_exits_1_with_one_line(self, ws, tmp_path, capsys):
+        """Two finite Grams of a ref whose sum overflows are rejected up front,
+        naming the ref, with no overflow warning."""
+        calib = CalibrationSet.load(ws["calib"])
+        ref = calib.refs[-1]
+        huge = np.full_like(calib.stats[ref].gram_prompt, 1e308)
+        calib.stats[ref].gram_prompt, calib.stats[ref].gram_decode = huge, huge.copy()
+        calib.save(tmp_path / "huge.racc")
+        out = tmp_path / "x.tmc"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["prune", "--model", str(ws["model"]), "--calib",
+                        str(tmp_path / "huge.racc"), "--method", "obs",
+                        "--sparsity", "0.5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: calibration ref {ref}: matrix entries must be finite"]
+        assert not out.exists()
+
     def test_exactly_one_pattern_flag(self, ws, tmp_path):
         base = ["prune", "--model", str(ws["model"]), "--calib",
                 str(ws["calib"]), "--method", "obs",

@@ -679,6 +679,21 @@ def _no_prompt_columns(model):
     return calib
 
 
+def _last_ref_grams(calib, prompt, decode):
+    """``calib`` with its last ref's Grams replaced by ``prompt(gram_prompt)``
+    and ``decode(gram_decode)``."""
+    ref = calib.refs[-1]
+    st = calib.stats[ref]
+    stats = {**calib.stats, ref: LayerStats(prompt(st.gram_prompt), decode(st.gram_decode),
+                                            st.n_prompt, st.n_decode)}
+    return CalibrationSet(stats, calib.provenance)
+
+
+def _huge(gram):
+    """Finite and symmetric, but a sum of two overflows."""
+    return np.full_like(gram, 1e308)
+
+
 # (model, calibration) -> a compress_model call that the request check rejects.
 _REJECTED_REQUESTS = {
     "obs-quantize-pattern": (
@@ -712,6 +727,15 @@ _REJECTED_REQUESTS = {
         lambda model, calib: compress_model(model, _no_prompt_columns(model),
                                             "prompt_only", "obs", HALF),
         "mode 'prompt_only' requires prompt columns, but 0.attn_q has none"),
+    "rac-nan-decode-gram": (
+        lambda model, calib: compress_model(
+            model, _last_ref_grams(calib, np.copy, lambda g: np.full_like(g, np.nan)),
+            "rac", "obs", HALF),
+        "calibration ref 1.mlp_down: matrix entries must be finite"),
+    "rac-overflowing-gram-sum": (
+        lambda model, calib: compress_model(model, _last_ref_grams(calib, _huge, _huge),
+                                            "rac", "obs", HALF),
+        "calibration ref 1.mlp_down: matrix entries must be finite"),
 }
 
 
@@ -976,9 +1000,10 @@ class TestSingleBlasThread:
 
     def test_fresh_gen_model_and_prune_import_no_scipy_module(self, tmp_path,
                                                               monkeypatch):
-        """Without scipy imported, the thread lookup must still find scipy's
-        OpenBLAS: LAPACK is loaded before the pin, so the outputs keep the
-        bits of a process where scipy is loaded."""
+        """gen-model loads no scipy module, and prune only scipy's LAPACK
+        extension. Without scipy imported, the thread lookup must still find
+        scipy's OpenBLAS: LAPACK is loaded before the pin, so the outputs keep
+        the bits of a process where scipy is loaded."""
         bundled = _bundled_openblas()
         if not bundled:
             pytest.skip("numpy and scipy bundle no OpenBLAS on this host")
@@ -998,8 +1023,10 @@ class TestSingleBlasThread:
         assert cli_main(prune) == 0
         (fresh / "c.racc").write_bytes((here / "c.racc").read_bytes())
 
-        probe = fresh_python(CLI_PROBE, *gen, "--", *prune, cwd=fresh)
-        assert probe == {"codes": [0, 0], "scipy_modules": [],
+        probe = fresh_python(CLI_PROBE, *gen, cwd=fresh)
+        assert probe["codes"] == [0] and probe["scipy_modules"] == []
+        probe = fresh_python(CLI_PROBE, *prune, cwd=fresh)
+        assert probe == {"codes": [0], "scipy_modules": ["scipy.linalg._flapack"],
                          "openblas": len(bundled)}
         for name in ("m.tmc", "p.tmc", "p.tmc.report.json"):
             assert (fresh / name).read_bytes() == (here / name).read_bytes(), name

@@ -198,24 +198,20 @@ class TestErf:
     @pytest.mark.parametrize("module", [None, types.ModuleType("no_erf")],
                              ids=["extension-missing", "extension-without-erf"])
     def test_falls_back_to_scipy_special(self, monkeypatch, module):
-        if module is None:
-            monkeypatch.delitem(sys.modules, runtime._ERF_MODULE, raising=False)
-        else:
-            monkeypatch.setitem(sys.modules, runtime._ERF_MODULE, module)
         lookups = []
-        monkeypatch.setattr(runtime, "_scipy_extension",
-                            lambda *parts: lookups.append(parts))
+        monkeypatch.setattr(runtime, "_scipy_module",
+                            lambda *parts: lookups.append(parts) or module)
         runtime._erf.cache_clear()
         try:
             assert runtime._erf() is scipy.special.erf
         finally:
             runtime._erf.cache_clear()
-        assert lookups == ([("special", "_special_ufuncs")] if module is None else [])
+        assert lookups == [("special", "_special_ufuncs")]
 
     def test_forward_commands_load_only_the_erf_extension(self, tmp_path, monkeypatch):
-        """calibrate, diagnose and eval in a fresh interpreter load one scipy
-        module, and write the bytes of a process where scipy.special is
-        loaded."""
+        """calibrate and diagnose in a fresh interpreter load one scipy module,
+        eval also scipy's LAPACK extension for its OpenBLAS thread pin, and
+        all write the bytes of a process where scipy.special is loaded."""
         here, fresh = tmp_path / "here", tmp_path / "fresh"
         here.mkdir()
         fresh.mkdir()
@@ -239,10 +235,13 @@ class TestErf:
         assert cli_main(evaluate) == 0
         assert "scipy.special" in sys.modules
 
-        probe = fresh_python(CLI_PROBE, *calibrate, "--", *diagnose, "--", *evaluate,
-                             cwd=fresh)
-        assert probe["codes"] == [0, 0, 0]
+        probe = fresh_python(CLI_PROBE, *calibrate, "--", *diagnose, cwd=fresh)
+        assert probe["codes"] == [0, 0]
         assert probe["scipy_modules"] == ["scipy.special._special_ufuncs"]
+        probe = fresh_python(CLI_PROBE, *evaluate, cwd=fresh)
+        assert probe["codes"] == [0]
+        assert probe["scipy_modules"] == ["scipy.linalg._flapack",
+                                          "scipy.special._special_ufuncs"]
         for name in ("c.racc", "diag/errors.csv", "diag/summary.json", "eval.json"):
             assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from rackit import numkernel
@@ -12,7 +15,8 @@ from rackit.numkernel import (
     solve_spd,
 )
 
-from .oracle import accumulate_gram_per_column, cho_solve_scipy
+from .helpers import fresh_python
+from .oracle import accumulate_gram_per_column, cho_solve_scipy, inverse_scipy
 
 # Widths around multiples of the 8-row strip (a width 1 more than a multiple
 # would leave a 1x1 tile) and block lengths around the 32-column chunk.
@@ -23,6 +27,15 @@ _LENGTHS = [1, 2, 7, 9, 31, 32, 33, 129, 300]
 def _symmetric_start(rng, dim, scale=1.0):
     a = rng.standard_normal((dim, dim + 2)) * scale
     return a @ a.T
+
+
+def _layouts(rng, dim):
+    """An SPD matrix of order ``dim`` C-ordered, Fortran-ordered, and as a
+    strided view into a larger array."""
+    a = _symmetric_start(rng, dim) + np.eye(dim)
+    big = np.zeros((2 * dim, 2 * dim))
+    big[::2, ::2] = a
+    return [a, np.asfortranarray(a), big[::2, ::2]]
 
 
 def _per_column(start, block):
@@ -207,6 +220,13 @@ class TestCholesky:
         np.testing.assert_allclose(f @ f.T, m, rtol=1e-9, atol=1e-9)
         assert np.array_equal(np.triu(f, 1), np.zeros((dim, dim)))
 
+    def test_equals_scipy_cholesky_oracle(self):
+        """dpotrf through scipy's own wrapper gives the bits of scipy.linalg.cholesky."""
+        rng = np.random.default_rng(3)
+        for dim in [*range(1, 18), 63, 64, 65, 128]:
+            for a in _layouts(rng, dim):
+                assert np.array_equal(cholesky(a), scipy.linalg.cholesky(a, lower=True))
+
 
 class TestSolveSpd:
     def test_equals_scipy_cho_solve_oracle(self):
@@ -254,6 +274,13 @@ class TestInverse:
         with pytest.raises(CholeskyError):
             inverse_via_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_equals_scipy_dpotri_oracle(self):
+        """The mirrored dpotri inverse of scipy's lower Cholesky factor, bit for bit."""
+        rng = np.random.default_rng(4)
+        for dim in [*range(1, 18), 63, 64, 65, 128]:
+            for a in _layouts(rng, dim):
+                assert np.array_equal(inverse_via_cholesky(a), inverse_scipy(a))
+
     @given(dim=st.integers(1, 16), seed=st.integers(0, 10_000))
     def test_left_inverse_property(self, dim, seed):
         rng = np.random.default_rng(seed)
@@ -283,13 +310,32 @@ def test_lapack_helpers_reject_matrices_that_are_empty_or_not_square(entry, shap
 
 def test_missing_lapack_raises_numerical_error_naming_the_extension(monkeypatch):
     monkeypatch.setattr(numkernel, "EXTENSION_SUFFIXES", [".missing"])
-    numkernel._lapack.cache_clear()
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    numkernel._flapack.cache_clear()
     try:
         with pytest.raises(NumericalError, match=r"_flapack\.missing") as exc:
             cholesky(np.eye(2))
     finally:
-        numkernel._lapack.cache_clear()
+        numkernel._flapack.cache_clear()
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("first", ["rackit", "scipy.linalg"])
+def test_lapack_is_scipy_linalg_lapack_in_either_import_order(first):
+    """The wrappers loaded from scipy's extension file are the objects that
+    scipy.linalg.lapack exports, whichever is imported first."""
+    probe = fresh_python(f"""
+        import importlib, json, sys
+        importlib.import_module({first!r})
+        from rackit import numkernel
+        dpotrf = numkernel._flapack().dpotrf
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        import scipy.linalg.lapack
+        print(json.dumps({{"same": dpotrf is scipy.linalg.lapack.dpotrf, "loaded": loaded}}))
+    """)
+    assert probe["same"]
+    if first == "rackit":
+        assert probe["loaded"] == ["scipy.linalg._flapack"]
 
 
 class TestUsableCpus:
