@@ -179,7 +179,7 @@ class CalibrationSet:
 
     def save(self, path) -> None:
         grams = [g for st in self.stats.values() for g in (st.gram_prompt, st.gram_decode)]
-        parts, offsets = pack_arrays(grams, "<f8")
+        parts, offsets, lengths = pack_arrays(grams, "<f8")
         refs_meta = [
             {
                 "layer": ref.layer_index,
@@ -189,7 +189,7 @@ class CalibrationSet:
                 "n_decode": st.n_decode,
                 "offset_prompt": offsets[2 * i],
                 "offset_decode": offsets[2 * i + 1],
-                "length": parts[2 * i].nbytes,
+                "length": lengths[2 * i],
             }
             for i, (ref, st) in enumerate(self.stats.items())
         ]

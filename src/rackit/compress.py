@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -557,16 +558,19 @@ def _run_worker_solve(index: int):
     return _worker_solve(index)
 
 
-def _solve_all(solve, count: int, workers: int) -> list:
-    """``[solve(i) for i in range(count)]``, spread over ``workers`` forked workers.
+def _solve_all(solve, count: int, workers: int, take) -> None:
+    """``take(solve(i))`` for each ``i`` in ``range(count)``, in index order,
+    with the solves spread over ``workers`` forked workers.
 
-    Results come back in index order, and the error of the first failing
-    index is raised, as the plain loop would; a worker that dies raises
-    ``BrokenProcessPool``. The workers inherit everything ``solve`` reads,
-    the caller's BLAS thread counts included. Where one worker would do, or
-    where this process cannot fork children safely (a daemonic process, or a
-    second Python thread that may hold a lock at the fork), the loop runs
-    here instead. No worker is left running on return, also on error.
+    Each result reaches ``take`` as soon as it and every result before it are
+    in, while the workers go on with the rest, so the caller need not hold
+    them all. The error of the first failing index is raised, as the plain
+    loop would; a worker that dies raises ``BrokenProcessPool``. The workers
+    inherit everything ``solve`` reads, the caller's BLAS thread counts
+    included. Where one worker would do, or where this process cannot fork
+    children safely (a daemonic process, or a second Python thread that may
+    hold a lock at the fork), the loop runs here instead. No worker is left
+    running on return, also when a solve or ``take`` raises.
     """
     if workers > 1:
         import multiprocessing
@@ -575,16 +579,20 @@ def _solve_all(solve, count: int, workers: int) -> list:
         if multiprocessing.current_process().daemon or threading.active_count() > 1:
             workers = 1
     if workers == 1:
-        return [solve(i) for i in range(count)]
+        for i in range(count):
+            take(solve(i))
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    # With fork, the executor starts every worker before its own threads. On
-    # an error, map cancels the solves not yet handed out, and leaving the
-    # block joins every worker.
+    # With fork, the executor starts every worker before its own threads.
+    # Closing the result iterator cancels the solves not yet handed out, and
+    # leaving the pool's block joins every worker.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_install_worker_solve,
-                             initargs=(solve,)) as pool:
-        return list(pool.map(_run_worker_solve, range(count)))
+                             initargs=(solve,)) as pool, \
+            closing(pool.map(_run_worker_solve, range(count))) as results:
+        for result in results:
+            take(result)
 
 
 def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
@@ -601,10 +609,12 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
     any solve starts. The Gram solvers ``obs`` and ``obs_quant`` run in forked
     workers, one per usable CPU (:func:`usable_cpus`, :func:`_solve_all`);
     ``magnitude`` and ``wanda`` take a few milliseconds a ref, less than
-    starting the workers costs, and run here. Every solve has BLAS on one
-    thread (:func:`single_blas_thread`), which is faster on these small
-    matrices and keeps the result independent of the caller's thread count
-    and of the number of CPUs. Returns (compressed bundle, :class:`CompressionReport`).
+    starting the workers costs, and run here. Each ref's weights go into the
+    bundle as its result arrives, in ref order, so the results are never all
+    held at once. Every solve has BLAS on one thread
+    (:func:`single_blas_thread`), which is faster on these small matrices and
+    keeps the result independent of the caller's thread count and of the
+    number of CPUs. Returns (compressed bundle, :class:`CompressionReport`).
     """
     model_hash = model_content_hash(model)
     recorded = calib.provenance.get("model_hash")
@@ -673,19 +683,24 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         loss = (trace_form_loss if method == "magnitude" else _trace_loss)(W, W_new, gram)
         return RefReport(ref, loss, time.perf_counter() - start, achieved), W_new
 
+    bundle, reports = model, []
+
+    def take(result):  # keeps the report; the weights live on in the bundle only
+        nonlocal bundle
+        ref_report, W_new = result
+        bundle = apply_compressed(bundle, ref_report.ref, W_new)
+        reports.append(ref_report)
+
     workers = min(len(refs), usable_cpus()) if method in ("obs", "obs_quant") else 1
     with single_blas_thread():
-        solved = _solve_all(solve, len(refs), workers)
+        _solve_all(solve, len(refs), workers, take)
 
-    bundle = model
-    for (ref_report, W_new), ref in zip(solved, refs):
-        bundle = apply_compressed(bundle, ref, W_new)
     report = CompressionReport(
         method=method,
         pattern=pattern.describe(),
         calibration_mode=mode,
         input_model_hash=model_hash,
         output_model_hash=model_content_hash(bundle),
-        refs=[r for r, _ in solved],
+        refs=reports,
     )
     return bundle, report

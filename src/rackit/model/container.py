@@ -10,7 +10,8 @@ bundle reproduces the input bytes exactly.
 
 Neither direction builds the whole payload in memory. The writer streams the
 header, the manifest and then each array, through the buffer protocol, into
-the temp file. The reader reads the blob with one ``readinto`` into a fresh
+the temp file; ``save_model`` converts each tensor to float32 only as it is
+written. The reader reads the blob with one ``readinto`` into a fresh
 buffer of its own, so the blob starts at offset 0 of its allocation and every
 array, at a multiple of its itemsize, is aligned.
 
@@ -23,10 +24,12 @@ offset off that layout is an error.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +63,8 @@ def write_container(path, fmt: str, fields: dict, parts) -> None:
     manifest is ``format``, ``version`` 1, then ``fields`` in their order.
 
     ``parts`` are the blob's arrays (or any C-contiguous buffers), written in
-    order. On any error the temp file is removed and ``path`` is untouched.
+    order; an iterator is consumed one part at a time. On any error, a part's
+    included, the temp file is removed and ``path`` is untouched.
     """
     manifest = {"format": fmt, "version": 1, **fields}
     mbytes = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
@@ -69,8 +73,7 @@ def write_container(path, fmt: str, fields: dict, parts) -> None:
     try:
         with open(tmp, "wb") as f:
             f.write(_MAGIC[fmt] + _HEADER.pack(len(mbytes)) + mbytes)
-            for part in parts:
-                f.write(part)
+            f.writelines(parts)  # drops each part before it takes the next
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -118,17 +121,23 @@ def manifest_count(entry, key: str, what: str) -> int:
     return value
 
 
-def pack_arrays(arrays, dtype: str) -> tuple[list[np.ndarray], list[int]]:
+def pack_arrays(arrays, dtype: str) -> tuple[Iterator[np.ndarray], list[int], list[int]]:
     """The packing rule of both containers: arrays sit back to back in the
-    order given, as raw ``dtype`` bytes. Returns (each array as a C-contiguous
-    ``dtype`` array, which is the array itself when it already is one, and
-    its offset in the blob)."""
-    parts, offsets, offset = [], [], 0
-    for arr in arrays:
-        parts.append(np.ascontiguousarray(arr, dtype=dtype))
-        offsets.append(offset)
-        offset += parts[-1].nbytes
-    return parts, offsets
+    order given, as raw ``dtype`` bytes.
+
+    Returns (parts, offsets, lengths). The layout, each array's offset in the
+    blob and byte length, comes from its size and the dtype's itemsize, with
+    nothing converted. ``parts`` is a generator of the arrays as C-contiguous
+    ``dtype`` arrays, each converted only when it is reached (an array that
+    already is one comes back itself), so a writer that consumes it holds one
+    converted array at a time.
+    """
+    arrays = list(arrays)
+    itemsize = np.dtype(dtype).itemsize
+    lengths = [np.size(arr) * itemsize for arr in arrays]
+    offsets = list(itertools.accumulate(lengths, initial=0))[:-1]
+    parts = (np.ascontiguousarray(arr, dtype=dtype) for arr in arrays)
+    return parts, offsets, lengths
 
 
 def unpack_array(blob, entry, key: str, expected_offset: int, shape, dtype: str,
@@ -156,10 +165,10 @@ def unpack_array(blob, entry, key: str, expected_offset: int, shape, dtype: str,
 
 def save_model(bundle: ModelBundle, path) -> None:
     names, arrays = zip(*named_tensors(bundle))
-    parts, offsets = pack_arrays(arrays, "<f4")
+    parts, offsets, lengths = pack_arrays(arrays, "<f4")
     directory = {
-        name: {"shape": list(arr.shape), "offset": offset, "length": part.nbytes}
-        for name, arr, part, offset in zip(names, arrays, parts, offsets)
+        name: {"shape": list(arr.shape), "offset": offset, "length": length}
+        for name, arr, offset, length in zip(names, arrays, offsets, lengths)
     }
     write_container(path, "TMC", {
         "config": config_as_dict(bundle.config),

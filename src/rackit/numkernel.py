@@ -85,6 +85,16 @@ def accumulate_gram(acc: np.ndarray, columns) -> np.ndarray:
     the strip. The strip is then mirrored into the lower triangle, which is
     exact because ``x_i x_j == x_j x_i`` in IEEE arithmetic.
 
+    ``np.einsum`` writes the products, with its default ``optimize=False``
+    so that no BLAS call computes one; it runs about twice as fast as the
+    equivalent broadcast ``np.multiply``, which numpy runs without SIMD.
+    einsum stores ``0 + x_i x_j``, so a ``-0.0`` product becomes ``+0.0``,
+    and no bit moves: numpy's ``np.add.reduce`` starts each entry's fold
+    from ``+0.0``, so the fold never holds ``-0.0`` and the sign of a zero
+    term never reaches it. The same start turns a ``-0.0`` entry of ``acc``
+    that gains only zero products into ``+0.0``; a Gram started from
+    ``np.zeros`` holds no ``-0.0``.
+
     No strip may be a single 1x1 tile, the last row on its own when ``d``
     is 1 more than a multiple of ``_STRIP_ROWS``: numpy would then reduce
     the one-element rows as a contiguous run, summing pairwise instead of
@@ -118,7 +128,7 @@ def accumulate_gram(acc: np.ndarray, columns) -> np.ndarray:
             n = len(chunk)
             tile = buf[: (n + 1) * strip.size].reshape(n + 1, *strip.shape)
             tile[0] = strip
-            np.multiply(chunk[:, i0:i1, None], chunk[:, None, i0:], out=tile[1:])
+            np.einsum("ti,tj->tij", chunk[:, i0:i1], chunk[:, i0:], out=tile[1:])
             np.add.reduce(tile, axis=0, out=strip)
         acc[i1:, i0:i1] = acc[i0:i1, i1:].T
     return acc
@@ -147,7 +157,7 @@ def dampen(m: np.ndarray, fraction: float) -> np.ndarray:
     A matrix that is empty or not square raises :class:`ValidationError`.
     """
     check_damp_fraction(fraction)
-    _check_square(m)
+    m = _check_square(m)
     mean_diag = float(np.trace(m)) / m.shape[0]
     shift = fraction * (mean_diag if mean_diag != 0.0 else 1.0)
     out = m.copy()
@@ -203,7 +213,8 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def inverse_via_cholesky(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via its Cholesky factor."""
-    inv, info = _flapack().dpotri(_factor(_check_square(m)), lower=1)
+    # The factor is a private array, so dpotri may overwrite it with the inverse.
+    inv, info = _flapack().dpotri(_factor(_check_square(m)), lower=1, overwrite_c=1)
     if info:
         raise NumericalError(f"dpotri failed with info={info}")
     # dpotri fills the lower triangle only; mirror it so symmetry is exact.

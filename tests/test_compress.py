@@ -802,8 +802,9 @@ def test_each_gram_is_checked_twice(rac_setup, monkeypatch, tmp_path, method, pa
 
 
 def test_magnitude_loss_rejects_an_overflowing_rac_gram(rac_setup):
-    """prompt + decode can overflow though each Gram is finite; magnitude's
-    loss is the check that sees the sum."""
+    """prompt + decode can overflow though each Gram is finite; the up-front
+    check in compress_model sees the overflowing sum first, before any solve
+    or loss."""
     model, calib, refs = rac_setup
     st = calib.stats[refs[0]]
     huge = np.full_like(st.gram_prompt, 1e308)
@@ -867,6 +868,40 @@ class TestWorkers:
         with pytest.raises(CholeskyError):
             compress_model(model, _singular_calibration(model, [0, 0, 0]),
                            "prompt_only", "obs", HALF, damp_fraction=0.0)
+        assert multiprocessing.active_children() == []
+
+    def test_results_are_applied_while_the_pool_runs(self, rac_setup, monkeypatch):
+        """Each ref's weights go into the bundle as they arrive, so the
+        calling process never holds every result at once."""
+        model, calib, refs = rac_setup
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
+        real, alive = compress_module.apply_compressed, []
+
+        def spy(*args, **kwargs):
+            alive.append(len(multiprocessing.active_children()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(compress_module, "apply_compressed", spy)
+        compress_model(model, calib, "rac", "obs", HALF)
+        assert alive == [2] * len(refs)
+        assert multiprocessing.active_children() == []
+
+    def test_non_finite_result_names_its_ref_and_leaves_no_worker(self, rac_setup,
+                                                                   monkeypatch):
+        model, calib, refs = rac_setup
+        monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
+        bad, real = refs[1], compress_module.prune_obs
+
+        def nan_for_bad(weights, gram, *args, **kwargs):
+            mask, W_new = real(weights, gram, *args, **kwargs)
+            if np.array_equal(weights, get_weight(model, bad)):
+                W_new = np.full_like(W_new, np.nan)
+            return mask, W_new
+
+        monkeypatch.setattr(compress_module, "prune_obs", nan_for_bad)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"weights for {bad} contain non-finite entries")):
+            compress_model(model, calib, "rac", "obs", HALF)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("method", ["magnitude", "wanda"])

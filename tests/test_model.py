@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -631,6 +632,23 @@ class TestContainer:
             save_model(tiny_model, path)
         assert sorted(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"earlier"
+
+    def test_save_converts_one_tensor_at_a_time(self, tmp_path):
+        """A bundle of 3.5 MB in float32 (the offpolicy-wide target shape)
+        is saved with well under one megabyte of new allocations: each tensor
+        is converted only as it is written, the largest being 256 kB."""
+        config = ModelConfig(d_model=128, n_layers=4, n_heads=4, d_mlp=512,
+                             max_positions=192)
+        model = generate_model(config, seed=7002)
+        save_model(model, tmp_path / "warm.tmc")
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "m.tmc")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "m.tmc").stat().st_size > 3_500_000
+        assert peak < 1_000_000
 
     def test_bad_magic_rejected(self, tiny_model, tmp_path):
         path = tmp_path / "m.tmc"

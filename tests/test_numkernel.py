@@ -110,6 +110,30 @@ class TestAccumulate:
         want = _per_column(start, block)
         assert np.array_equal(accumulate_gram(start.copy(), block), want)
 
+    @pytest.mark.parametrize("dim", [9, 16, 33])
+    def test_zero_heavy_blocks_keep_the_oracle_bits_and_signs(self, dim):
+        """From a zero start, columns full of signed zeros and mixed signs
+        give the per-column fold's bits, the sign of every zero included."""
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            block = rng.choice([0.0, -0.0, 1.5, -2.0], size=(rng.integers(1, 70), dim),
+                               p=[0.4, 0.4, 0.1, 0.1])
+            want = _per_column(np.zeros((dim, dim)), block)
+            got = accumulate_gram(np.zeros((dim, dim)), block)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_negative_zero_reached_only_by_zero_products_becomes_positive(self):
+        """The fold of each entry starts from +0.0, so a -0.0 entry to which
+        only zero products are added comes back +0.0, equal in value."""
+        acc = np.full((4, 4), -0.0)
+        block = np.array([[-0.0, 1.0, 2.0, 3.0], [0.0, -1.0, 1.0, 1.0]])
+        accumulate_gram(acc, block)
+        assert not np.signbit(acc[0, 1:]).any()
+        assert not np.signbit(acc[1:, 0]).any()
+        assert np.array_equal(acc[1:, 1:], [[2.0, 1.0, 2.0], [1.0, 5.0, 7.0],
+                                            [2.0, 7.0, 10.0]])
+
     def test_empty_block_is_a_no_op(self):
         acc = _symmetric_start(np.random.default_rng(2), 5)
         before = acc.copy()
@@ -142,6 +166,9 @@ class TestDampen:
         assert d[0, 1] == 0.0
         # input untouched
         assert m[1, 1] == 0.0
+
+    def test_accepts_a_nested_list(self):
+        assert np.array_equal(dampen([[1.0, 0.0], [0.0, 1.0]], 0.1), 1.1 * np.eye(2))
 
     def test_zero_trace_falls_back_to_unit_scale(self):
         d = dampen(np.zeros((3, 3)), 0.5)
