@@ -80,6 +80,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "MODES",
+    "DECODE_MODES",
     "CalibrationConfig",
     "LayerStats",
     "CalibrationSet",
@@ -90,6 +91,9 @@ __all__ = [
 ]
 
 MODES = ("corpus", "prompt_only", "rac", "off_policy")
+
+# The modes that roll each prompt out and gather decode columns.
+DECODE_MODES = ("rac", "off_policy")
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class CalibrationConfig:
     @property
     def decodes(self) -> bool:
         """Whether the mode rolls each prompt out and gathers decode columns."""
-        return self.mode in ("rac", "off_policy")
+        return self.mode in DECODE_MODES
 
 
 @dataclass

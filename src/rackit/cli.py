@@ -39,6 +39,7 @@ except ImportError:  # Unix only
     resource = None
 
 from .calibration import (
+    DECODE_MODES,
     MODES,
     CalibrationConfig,
     CalibrationSet,
@@ -160,10 +161,33 @@ def _cost_fields(cpu_start: float) -> dict:
     }
 
 
-def _check_output_paths(*paths) -> None:
-    """Raise :class:`OSError` for an output path whose directory is missing or
-    that is itself a directory, before a command does its work."""
-    for path in map(Path, paths):
+def _sidecar(target) -> Path:
+    """The ``.log`` file that records a command's timing and cost."""
+    return Path(f"{target}.log")
+
+
+def _check_output_paths(args, outputs: dict, inputs: dict) -> None:
+    """Check a command's outputs before it reads any input but ``--config``.
+
+    ``outputs`` and ``inputs`` map a flag, or a file named after one, to its
+    path (None where unset). The sidecar of ``--out`` is one more output and
+    ``--config`` one more input. Raise :class:`ValidationError` naming the two
+    when an output resolves to the same file as another output or an input,
+    and :class:`OSError` for an output whose directory is missing or that is
+    itself a directory.
+    """
+    if outputs.get("--out") is not None:
+        outputs = {**outputs, "--out's sidecar": _sidecar(outputs["--out"])}
+    owners = {}
+    for name, path in [*outputs.items(), *inputs.items(), ("--config", args.config)]:
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in owners:
+            raise ValidationError(f"{owners[key]} and {name} are the same file {path}")
+        if name in outputs:
+            owners[key] = name
+    for path in (Path(path) for path in outputs.values() if path is not None):
         if not path.parent.is_dir():
             raise FileNotFoundError(f"output directory {path.parent} does not exist")
         if path.is_dir():
@@ -259,7 +283,7 @@ def _refs_from_flags(layers_spec, slots_spec, n_layers: int):
 # gen-model
 
 def _cmd_gen_model(args) -> tuple[object, dict]:
-    _check_output_paths(args.out)
+    _check_output_paths(args, {"--out": args.out}, {})
     d_mlp = args.d_mlp if args.d_mlp is not None else 4 * args.d_model
     config = ModelConfig(
         d_model=args.d_model,
@@ -281,7 +305,9 @@ def _cmd_gen_model(args) -> tuple[object, dict]:
 # calibrate
 
 def _cmd_calibrate(args) -> tuple[object, dict]:
-    _check_output_paths(args.out)
+    _check_output_paths(args, {"--out": args.out}, {
+        "--model": args.model, "--prompts": args.prompts, "--corpus": args.corpus,
+        "--trace-model": args.trace_model})
     mode = str(args.mode).replace("-", "_")
     if mode == "corpus":
         if args.corpus is None:
@@ -361,20 +387,16 @@ def _pattern_from_flags(args) -> SparsityPattern:
 def _cmd_prune(args) -> tuple[object, dict]:
     pattern = _pattern_from_flags(args)
     report_path = args.report if args.report is not None else f"{args.out}.report.json"
-    _check_output_paths(args.out, report_path)
+    _check_output_paths(args, {"--out": args.out, "--report": report_path},
+                        {"--model": args.model, "--calib": args.calib})
     model = load_model(args.model)
     calib = CalibrationSet.load(args.calib)
     if args.calib_mode is not None:
         mode = args.calib_mode.replace("-", "_")
     else:
-        mode = calib.provenance.get("mode", "prompt_only")
-        if mode == "off_policy":
-            mode = "rac"
-
-    if args.layers is None and args.slots is None:
-        refs = calib.refs
-    else:
-        refs = _refs_from_flags(args.layers, args.slots, model.config.n_layers)
+        mode = "rac" if calib.provenance.get("mode") in DECODE_MODES else "prompt_only"
+    refs = (None if args.layers is None and args.slots is None
+            else _refs_from_flags(args.layers, args.slots, model.config.n_layers))
 
     bundle, report = compress_model(
         model, calib, mode, args.method.replace("-", "_"), pattern, refs=refs,
@@ -433,9 +455,12 @@ def _cmd_diagnose(args) -> tuple[object, dict]:
     if out_dir.exists() and not out_dir.is_dir():
         raise NotADirectoryError(f"output directory {out_dir} is not a directory")
     names = ["errors.csv", "summary.json"] + (["ratios.csv"] if len(pairs) == 2 else [])
-    for path in (out_dir / name for name in names):
-        if path.is_dir():
-            raise IsADirectoryError(f"output path {path} is a directory")
+    if out_dir.is_dir():  # otherwise it is made below, and holds no input yet
+        _check_output_paths(
+            args, {**{f"--out-dir's {name}": out_dir / name for name in names},
+                   "--out-dir's run.log": _sidecar(out_dir / "run")},
+            {"--dense": args.dense, "--prompts": args.prompts,
+             **{f"--compressed {label}": path for label, path in pairs}})
     dense = load_model(args.dense)
     compressed = [(label, load_model(path)) for label, path in pairs]
     prompts = load_prompt_file(args.prompts)
@@ -480,8 +505,8 @@ def _cmd_diagnose(args) -> tuple[object, dict]:
 # eval
 
 def _cmd_eval(args) -> tuple[object, dict]:
-    if args.out is not None:
-        _check_output_paths(args.out)
+    _check_output_paths(args, {"--out": args.out},
+                        {"--model": args.model, "--text": args.text})
     model = load_model(args.model)
     result = eval_nll(model, Path(args.text).read_bytes(), args.budget)
     body = {"mean_nll": result.mean_nll, "tokens": result.tokens,
@@ -590,7 +615,7 @@ def main(argv=None) -> int:
         _merge_config(args)
         target, extra = _COMMANDS[args.command].handler(args)
         if target is not None:
-            write_json(f"{target}.log", {
+            write_json(_sidecar(target), {
                 "command": args.command,
                 "started_utc": started,
                 "finished_utc": _utc_now(),

@@ -83,8 +83,8 @@ SUPPORTED_BITS = (2, 3, 4, 8)
 
 METHODS = ("magnitude", "wanda", "obs", "obs_quant")
 
-# The calibration modes that compress_model accepts.
-COMPRESSION_MODES = ("prompt_only", "rac", "corpus")
+# The Gram compress_model solves: the prompt phase's, or prompt plus decode.
+COMPRESSION_MODES = ("prompt_only", "rac")
 
 
 @dataclass(frozen=True)
@@ -601,12 +601,13 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
                    damp_fraction: float = DEFAULT_DAMP_FRACTION):
     """Compress every requested ref independently against its calibration Gram.
 
-    ``mode`` picks the statistic: ``rac`` uses prompt + decode, ``prompt_only``
-    and ``corpus`` use the prompt-phase Gram alone. ``mode`` and ``method``
-    take the underscore names of :data:`COMPRESSION_MODES` and :data:`METHODS`.
-    Reported losses are evaluated on the same (undamped) Gram the solver
-    consumed. The calibration's model and every ref are checked here before
-    any solve starts. The Gram solvers ``obs`` and ``obs_quant`` run in forked
+    ``mode`` names the Gram that is solved: ``rac`` uses prompt + decode,
+    ``prompt_only`` the prompt-phase Gram alone, whichever mode collected the
+    calibration. ``mode`` and ``method`` take the underscore names of
+    :data:`COMPRESSION_MODES` and :data:`METHODS`. Reported losses are
+    evaluated on the same (undamped) Gram the solver consumed. The
+    calibration's model and every ref are checked here before any solve
+    starts. The Gram solvers ``obs`` and ``obs_quant`` run in forked
     workers, one per usable CPU (:func:`usable_cpus`, :func:`_solve_all`);
     ``magnitude`` and ``wanda`` take a few milliseconds a ref, less than
     starting the workers costs, and run here. Each ref's weights go into the
@@ -629,7 +630,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
     check_damp_fraction(damp_fraction)
 
-    refs = sort_refs(refs) if refs is not None else calib.refs
+    refs = sort_refs(calib.refs if refs is None else refs)
     if not refs:
         raise ValidationError("no refs selected for compression")
     for ref in refs:
@@ -659,16 +660,7 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
         start = time.perf_counter()
         W = get_weight(model, ref)
         gram = gram_of(ref)
-        if method == "magnitude":
-            mask, W_new = prune_magnitude(W, pattern)
-            achieved = _prune_audit(mask, pattern)
-        elif method == "wanda":
-            mask, W_new = prune_wanda(W, gram, pattern)
-            achieved = _prune_audit(mask, pattern)
-        elif method == "obs":
-            mask, W_new = prune_obs(W, gram, pattern, block_size, damp_fraction)
-            achieved = _prune_audit(mask, pattern)
-        else:
+        if method == "obs_quant":
             W_new, scales = _quantize_obs_impl(W, gram, pattern, block_size,
                                                damp_fraction)
             achieved = {
@@ -679,6 +671,12 @@ def compress_model(model: ModelBundle, calib: CalibrationSet, mode: str,
                 "scale_mean": float(scales.mean()),
                 "scale_max": float(scales.max()),
             }
+        else:
+            mask, W_new = (
+                prune_magnitude(W, pattern) if method == "magnitude"
+                else prune_wanda(W, gram, pattern) if method == "wanda"
+                else prune_obs(W, gram, pattern, block_size, damp_fraction))
+            achieved = _prune_audit(mask, pattern)
         # The Gram solvers have checked ``gram``; magnitude reads it only here.
         loss = (trace_form_loss if method == "magnitude" else _trace_loss)(W, W_new, gram)
         return RefReport(ref, loss, time.perf_counter() - start, achieved), W_new

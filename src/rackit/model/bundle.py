@@ -186,9 +186,13 @@ def get_weight(bundle: ModelBundle, ref: PrunableLayerRef) -> np.ndarray:
 
 
 def apply_compressed(bundle: ModelBundle, ref: PrunableLayerRef, weights) -> ModelBundle:
-    """Return a bundle with one slot replaced; everything else is shared."""
+    """Return a bundle with one slot replaced; everything else is shared.
+
+    A float64 array ``weights`` becomes the slot itself, not a copy; anything
+    else is converted to a new float64 array.
+    """
     check_ref(bundle.config, ref)
-    arr = np.array(weights, dtype=np.float64)
+    arr = np.asarray(weights, dtype=np.float64)
     expected = slot_shape(bundle.config, ref.slot)
     if arr.shape != expected:
         raise ValidationError(

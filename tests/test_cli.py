@@ -46,6 +46,28 @@ def ws(tmp_path_factory):
     return {"root": root, "model": model, "prompts": prompts, "calib": calib}
 
 
+@pytest.fixture(scope="module")
+def calibrations(ws):
+    """One calibration of ``ws["model"]`` per calibration mode, by CLI name."""
+    root = ws["root"]
+    trace, corpus = root / "trace.tmc", root / "corpus.bin"
+    corpus.write_bytes(bytes(range(1, 200)))
+    assert main(["gen-model", "--d-model", "16", "--layers", "1", "--heads", "2",
+                 "--max-positions", "64", "--seed", "12", "--out", str(trace)]) == 0
+    prompts = ["--prompts", str(ws["prompts"])]
+    inputs = {
+        "prompt-only": prompts,
+        "off-policy": prompts + ["--t-max", "8", "--trace-model", str(trace)],
+        "corpus": ["--corpus", str(corpus), "--token-budget", "64"],
+    }
+    paths = {"rac": ws["calib"]}
+    for mode, flags in inputs.items():
+        paths[mode] = root / f"{mode}.racc"
+        assert main(["calibrate", "--model", str(ws["model"]), "--mode", mode, *flags,
+                     "--out", str(paths[mode])]) == 0
+    return paths
+
+
 class TestGenModel:
     def test_writes_model_report_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "m.tmc"
@@ -501,6 +523,51 @@ class TestPrune:
         assert capsys.readouterr().err.splitlines() == [
             f"error: calibration ref {ref}: matrix entries must be finite"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("calibration, solved", [
+        ("rac", "rac"), ("off-policy", "rac"),
+        ("prompt-only", "prompt_only"), ("corpus", "prompt_only"),
+    ])
+    def test_default_mode_names_the_gram_the_calibration_has(
+            self, ws, calibrations, tmp_path, calibration, solved):
+        """Without --calib-mode, a calibration with decode columns is solved
+        on the merged Gram and any other on the prompt Gram; the run equals
+        an explicit --calib-mode run byte for byte."""
+        flags = ["prune", "--model", str(ws["model"]), "--calib",
+                 str(calibrations[calibration]), "--method", "obs", "--sparsity", "0.5"]
+        default, explicit = tmp_path / "default.tmc", tmp_path / "explicit.tmc"
+        assert run(flags + ["--out", str(default)]) == 0
+        assert run(flags + ["--calib-mode", solved.replace("_", "-"),
+                            "--out", str(explicit)]) == 0
+        reports = [json.loads(Path(f"{out}.report.json").read_text())
+                   for out in (default, explicit)]
+        assert [r["calibration_mode"] for r in reports] == [solved, solved]
+        assert reports[0]["output_model_hash"] == reports[1]["output_model_hash"]
+        assert load_model(default).provenance["compressed"]["calibration_mode"] == solved
+        assert default.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_corpus_is_no_compression_mode(self, ws, tmp_path, capsys, source):
+        """--calib-mode takes prompt-only or rac: a corpus calibration is
+        solved on its prompt Gram, under that name."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"calib_mode": "corpus"}))
+        out = tmp_path / "x.tmc"
+        chosen = (["--calib-mode", "corpus"] if source == "flag"
+                  else ["--config", str(cfg)])
+        capsys.readouterr()
+        assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                    "--method", "obs", "--sparsity", "0.5", *chosen,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith({
+            "flag": "rackit prune: error: argument --calib-mode: invalid choice: 'corpus'",
+            "config": f"error: --config {cfg}: calib_mode: invalid choice 'corpus' "
+                      "(choose from prompt-only, rac)",
+        }[source])
+        assert not out.exists()
+        calib_mode, = (f for f in _COMMANDS["prune"].flags if f.name == "--calib-mode")
+        assert calib_mode.choices == ("prompt-only", "rac")
 
     def test_exactly_one_pattern_flag(self, ws, tmp_path):
         base = ["prune", "--model", str(ws["model"]), "--calib",
@@ -973,6 +1040,61 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+
+class TestOutputCollisions:
+    """No output may overwrite another output of its command, the sidecar
+    included, or one of its inputs: exit 1 with one line naming both flags,
+    before any input is read."""
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("prune", ["--report", "o.tmc", "--out", "o.tmc"],
+         "--out and --report are the same file o.tmc"),
+        ("prune", ["--report", "o.tmc.log", "--out", "o.tmc"],
+         "--report and --out's sidecar are the same file o.tmc.log"),
+        ("prune", ["--out", "c.racc"], "--out and --calib are the same file c.racc"),
+        ("eval", ["--out", "m.tmc"], "--out and --model are the same file m.tmc"),
+        ("eval", ["--out", "./sub/../m.tmc"],
+         "--out and --model are the same file m.tmc"),
+        ("calibrate", ["--out", "p.txt"], "--out and --prompts are the same file p.txt"),
+        ("calibrate", ["--out", "c.racc", "--config", "c.racc.log"],
+         "--out's sidecar and --config are the same file c.racc.log"),
+        ("gen-model", ["--out", "cfg.json", "--config", "cfg.json"],
+         "--out and --config are the same file cfg.json"),
+        ("diagnose", ["--out-dir", ".", "--prompts", "summary.json"],
+         "--out-dir's summary.json and --prompts are the same file summary.json"),
+    ], ids=["prune-report-is-out", "prune-report-is-sidecar", "prune-out-is-calib",
+            "eval-out-is-model", "eval-out-is-model-by-another-path",
+            "calibrate-out-is-prompts", "calibrate-sidecar-is-config",
+            "gen-model-out-is-config", "diagnose-summary-is-prompts"])
+    def test_collision_exits_1_before_any_input_is_read(
+            self, ws, tmp_path, capsys, monkeypatch, command, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        inputs = {"m.tmc": ws["model"].read_bytes(), "c.racc": ws["calib"].read_bytes(),
+                  "p.txt": ws["prompts"].read_bytes(), "t.bin": bytes(range(1, 101)),
+                  "summary.json": ws["prompts"].read_bytes(), "cfg.json": b"{}",
+                  "c.racc.log": b"{}"}
+        for name, data in inputs.items():
+            (tmp_path / name).write_bytes(data)
+        loads = []
+        monkeypatch.setattr("rackit.cli.load_model", lambda *a: loads.append(a))
+        flags = {
+            "gen-model": ["--d-model", "16", "--layers", "1", "--heads", "2"],
+            "calibrate": ["--model", "m.tmc", "--mode", "prompt-only", "--prompts", "p.txt"],
+            "prune": ["--model", "m.tmc", "--calib", "c.racc", "--method", "obs",
+                      "--sparsity", "0.5"],
+            "diagnose": ["--dense", "m.tmc", "--compressed", "m.tmc"],
+            "eval": ["--model", "m.tmc", "--text", "t.bin"],
+        }[command]
+        capsys.readouterr()
+        assert run([command, *flags, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert loads == []
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()
+                if path.is_file()} == inputs
 
 
 _COST_FIELDS = ("cpu_s", "peak_rss_mb", "children_peak_rss_mb")

@@ -627,6 +627,9 @@ class TestCompressModel:
         # The library takes underscore names only; the CLI turns dashes.
         with pytest.raises(ValidationError, match="unknown compression mode"):
             compress_model(model, calib, "prompt-only", "obs", HALF)
+        # A corpus calibration is solved on its prompt Gram, as prompt_only.
+        with pytest.raises(ValidationError, match="unknown compression mode 'corpus'"):
+            compress_model(model, calib, "corpus", "obs", HALF)
         with pytest.raises(ValidationError, match="unknown method"):
             compress_model(model, calib, "rac", "obs-quant",
                            SparsityPattern.quantize(4))

@@ -580,6 +580,17 @@ class TestApplyCompressed:
         # the source bundle is untouched
         assert not np.array_equal(get_weight(tiny_model, ref), new)
 
+    def test_takes_a_float64_array_as_it_is(self, tiny_model):
+        """A float64 array becomes the slot itself; anything else is converted."""
+        ref = PrunableLayerRef(1, "attn_v")
+        w = np.zeros_like(get_weight(tiny_model, ref), dtype=np.float64)
+        assert np.shares_memory(get_weight(apply_compressed(tiny_model, ref, w), ref), w)
+        w32 = w.astype(np.float32)
+        converted = get_weight(apply_compressed(tiny_model, ref, w32), ref)
+        assert converted.dtype == np.float64
+        assert not np.shares_memory(converted, w32)
+        assert np.array_equal(converted, w32)
+
     def test_rejects_wrong_shape(self, tiny_model):
         ref = PrunableLayerRef(0, "attn_q")
         with pytest.raises(ValidationError):

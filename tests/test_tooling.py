@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import rackit
 from rackit.calibration import CalibrationSet
-from rackit.cli import main
+from rackit.cli import _COMMANDS, _command_flags, main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 README = BENCH.parent / "README.md"
@@ -135,3 +136,12 @@ def test_readme_library_use_runs(capsys):
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, f"{README}:Library use", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_names_every_flag():
+    """README documents every flag of every command, --seed and --config too."""
+    text = README.read_text(encoding="utf-8")
+    flags = {flag.name for command in _COMMANDS for flag in _command_flags(command)}
+    missing = sorted(name for name in flags | {"--config"}
+                     if not re.search(rf"{name}(?![\w-])", text))
+    assert missing == []
