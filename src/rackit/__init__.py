@@ -35,7 +35,6 @@ from .model import (
     last_layer_states,
     load_model,
     model_content_hash,
-    parse_ref,
     save_model,
     sort_refs,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "last_layer_states",
     "load_model",
     "model_content_hash",
-    "parse_ref",
     "save_model",
     "sort_refs",
     "CalibrationConfig",

@@ -72,7 +72,6 @@ from .model import (
     ModelConfig,
     PrunableLayerRef,
     Sampler,
-    SAMPLER_KINDS,
     SLOTS,
     check_ref,
     config_as_dict,
@@ -206,6 +205,8 @@ def _config_value(path, key: str, value, flag: _Flag):
                 for item in (value if isinstance(value, list) else [value])]
     if isinstance(value, (dict, list)):
         raise ValidationError(f"--config {path}: {key} must be a single value, got {value!r}")
+    if isinstance(value, str) and "\0" in value:
+        raise ValidationError(f"--config {path}: {key} holds a NUL character")
     try:
         parsed = flag.type(str(value)) if flag.type is not None else str(value)
     except ValueError:
@@ -321,8 +322,6 @@ def _cmd_calibrate(args) -> tuple[object, dict]:
             raise ValidationError(f"--mode {args.mode} requires --prompts")
         if args.corpus is not None:
             raise ValidationError("--corpus requires --mode corpus")
-    if args.temperature is not None and args.sampler != "temperature":
-        raise ValidationError("--temperature requires --sampler temperature")
     model = load_model(args.model)
     refs = _refs_from_flags(args.layers, args.slots, model.config.n_layers)
     for ref in refs:  # before the trace model and the prompts are read
@@ -330,8 +329,8 @@ def _cmd_calibrate(args) -> tuple[object, dict]:
 
     trace_model = load_model(args.trace_model) if args.trace_model else None
     temperature = 1.0 if args.temperature is None else args.temperature
-    sampler = Sampler(kind=args.sampler, temperature=temperature,
-                      seed=args.seed + _DECODE_SEED_OFFSET)
+    sampler = Sampler(kind="greedy" if args.temperature is None else "temperature",
+                      temperature=temperature, seed=args.seed + _DECODE_SEED_OFFSET)
     if mode == "corpus":
         corpus, prompts = Path(args.corpus).read_bytes(), ()
     else:
@@ -543,7 +542,6 @@ _COMMANDS = {
         _Flag("--prompts"),
         _Flag("--corpus"),
         _Flag("--t-max", 0, int),
-        _Flag("--sampler", "greedy", choices=SAMPLER_KINDS),
         _Flag("--temperature", None, float),
         _Flag("--trace-model"),
         _Flag("--token-budget", None, int),

@@ -30,7 +30,6 @@ __all__ = [
     "ModelBundle",
     "all_refs",
     "sort_refs",
-    "parse_ref",
     "slot_shape",
     "slot_input_dim",
     "check_ref",
@@ -101,15 +100,6 @@ class PrunableLayerRef:
 
     def __str__(self) -> str:
         return f"{self.layer_index}.{self.slot}"
-
-
-def parse_ref(text: str) -> PrunableLayerRef:
-    layer, _, slot = text.partition(".")
-    try:
-        idx = int(layer)
-    except ValueError:
-        raise ValidationError(f"bad ref {text!r}, expected '<layer>.<slot>'") from None
-    return PrunableLayerRef(idx, slot)
 
 
 def sort_refs(refs) -> tuple[PrunableLayerRef, ...]:

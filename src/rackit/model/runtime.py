@@ -51,13 +51,11 @@ __all__ = [
     "SAMPLER_KINDS",
     "Sampler",
     "GREEDY",
-    "DecodeState",
     "check_count",
     "check_tokens",
     "forward_teacher_forced",
     "last_layer_states",
     "decode",
-    "rollout",
     "rollouts",
 ]
 
@@ -420,24 +418,14 @@ def decode(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY):
     return next(rollouts(model, [prompt], max_new, [sampler]))[0]
 
 
-def rollout(model: ModelBundle, prompt, max_new: int, sampler: Sampler = GREEDY,
-            capture=()):
-    """:func:`decode` that also captures slot inputs at every position.
-
-    Returns (tokens, captures) with the tokens of :func:`decode` and, per
-    ref in ``capture``, one row per returned token, generated ones included.
-    The captures equal those of :func:`forward_teacher_forced` on the tokens.
-    """
-    return next(rollouts(model, [prompt], max_new, [sampler], capture))
-
-
 def rollouts(model: ModelBundle, prompts, max_new: int, samplers=None, capture=()):
-    """:func:`rollout` of each prompt, advanced in lockstep batches.
+    """:func:`decode` of each prompt with its captures, in lockstep batches.
 
     ``samplers`` gives each prompt its own sampler, greedy for all if None.
     Every input is checked before the first batch runs. Returns an iterator
-    of (tokens, captures) per prompt, in order, each equal bit for bit to
-    ``rollout(model, prompt, max_new, sampler, capture)``. A batch holds as
+    of (tokens, captures) per prompt, in order, each equal bit for bit to a
+    batch of one, ``next(rollouts(model, [prompt], max_new, [sampler], capture))``;
+    per ref, the captures are :func:`forward_teacher_forced`'s on the tokens. A batch holds as
     many prompts as fit in :data:`_LOCKSTEP_BYTES`.
     """
     seqs, refs, max_new, samplers = _check_run(model, prompts, capture, max_new, samplers)

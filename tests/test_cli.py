@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -185,7 +186,7 @@ class TestConfigFile:
         ("eval", {"budget": 10.5}),
         ("eval", {"seed": "x"}),
         ("calibrate", {"t_max": [4]}),
-        ("calibrate", {"sampler": "beam"}),
+        ("calibrate", {"mode": "beam"}),
     ])
     def test_wrong_typed_value_rejected(self, ws, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
@@ -201,6 +202,25 @@ class TestConfigFile:
         assert run([command, *flags, "--config", str(path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(path) in err[0] and next(iter(cfg)) in err[0]
+
+    @pytest.mark.parametrize("command, key", [("gen-model", "out"), ("calibrate", "prompts")])
+    def test_nul_in_a_config_value_rejected(self, ws, tmp_path, capsys, command, key):
+        """A path with a NUL byte is one line and exit 1, not a traceback from
+        the first path call."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "a\u0000b"}))
+        flags = {
+            "gen-model": ["--d-model", "16", "--layers", "1", "--heads", "2"],
+            "calibrate": ["--model", str(ws["model"]), "--mode", "prompt-only",
+                          "--out", str(tmp_path / "x.racc")],
+        }[command]
+        capsys.readouterr()
+        assert run([command, *flags, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --config {cfg}: {key} holds a NUL character"]
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_config_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -286,8 +306,7 @@ class TestCalibrate:
         b = ws["root"] / "r2.racc"
         flags = ["calibrate", "--model", str(ws["model"]), "--mode", "rac",
                  "--prompts", str(ws["prompts"]), "--t-max", "6",
-                 "--sampler", "temperature", "--temperature", "0.8",
-                 "--seed", "2"]
+                 "--temperature", "0.8", "--seed", "2"]
         assert run(flags + ["--out", str(a)]) == 0
         assert run(flags + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -384,7 +403,7 @@ class TestCalibrate:
         out = tmp_path / "x.racc"
         assert run(["calibrate", "--model", str(ws["model"]), "--mode", "rac",
                     "--prompts", str(ws["prompts"]), "--t-max", "4",
-                    "--sampler", "temperature", "--temperature", value,
+                    "--temperature", value,
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: temperature must be finite and positive"]
@@ -398,17 +417,47 @@ class TestCalibrate:
             warnings.simplefilter("error", RuntimeWarning)
             assert run(["calibrate", "--model", str(ws["model"]), "--mode", "rac",
                         "--prompts", str(ws["prompts"]), "--t-max", "4",
-                        "--sampler", "temperature", "--temperature", "1e-308",
+                        "--temperature", "1e-308",
                         "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numerical failure: logits overflow at temperature 1e-308"]
         assert not out.exists()
 
     def test_greedy_run_records_the_default_temperature(self, ws):
-        """--temperature defaults to unset, so that greedy can reject it; the
-        provenance of a greedy run still records 1.0."""
+        """--temperature defaults to unset, which selects the greedy sampler;
+        the provenance of a greedy run still records 1.0 and seed + 1."""
         sampler = CalibrationSet.load(ws["calib"]).provenance["sampler"]
-        assert sampler["kind"] == "greedy" and sampler["temperature"] == 1.0
+        assert sampler == {"kind": "greedy", "temperature": 1.0, "seed": 1}
+
+    def test_temperature_alone_selects_temperature_sampling(self, ws, tmp_path):
+        """The bytes that ``--sampler temperature --temperature 0.8`` wrote
+        before ``--temperature`` alone chose the sampler."""
+        out = tmp_path / "t.racc"
+        assert run(["calibrate", "--model", str(ws["model"]), "--mode", "rac",
+                    "--prompts", str(ws["prompts"]), "--t-max", "6",
+                    "--temperature", "0.8", "--seed", "2", "--out", str(out)]) == 0
+        assert CalibrationSet.load(out).provenance["sampler"] == {
+            "kind": "temperature", "temperature": 0.8, "seed": 3}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5a621daafa7f9c1602780cbd25826f809e5ec15111e6e5b589970caebf81f182")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sampler_is_no_option(self, ws, tmp_path, capsys, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler": "temperature"}))
+        out = tmp_path / "x.racc"
+        chosen = (["--sampler", "temperature"] if source == "flag"
+                  else ["--config", str(cfg)])
+        capsys.readouterr()
+        assert run(["calibrate", "--model", str(ws["model"]), "--mode", "rac",
+                    "--prompts", str(ws["prompts"]), "--t-max", "4", *chosen,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith({
+            "flag": "rackit: error: unrecognized arguments: --sampler temperature",
+            "config": f"error: --config {cfg}: unknown keys ['sampler']",
+        }[source])
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--mode", "rac", "--t-max", "4", "--prompts", "PROMPTS", "--corpus", "CORPUS"],
@@ -418,11 +467,8 @@ class TestCalibrate:
         (["--mode", "corpus", "--token-budget", "100", "--corpus", "CORPUS",
           "--prompts", "PROMPTS"],
          "--mode corpus takes no --prompts"),
-        (["--mode", "rac", "--t-max", "4", "--prompts", "PROMPTS", "--temperature", "0.5"],
-         "--temperature requires --sampler temperature"),
         (["--mode", "corpus", "--token-budget", "100"], "--mode corpus requires --corpus"),
-    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts", "greedy-temperature",
-            "corpus-without-stream"])
+    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts", "corpus-without-stream"])
     def test_unread_input_rejected_before_any_file_is_read(self, ws, tmp_path, capsys,
                                                            flags, message):
         """The model path does not exist: the flag check comes first."""
@@ -437,7 +483,7 @@ class TestCalibrate:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["prompt-only", "corpus"])
-    @pytest.mark.parametrize("flags", [["--t-max", "16"], ["--sampler", "temperature"]],
+    @pytest.mark.parametrize("flags", [["--t-max", "16"], ["--temperature", "1.0"]],
                              ids=["t-max", "temperature-sampler"])
     def test_decode_flags_rejected_without_decoding(self, ws, tmp_path, capsys,
                                                     mode, flags):

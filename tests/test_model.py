@@ -26,10 +26,9 @@ from rackit.model import (
     load_model,
     model_content_hash,
     named_tensors,
-    parse_ref,
-    rollout,
     rollouts,
     save_model,
+    slot_shape,
     sort_refs,
 )
 from rackit.model import runtime
@@ -94,16 +93,16 @@ class TestGenerate:
 
 
 class TestRefs:
-    def test_parse_round_trip(self):
-        for ref in all_refs(small_config()):
-            assert parse_ref(str(ref)) == ref
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("", "1", "x.attn_q", "0.nonsense", "0.attn_q.extra"):
-            with pytest.raises(ValidationError):
-                parse_ref(bad)
+    def test_ref_rejects_garbage(self):
+        for bad in ("", "nonsense", "attn_q.extra"):
+            with pytest.raises(ValidationError, match="unknown slot"):
+                PrunableLayerRef(0, bad)
         with pytest.raises(ValidationError, match="layer_index must be >= 0, got -1"):
-            parse_ref("-1.attn_q")
+            PrunableLayerRef(-1, "attn_q")
+
+    def test_slot_shape_rejects_unknown_slot(self):
+        with pytest.raises(ValidationError, match="unknown slot 'nonsense'"):
+            slot_shape(small_config(), "nonsense")
 
     def test_sort_refs_canonical_order(self):
         shuffled = [
@@ -319,7 +318,7 @@ class TestStepwiseOracle:
         assert decode(oracle_model, prompt, max_new, sampler) == want_tokens
         want_tokens, _, _, want_caps = stepwise_run(
             oracle_model, prompt, refs, max_new, sampler)
-        tokens, caps = rollout(oracle_model, prompt, max_new, sampler, refs)
+        tokens, caps = next(rollouts(oracle_model, [prompt], max_new, [sampler], refs))
         assert tokens == want_tokens
         for r in refs:
             assert np.array_equal(caps[r], want_caps[r]), str(r)
@@ -332,7 +331,7 @@ class TestStepwiseOracle:
         assert decode(oracle_model, prompt, 50, sampler) == want_tokens
         want_tokens, _, _, want_caps = stepwise_run(
             oracle_model, prompt, refs, 50, sampler)
-        tokens, caps = rollout(oracle_model, prompt, 50, sampler, refs)
+        tokens, caps = next(rollouts(oracle_model, [prompt], 50, [sampler], refs))
         assert tokens == want_tokens
         for r in refs:
             assert np.array_equal(caps[r], want_caps[r]), str(r)
@@ -364,7 +363,7 @@ class TestLockstep:
         got = _one_batch(model, prompts, refs, max_new, samplers)
         assert len(got) == len(prompts)
         for j, prompt in enumerate(prompts):
-            want = rollout(model, prompt, max_new, samplers[j], refs)
+            want = next(rollouts(model, [prompt], max_new, [samplers[j]], refs))
             _assert_runs_equal(got[j], want)
         return got
 
@@ -422,7 +421,7 @@ class TestLockstep:
         got = list(rollouts(tiny_model, prompts, 12, samplers, refs))
         assert len(got) == len(prompts)
         for (tokens, captures), prompt, sampler in zip(got, prompts, samplers):
-            want_tokens, want_captures = rollout(tiny_model, prompt, 12, sampler, refs)
+            want_tokens, want_captures = next(rollouts(tiny_model, [prompt], 12, [sampler], refs))
             assert tokens == want_tokens
             for r in refs:
                 assert np.array_equal(captures[r], want_captures[r]), str(r)
@@ -446,14 +445,12 @@ class TestSharedCaptures:
     """Refs that read one activation get the same array object, since
     calibration computes one Gram per capture object it sees."""
 
-    @pytest.mark.parametrize("entry", ["forward_teacher_forced", "rollout", "rollouts"])
+    @pytest.mark.parametrize("entry", ["forward_teacher_forced", "rollouts"])
     def test_q_k_v_share_one_array_per_layer(self, tiny_model, entry):
         refs = all_refs(tiny_model.config)
         prompts = [[3, 1, 4], [1, 5, 9, 2, 6]]
         if entry == "forward_teacher_forced":
             runs = [forward_teacher_forced(tiny_model, p, refs)[1] for p in prompts]
-        elif entry == "rollout":
-            runs = [rollout(tiny_model, p, 6, GREEDY, refs)[1] for p in prompts]
         else:
             runs = [captures for _, captures in rollouts(tiny_model, prompts, 6, None, refs)]
         for captures in runs:
@@ -531,7 +528,7 @@ class TestDecode:
     @pytest.mark.parametrize("sampler", [GREEDY, Sampler("temperature", 1.5, seed=5)])
     def test_rollout_captures_equal_teacher_forced_replay(self, tiny_model, sampler):
         refs = all_refs(tiny_model.config)
-        tokens, caps = rollout(tiny_model, [4, 9, 2], 12, sampler, refs)
+        tokens, caps = next(rollouts(tiny_model, [[4, 9, 2]], 12, [sampler], refs))
         assert tokens == decode(tiny_model, [4, 9, 2], 12, sampler)
         _, replay = forward_teacher_forced(tiny_model, tokens, refs)
         for r in refs:
@@ -544,7 +541,7 @@ class TestDecode:
             output_projection=np.zeros_like(tiny_model.output_projection),
         )
         ref = PrunableLayerRef(0, "attn_q")
-        tokens, caps = rollout(forced, [5, 6], 10, GREEDY, [ref])
+        tokens, caps = next(rollouts(forced, [[5, 6]], 10, [GREEDY], [ref]))
         assert tokens == [5, 6, 0]
         assert np.array_equal(caps[ref], forward_teacher_forced(forced, tokens, [ref])[1][ref])
 

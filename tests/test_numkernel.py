@@ -385,5 +385,19 @@ class TestUsableCpus:
         monkeypatch.setattr(numkernel, "_cgroup_quota_text", lambda: text)
         assert numkernel.usable_cpus() == cpus
 
+    @pytest.mark.parametrize("text, cpus", [("150000 100000", 2), ("max 100000", 4)])
+    def test_cgroup_v2_quota_is_read_from_cpu_max(self, tmp_path, monkeypatch, text, cpus):
+        """A pure cgroup v2 host lists one ``0::<path>`` line, and the quota
+        is ``cpu.max`` under that path of the unified hierarchy."""
+        (tmp_path / "proc/self").mkdir(parents=True)
+        (tmp_path / "proc/self/cgroup").write_text("0::/a/b\n")
+        (tmp_path / "sys/fs/cgroup/a/b").mkdir(parents=True)
+        (tmp_path / "sys/fs/cgroup/a/b/cpu.max").write_text(f"{text}\n")
+        monkeypatch.setattr(numkernel, "Path", lambda path: tmp_path / path.lstrip("/"))
+        monkeypatch.setattr(numkernel.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert numkernel._cgroup_quota_text() == f"{text}\n"
+        assert numkernel.usable_cpus() == cpus
+
     def test_counts_at_least_one_cpu_here(self):
         assert numkernel.usable_cpus() >= 1

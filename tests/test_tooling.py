@@ -145,3 +145,13 @@ def test_readme_names_every_flag():
     missing = sorted(name for name in flags | {"--config"}
                      if not re.search(rf"{name}(?![\w-])", text))
     assert missing == []
+
+
+def test_readme_names_no_other_flag():
+    """Every flag that README's CLI walkthrough names is a flag of some
+    command, or --config."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI walkthrough\n", 1)[1].split("\n## Library use\n", 1)[0]
+    flags = {flag.name for command in _COMMANDS for flag in _command_flags(command)}
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    assert sorted(named - flags - {"--config"}) == []
