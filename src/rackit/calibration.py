@@ -112,6 +112,7 @@ class CalibrationConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"unknown calibration mode {self.mode!r}")
+        object.__setattr__(self, "prompts", tuple(self.prompts))  # so an empty iterator is empty
         # Store the checked ints, so a numpy integer still serializes.
         object.__setattr__(self, "t_max", check_count("t_max", self.t_max, 0))
         if self.token_budget is not None:
@@ -131,6 +132,8 @@ class CalibrationConfig:
                                   "takes no prompts")
         if self.mode != "corpus" and self.corpus is not None:
             raise ValidationError(f"mode {self.mode!r} takes no corpus; only corpus does")
+        if self.mode != "corpus" and not self.prompts:
+            raise ValidationError(f"mode {self.mode!r} reads a non-empty prompt list")
 
     @property
     def decodes(self) -> bool:
@@ -276,8 +279,6 @@ def load_prompt_file(path) -> list[list[int]]:
 
 def _check_prompts(prompts) -> list[list[int]]:
     seqs = [check_tokens(p) for p in prompts]
-    if not seqs:
-        raise ValidationError("prompt list is empty")
     for i, p in enumerate(seqs):
         if not p:
             raise ValidationError(f"prompt {i} is empty")

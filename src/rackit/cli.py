@@ -73,7 +73,6 @@ from .model import (
     PrunableLayerRef,
     Sampler,
     SLOTS,
-    check_ref,
     config_as_dict,
     decode,
     generate_model,
@@ -310,31 +309,15 @@ def _cmd_calibrate(args) -> tuple[object, dict]:
         "--model": args.model, "--prompts": args.prompts, "--corpus": args.corpus,
         "--trace-model": args.trace_model})
     mode = str(args.mode).replace("-", "_")
-    if mode == "corpus":
-        if args.corpus is None:
-            raise ValidationError("--mode corpus requires --corpus")
-        if args.token_budget is None:
-            raise ValidationError("--mode corpus requires --token-budget")
-        if args.prompts is not None:
-            raise ValidationError("--mode corpus takes no --prompts")
-    else:
-        if args.prompts is None:
-            raise ValidationError(f"--mode {args.mode} requires --prompts")
-        if args.corpus is not None:
-            raise ValidationError("--corpus requires --mode corpus")
     model = load_model(args.model)
     refs = _refs_from_flags(args.layers, args.slots, model.config.n_layers)
-    for ref in refs:  # before the trace model and the prompts are read
-        check_ref(model.config, ref)
-
     trace_model = load_model(args.trace_model) if args.trace_model else None
     temperature = 1.0 if args.temperature is None else args.temperature
     sampler = Sampler(kind="greedy" if args.temperature is None else "temperature",
                       temperature=temperature, seed=args.seed + _DECODE_SEED_OFFSET)
-    if mode == "corpus":
-        corpus, prompts = Path(args.corpus).read_bytes(), ()
-    else:
-        corpus, prompts = None, tuple(tuple(p) for p in load_prompt_file(args.prompts))
+    corpus = Path(args.corpus).read_bytes() if args.corpus is not None else None
+    prompts = load_prompt_file(args.prompts) if args.prompts is not None else ()
+    # CalibrationConfig rejects an input the mode does not read or a missing one.
     config = CalibrationConfig(
         mode=mode,
         prompts=prompts,
@@ -367,20 +350,20 @@ def _pattern_from_flags(args) -> SparsityPattern:
         raise ValidationError(
             f"exactly one of --sparsity, --nm, --bits must be given (got {chosen or 'none'})"
         )
-    if args.group_size is not None and args.bits is None:
-        raise ValidationError("--group-size requires --bits")
     if args.sparsity is not None:
-        return SparsityPattern.unstructured(args.sparsity)
-    if args.nm is not None:
+        given = {"kind": "unstructured", "sparsity": args.sparsity}
+    elif args.nm is not None:
         n, sep, m = str(args.nm).partition(":")
         if not sep:
             raise ValidationError(f"--nm expects 'n:m', got {args.nm!r}")
         try:
-            n, m = int(n), int(m)
+            given = {"kind": "semi_structured", "n": int(n), "m": int(m)}
         except ValueError:
             raise ValidationError(f"--nm expects integers 'n:m', got {args.nm!r}") from None
-        return SparsityPattern.semi_structured(n, m)
-    return SparsityPattern.quantize(args.bits, group_size=args.group_size)
+    else:
+        given = {"kind": "quantize", "bits": args.bits}
+    # The pattern rejects a --group-size its kind does not read.
+    return SparsityPattern(**given, group_size=args.group_size)
 
 
 def _cmd_prune(args) -> tuple[object, dict]:
@@ -605,7 +588,9 @@ def main(argv=None) -> int:
     timing and cost fields every sidecar carries are recorded here.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported with the subcommand's usage, not the top level's
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     started = _utc_now()
     t0 = time.perf_counter()
     cpu0 = _cpu_seconds()

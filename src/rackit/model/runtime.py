@@ -47,8 +47,6 @@ from .bundle import (
 )
 
 __all__ = [
-    "STOP_BYTE",
-    "SAMPLER_KINDS",
     "Sampler",
     "GREEDY",
     "check_count",

@@ -310,6 +310,8 @@ class TestCollect:
                                   sampler=Sampler("temperature", 0.8))
         with pytest.raises(ValidationError, match="takes no prompts"):
             CalibrationConfig(mode="corpus", prompts=((1, 2),), token_budget=8)
+        with pytest.raises(ValidationError, match="mode 'rac' reads a non-empty prompt list"):
+            CalibrationConfig(mode="rac", prompts=iter(()), t_max=4)
         for mode, t_max in (("rac", 4), ("prompt_only", 0)):
             with pytest.raises(ValidationError, match="takes no corpus"):
                 CalibrationConfig(mode=mode, prompts=PROMPTS, t_max=t_max,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rackit.calibration import CalibrationSet
+from rackit.calibration import CalibrationConfig, CalibrationSet, collect
 from rackit.cli import _COMMANDS, _REQUIRED, _command_flags, _merge_config, build_parser, main
 from rackit.errors import CholeskyError
 from rackit.model import SLOTS, all_refs, load_model, model_content_hash
@@ -342,15 +342,18 @@ class TestCalibrate:
         assert captured.err.splitlines() == ["error: column entries must be finite"]
         assert not out.exists()
 
-    def test_corpus_mode_needs_budget_and_stream(self, ws, tmp_path):
+    def test_corpus_mode_without_budget_reads_the_whole_stream(self, ws, tmp_path,
+                                                                capsys):
+        data = bytes(range(1, 200))
         corpus = tmp_path / "c.bin"
-        corpus.write_bytes(bytes(range(1, 200)))
+        corpus.write_bytes(data)
+        capsys.readouterr()
         assert run(["calibrate", "--model", str(ws["model"]), "--mode", "corpus",
-                    "--corpus", str(corpus),
-                    "--out", str(tmp_path / "c.racc")]) == 1
-        assert run(["calibrate", "--model", str(ws["model"]), "--mode", "corpus",
-                    "--corpus", str(corpus), "--token-budget", "64",
-                    "--out", str(tmp_path / "c.racc")]) == 0
+                    "--corpus", str(corpus), "--out", str(tmp_path / "c.racc")]) == 0
+        model = load_model(ws["model"])
+        whole = collect(model, CalibrationConfig(mode="corpus", corpus=data),
+                        all_refs(model.config))
+        assert out_json(capsys)["digest"] == whole.content_digest()
 
     def test_prompt_modes_need_prompt_file(self, ws, tmp_path):
         assert run(["calibrate", "--model", str(ws["model"]),
@@ -454,33 +457,41 @@ class TestCalibrate:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].startswith({
-            "flag": "rackit: error: unrecognized arguments: --sampler temperature",
+            "flag": "rackit calibrate: error: unrecognized arguments: --sampler temperature",
             "config": f"error: --config {cfg}: unknown keys ['sampler']",
         }[source])
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--mode", "rac", "--t-max", "4", "--prompts", "PROMPTS", "--corpus", "CORPUS"],
-         "--corpus requires --mode corpus"),
+         "mode 'rac' takes no corpus; only corpus does"),
         (["--mode", "prompt-only", "--prompts", "PROMPTS", "--corpus", "CORPUS"],
-         "--corpus requires --mode corpus"),
-        (["--mode", "corpus", "--token-budget", "100", "--corpus", "CORPUS",
-          "--prompts", "PROMPTS"],
-         "--mode corpus takes no --prompts"),
-        (["--mode", "corpus", "--token-budget", "100"], "--mode corpus requires --corpus"),
-    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts", "corpus-without-stream"])
-    def test_unread_input_rejected_before_any_file_is_read(self, ws, tmp_path, capsys,
-                                                           flags, message):
-        """The model path does not exist: the flag check comes first."""
+         "mode 'prompt_only' takes no corpus; only corpus does"),
+        (["--mode", "corpus", "--corpus", "CORPUS", "--prompts", "PROMPTS"],
+         "mode 'corpus' reads a non-empty corpus stream and takes no prompts"),
+        (["--mode", "corpus"],
+         "mode 'corpus' reads a non-empty corpus stream and takes no prompts"),
+        (["--mode", "rac", "--t-max", "4"], "mode 'rac' reads a non-empty prompt list"),
+        (["--mode", "off-policy", "--t-max", "4", "--prompts", "PROMPTS"],
+         "off_policy mode requires a trace model"),
+        (["--mode", "rac", "--t-max", "4", "--prompts", "PROMPTS", "--trace-model", "MODEL"],
+         "mode 'rac' takes no trace model; only off_policy does"),
+    ], ids=["rac-corpus", "prompt-only-corpus", "corpus-prompts", "corpus-without-stream",
+            "rac-without-prompts", "off-policy-without-trace-model", "rac-trace-model"])
+    def test_bad_input_pairing_exits_1_with_the_config_message(
+            self, ws, tmp_path, capsys, flags, message):
+        """Every input given is read, then CalibrationConfig rejects the
+        pairing: one line, and neither --out nor its sidecar written."""
         corpus = tmp_path / "c.bin"
         corpus.write_bytes(bytes(range(1, 200)))
-        paths = {"PROMPTS": str(ws["prompts"]), "CORPUS": str(corpus)}
+        paths = {"PROMPTS": str(ws["prompts"]), "CORPUS": str(corpus),
+                 "MODEL": str(ws["model"])}
         out = tmp_path / "x.racc"
-        assert run(["calibrate", "--model", str(tmp_path / "ghost.tmc"),
+        capsys.readouterr()
+        assert run(["calibrate", "--model", str(ws["model"]),
                     *(paths.get(f, f) for f in flags), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {message}"]
-        assert not out.exists()
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists() and not Path(f"{out}.log").exists()
 
     @pytest.mark.parametrize("mode", ["prompt-only", "corpus"])
     @pytest.mark.parametrize("flags", [["--t-max", "16"], ["--temperature", "1.0"]],
@@ -659,13 +670,17 @@ class TestPrune:
         assert body["method"] == "obs_quant"
 
     def test_group_size_needs_bits(self, ws, tmp_path, capsys):
+        """SparsityPattern rejects a group size its kind does not read."""
         out = tmp_path / "x.tmc"
-        assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
-                    "--method", "obs", "--sparsity", "0.5", "--group-size", "7",
-                    "--out", str(out)]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: --group-size requires --bits"]
-        assert not out.exists()
+        for pattern, kind in ((["--sparsity", "0.5"], "unstructured"),
+                              (["--nm", "2:4"], "semi_structured")):
+            capsys.readouterr()
+            assert run(["prune", "--model", str(ws["model"]), "--calib", str(ws["calib"]),
+                        "--method", "obs", *pattern, "--group-size", "4",
+                        "--out", str(out)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: pattern kind {kind!r} takes no group_size"]
+            assert not out.exists()
 
     def test_model_calibration_mismatch_detected(self, ws, tmp_path):
         other = tmp_path / "other.tmc"
@@ -865,17 +880,6 @@ def test_bad_ref_flags_exit_1_with_the_library_message(ws, tmp_path, capsys, com
     assert not out.exists()
 
 
-def test_calibrate_checks_layers_before_reading_prompts(ws, tmp_path, capsys):
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert run(["calibrate", "--model", str(ws["model"]), "--mode", "prompt-only",
-                "--prompts", str(tmp_path / "missing.txt"), "--layers", "5",
-                "--out", str(out)]) == 1
-    assert capsys.readouterr().err.strip().splitlines() == [
-        "error: ref 5.attn_q out of range for a 1-layer model"]
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command, flag", [
     ("calibrate", "--model"), ("calibrate", "--prompts"), ("calibrate", "--corpus"),
     ("calibrate", "--trace-model"), ("prune", "--model"), ("prune", "--calib"),
@@ -935,6 +939,24 @@ def test_negative_seed_rejected_before_any_file_is_read(tmp_path, capsys, comman
     assert run(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: --seed must be >= 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, extra", [
+    ("calibrate", ["--mode", "rac", "--bogus", "1"], "--bogus 1"),
+    ("eval", ["stray", "--text", "GHOST"], "stray"),
+], ids=["flag", "positional"])
+def test_unknown_argument_is_reported_by_its_subcommand(tmp_path, capsys, command, flags,
+                                                        extra):
+    """The subcommand's usage and name, as for an invalid choice; no file is read."""
+    ghost = str(tmp_path / "ghost")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--model", ghost, *(ghost if f == "GHOST" else f for f in flags),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith(f"usage: rackit {command} ")
+    assert err[-1] == f"rackit {command}: error: unrecognized arguments: {extra}"
     assert not out.exists()
 
 
