@@ -73,7 +73,8 @@ from .model.container import (
     unpack_array,
     write_container,
 )
-from .model.runtime import GREEDY, Sampler, check_count, check_tokens
+from .model.bundle import check_count
+from .model.runtime import GREEDY, Sampler, check_tokens
 from .numkernel import accumulate_gram, usable_cpus
 
 logger = logging.getLogger(__name__)
@@ -120,7 +121,7 @@ class CalibrationConfig:
                                check_count("token_budget", self.token_budget, 1))
         if self.decodes and self.t_max == 0:
             raise ValidationError(f"mode {self.mode!r} requires t_max > 0")
-        if not self.decodes and (self.t_max > 0 or self.sampler.kind != "greedy"):
+        if not self.decodes and (self.t_max > 0 or self.sampler.temperature is not None):
             raise ValidationError(f"mode {self.mode!r} does not decode; it takes no "
                                   "t_max above 0 and no temperature sampler")
         if self.mode == "off_policy" and self.trace_model is None:
@@ -343,7 +344,7 @@ def _accumulate(pool, previous: list, dest: CalibrationSet, readers: dict, promp
 
 
 def _child_sampler(sampler: Sampler, index: int) -> Sampler:
-    if sampler.kind == "greedy":
+    if sampler.temperature is None:
         return sampler
     child = np.random.SeedSequence(sampler.seed, spawn_key=(index,))
     return replace(sampler, seed=int(child.generate_state(1, np.uint64)[0]))
@@ -352,6 +353,7 @@ def _child_sampler(sampler: Sampler, index: int) -> Sampler:
 def collect(model: ModelBundle, config: CalibrationConfig, refs) -> CalibrationSet:
     """Collect the Grams demanded by ``config.mode`` and attach provenance."""
     dest = CalibrationSet.empty(model.config, refs)
+    temperature = config.sampler.temperature
     provenance = {
         "mode": config.mode,
         "model_hash": model_content_hash(model),
@@ -360,9 +362,10 @@ def collect(model: ModelBundle, config: CalibrationConfig, refs) -> CalibrationS
             if config.trace_model is not None else None
         ),
         "t_max": config.t_max,
+        # The .racc provenance always holds a temperature; greedy writes 1.0.
         "sampler": {
-            "kind": config.sampler.kind,
-            "temperature": config.sampler.temperature,
+            "kind": "greedy" if temperature is None else "temperature",
+            "temperature": 1.0 if temperature is None else temperature,
             "seed": config.sampler.seed,
         },
         "token_budget": config.token_budget,

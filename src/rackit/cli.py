@@ -82,6 +82,7 @@ from .model import (
     save_model,
     sort_refs,
 )
+from .model.bundle import check_count
 
 __all__ = ["main"]
 
@@ -254,8 +255,7 @@ def _merge_config(args) -> None:
             if value is _REQUIRED:
                 args.command_parser.error(f"the following argument is required: {flag.name}")
             setattr(args, key, value)
-    if args.seed < 0:
-        raise ValidationError("--seed must be >= 0")
+    check_count("--seed", args.seed, 0)
 
 
 def _parse_list(flag: str, spec, everything, parse=str) -> list:
@@ -312,9 +312,6 @@ def _cmd_calibrate(args) -> tuple[object, dict]:
     model = load_model(args.model)
     refs = _refs_from_flags(args.layers, args.slots, model.config.n_layers)
     trace_model = load_model(args.trace_model) if args.trace_model else None
-    temperature = 1.0 if args.temperature is None else args.temperature
-    sampler = Sampler(kind="greedy" if args.temperature is None else "temperature",
-                      temperature=temperature, seed=args.seed + _DECODE_SEED_OFFSET)
     corpus = Path(args.corpus).read_bytes() if args.corpus is not None else None
     prompts = load_prompt_file(args.prompts) if args.prompts is not None else ()
     # CalibrationConfig rejects an input the mode does not read or a missing one.
@@ -323,7 +320,7 @@ def _cmd_calibrate(args) -> tuple[object, dict]:
         prompts=prompts,
         corpus=corpus,
         t_max=args.t_max,
-        sampler=sampler,
+        sampler=Sampler(args.temperature, seed=args.seed + _DECODE_SEED_OFFSET),
         trace_model=trace_model,
         token_budget=args.token_budget,
     )

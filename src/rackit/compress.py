@@ -53,6 +53,7 @@ from .model import (
     model_content_hash,
     sort_refs,
 )
+from .model.bundle import check_count, check_real
 from .numkernel import (
     check_damp_fraction,
     cholesky,
@@ -108,31 +109,20 @@ class SparsityPattern:
                   and getattr(self, f.name) != f.default]
         if unused:
             raise ValidationError(f"pattern kind {self.kind!r} takes no {', '.join(unused)}")
-        if self.kind == "unstructured":
-            if not 0.0 <= self.sparsity <= 1.0:
-                raise ValidationError(f"sparsity must be in [0, 1], got {self.sparsity}")
-        elif self.kind == "semi_structured":
-            if not 0 < self.n < self.m:
-                raise ValidationError(f"need 0 < n < m, got n={self.n} m={self.m}")
-        elif self.kind == "quantize":
-            if self.bits not in SUPPORTED_BITS:
-                raise ValidationError(
-                    f"bits must be one of {SUPPORTED_BITS}, got {self.bits}"
-                )
-            if self.group_size is not None and self.group_size < 1:
-                raise ValidationError("group_size must be >= 1 or None")
-
-    @classmethod
-    def unstructured(cls, sparsity: float) -> "SparsityPattern":
-        return cls(kind="unstructured", sparsity=float(sparsity))
-
-    @classmethod
-    def semi_structured(cls, n: int, m: int) -> "SparsityPattern":
-        return cls(kind="semi_structured", n=int(n), m=int(m))
-
-    @classmethod
-    def quantize(cls, bits: int, group_size: int | None = None) -> "SparsityPattern":
-        return cls(kind="quantize", bits=int(bits), group_size=group_size)
+        # Store the checked values, so a numpy scalar still serializes.
+        for name in reads:
+            value = getattr(self, name)
+            if name == "sparsity":
+                value = check_real(name, value)
+            elif not (name == "group_size" and value is None):
+                value = check_count(name, value, 1)
+            object.__setattr__(self, name, value)
+        if self.kind == "unstructured" and not 0.0 <= self.sparsity <= 1.0:
+            raise ValidationError(f"sparsity must be in [0, 1], got {self.sparsity}")
+        if self.kind == "semi_structured" and not self.n < self.m:
+            raise ValidationError(f"need 0 < n < m, got n={self.n} m={self.m}")
+        if self.kind == "quantize" and self.bits not in SUPPORTED_BITS:
+            raise ValidationError(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
 
     def describe(self) -> dict:
         if self.kind == "unstructured":
@@ -207,21 +197,16 @@ def _check_inputs(weights, pattern: SparsityPattern | None, gram=None,
                 f"{source}gram dimension {H.shape[0]} does not match input width {d_in}"
             )
     if block_size is not None:
-        if block_size < 1:
-            raise ValidationError("block_size must be >= 1")
+        check_count("block_size", block_size, 1)
         if pattern.kind == "semi_structured" and block_size % pattern.m != 0:
             raise ValidationError(f"block_size {block_size} must be a multiple of m={pattern.m}")
     return W, H
 
 
 def _score_mask(scores: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
-    d_in = scores.shape[1]
     if pattern.kind == "unstructured":
-        return _keep_mask(scores, row_keep_target(d_in, pattern.sparsity))
-    mask = np.empty(scores.shape, dtype=bool)
-    for g in range(0, d_in, pattern.m):
-        mask[:, g : g + pattern.m] = _keep_mask(scores[:, g : g + pattern.m], pattern.n)
-    return mask
+        return _keep_mask(scores, row_keep_target(scores.shape[1], pattern.sparsity))
+    return _keep_mask(scores.reshape(-1, pattern.m), pattern.n).reshape(scores.shape)
 
 
 def prune_magnitude(weights, pattern: SparsityPattern):

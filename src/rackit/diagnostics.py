@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ModelBundle, forward_teacher_forced, last_layer_states
-from .model.runtime import check_count, check_tokens
+from .model.bundle import check_count
+from .model.runtime import check_tokens
 from .numkernel import single_blas_thread, usable_cpus
 
 logger = logging.getLogger(__name__)

@@ -32,6 +32,8 @@ __all__ = [
     "sort_refs",
     "slot_shape",
     "slot_input_dim",
+    "check_count",
+    "check_real",
     "check_ref",
     "get_weight",
     "apply_compressed",
@@ -53,6 +55,24 @@ SLOT_INPUT = {"attn_q": "ln1", "attn_k": "ln1", "attn_v": "ln1",
 BYTE_VOCAB = 256
 
 
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; a bool, a value that is not integral, or one
+    below ``least`` raises :class:`ValidationError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float; a bool or a value that is not a real number
+    raises :class:`ValidationError` naming ``name``. Callers check the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d_model: int
@@ -64,10 +84,9 @@ class ModelConfig:
     layernorm_epsilon: float = 1e-5
 
     def __post_init__(self):
-        for name in ("d_model", "n_layers", "n_heads", "d_mlp", "max_positions"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        # Store the checked values, so a numpy scalar still serializes.
+        for name in ("d_model", "n_layers", "n_heads", "d_mlp", "max_positions", "vocab_size"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         if self.vocab_size != BYTE_VOCAB:
             raise ValidationError(
                 f"vocab_size is fixed at {BYTE_VOCAB} (byte-level), got {self.vocab_size}"
@@ -76,9 +95,10 @@ class ModelConfig:
             raise ValidationError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"
             )
-        eps = self.layernorm_epsilon
-        if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
+        eps = check_real("layernorm_epsilon", self.layernorm_epsilon)
+        if not (math.isfinite(eps) and eps > 0):
             raise ValidationError(f"layernorm_epsilon must be finite and positive, got {eps!r}")
+        object.__setattr__(self, "layernorm_epsilon", eps)
 
     @property
     def head_dim(self) -> int:
@@ -95,8 +115,7 @@ class PrunableLayerRef:
     def __post_init__(self):
         if self.slot not in SLOTS:
             raise ValidationError(f"unknown slot {self.slot!r}, expected one of {SLOTS}")
-        if self.layer_index < 0:
-            raise ValidationError(f"layer_index must be >= 0, got {self.layer_index}")
+        object.__setattr__(self, "layer_index", check_count("layer_index", self.layer_index, 0))
 
     def __str__(self) -> str:
         return f"{self.layer_index}.{self.slot}"
@@ -203,8 +222,7 @@ def generate_model(config: ModelConfig, seed: int) -> ModelBundle:
     and biases at zero. Matrices are drawn in ``tensor_schema`` order; that
     draw order is part of the determinism contract and must not change.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    seed = check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(config.d_model)
 
@@ -216,7 +234,7 @@ def generate_model(config: ModelConfig, seed: int) -> ModelBundle:
         w = rng.standard_normal(shape) * scale
         return w.astype(np.float32).astype(np.float64)
 
-    return assemble_bundle(config, make, {"kind": "random", "seed": int(seed)})
+    return assemble_bundle(config, make, {"kind": "random", "seed": seed})
 
 
 def tensor_schema(config: ModelConfig):

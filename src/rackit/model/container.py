@@ -39,6 +39,7 @@ from .bundle import (
     ModelBundle,
     ModelConfig,
     assemble_bundle,
+    check_count,
     config_as_dict,
     named_tensors,
 )
@@ -116,9 +117,10 @@ def read_container(path, fmt: str) -> tuple[dict, memoryview]:
 def manifest_count(entry, key: str, what: str) -> int:
     """``entry[key]`` as a non-negative int; anything else is a ContainerError."""
     value = entry.get(key) if isinstance(entry, dict) else None
-    if type(value) is not int or value < 0:
-        raise ContainerError(f"{what}: {key!r} must be a non-negative integer, got {value!r}")
-    return value
+    try:
+        return check_count(f"{what}: {key!r}", value, 0)
+    except ValidationError as exc:
+        raise ContainerError(str(exc)) from None
 
 
 def pack_arrays(arrays, dtype: str) -> tuple[Iterator[np.ndarray], list[int], list[int]]:

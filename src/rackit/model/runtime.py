@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -41,6 +40,8 @@ from .bundle import (
     SLOT_INPUT,
     ModelBundle,
     ModelConfig,
+    check_count,
+    check_real,
     check_ref,
     slot_input_dim,
     sort_refs,
@@ -49,7 +50,6 @@ from .bundle import (
 __all__ = [
     "Sampler",
     "GREEDY",
-    "check_count",
     "check_tokens",
     "forward_teacher_forced",
     "last_layer_states",
@@ -69,24 +69,22 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 # 3.4 MB, so a batch takes 4 of them.
 _LOCKSTEP_BYTES = 2**24
 
-SAMPLER_KINDS = ("greedy", "temperature")
-
 
 @dataclass(frozen=True)
 class Sampler:
-    """Token picker: argmax, or softmax at a temperature with its own seed."""
+    """Token picker: argmax when ``temperature`` is None, else softmax at
+    that temperature, drawn from its own ``seed``."""
 
-    kind: str = "greedy"
-    temperature: float = 1.0
+    temperature: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in SAMPLER_KINDS:
-            raise ValidationError(f"unknown sampler kind {self.kind!r}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValidationError("temperature must be finite and positive")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.temperature is not None:
+            temperature = check_real("temperature", self.temperature)
+            if not (math.isfinite(temperature) and temperature > 0):
+                raise ValidationError("temperature must be finite and positive")
+            object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
 
 GREEDY = Sampler()
@@ -109,16 +107,6 @@ def check_tokens(tokens) -> list[int]:
             raise ValidationError(f"token {i} outside byte vocabulary")
         seq.append(i)
     return seq
-
-
-def check_count(name: str, value, least: int) -> int:
-    """``value`` as an int; a bool, a value that is not integral, or one
-    below ``least`` raises :class:`ValidationError` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 class DecodeState:
@@ -263,7 +251,7 @@ def _advance(model: ModelBundle, state: DecodeState, tokens, collect, stable):
 
 
 def _sample(logits, sampler: Sampler, rng):
-    if sampler.kind == "greedy":
+    if sampler.temperature is None:
         return int(np.argmax(logits))
     with np.errstate(over="ignore"):
         z = logits / sampler.temperature
@@ -359,7 +347,7 @@ def _lockstep(model: ModelBundle, seqs, refs, max_new: int, samplers):
     positions = max(lengths) + max_new
     collect, captures = _capture_buffers(model.config, refs, len(seqs), positions)
     state = DecodeState(model, len(seqs), positions)
-    rngs = [np.random.default_rng(s.seed) if s.kind == "temperature" else None
+    rngs = [None if s.temperature is None else np.random.default_rng(s.seed)
             for s in samplers]
     block = [seq[: min(lengths)] for seq in seqs]
     while block:

@@ -135,7 +135,10 @@ def accumulate_gram(acc: np.ndarray, columns) -> np.ndarray:
 
 
 def check_damp_fraction(fraction: float) -> None:
-    """Raise :class:`ValidationError` unless ``fraction`` is finite and >= 0."""
+    """Raise :class:`ValidationError` unless ``fraction`` is a finite real >= 0."""
+    from .model.bundle import check_real  # rackit.model imports this module
+
+    fraction = check_real("dampening fraction", fraction)
     if not (math.isfinite(fraction) and fraction >= 0):
         raise ValidationError(f"dampening fraction must be finite and >= 0, got {fraction}")
 

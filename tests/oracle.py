@@ -5,8 +5,9 @@ library: full-sequence vectorized forward with an explicit causal mask, no
 KV cache, no incremental state. Agreement between the two is evidence, not
 tautology. The exceptions are older library loops kept verbatim, so that
 their replacements can be held to their bits: the one-token runtime driver
-(``stepwise_run``), the per-row greedy OBS mask, the per-column Gram update,
-the direct fixed-mask refit and scipy's Cholesky solve wrappers.
+(``stepwise_run``), the per-group n:m mask, the per-row greedy OBS mask,
+the per-column Gram update, the direct fixed-mask refit and scipy's
+Cholesky solve wrappers.
 """
 
 import math
@@ -141,6 +142,16 @@ def accumulate_gram_per_column(acc: np.ndarray, column) -> np.ndarray:
         raise ValidationError("column entries must be finite")
     acc += col[:, None] * col[None, :]
     return acc
+
+
+def nm_mask_per_group(scores, n, m):
+    """The n:m mask group by group: in each run of m columns, keep the n
+    highest scores of each row, a tie going to the lower column."""
+    mask = np.zeros(scores.shape, dtype=bool)
+    for g in range(0, scores.shape[1], m):
+        order = np.argsort(-scores[:, g : g + m], axis=1, kind="stable")
+        np.put_along_axis(mask[:, g : g + m], order[:, :n], True, axis=1)
+    return mask
 
 
 def greedy_block_mask_per_row(W_block, ub, quota):
@@ -303,7 +314,7 @@ def _step_advance(model: ModelBundle, state: _StepState, token: int, collect=Non
 
 
 def _sample(logits, sampler: Sampler, rng):
-    if sampler.kind == "greedy":
+    if sampler.temperature is None:
         return int(np.argmax(logits))
     z = logits / sampler.temperature
     z = z - z.max()
@@ -349,7 +360,7 @@ def stepwise_run(model: ModelBundle, tokens, refs=(), max_new: int = 0,
 
     for tok in seq:
         step(tok)
-    rng = np.random.default_rng(sampler.seed) if sampler.kind == "temperature" else None
+    rng = None if sampler.temperature is None else np.random.default_rng(sampler.seed)
     for i in range(max_new):
         tok = _sample(logits_rows[-1], sampler, rng)
         seq.append(tok)

@@ -49,7 +49,7 @@ from rackit.model import (
 from .helpers import random_gram
 from .oracle import rtn_quantize, uncached_greedy_decode
 
-HALF = SparsityPattern.unstructured(0.5)
+HALF = SparsityPattern("unstructured", sparsity=0.5)
 
 
 def _report(ok: bool, label: str) -> None:
@@ -103,7 +103,7 @@ def test_c02_single_weight_closed_form():
         w = rng.standard_normal(d_in)
 
         mask, out = prune_obs(w[None, :], gram,
-                              SparsityPattern.unstructured(1.0 / d_in),
+                              SparsityPattern("unstructured", sparsity=1.0 / d_in),
                               damp_fraction=0.0)
         if int((~mask[0]).sum()) != 1:
             ok = False
@@ -134,7 +134,7 @@ def test_c03_identity_gram_degeneracies():
         ok &= np.array_equal(m_mask, w_mask) and np.array_equal(m_w, w_w)
 
         for bits in (4, 8):
-            got = quantize_obs(W, eye, SparsityPattern.quantize(bits))
+            got = quantize_obs(W, eye, SparsityPattern("quantize", bits=bits))
             ok &= np.array_equal(got, rtn_quantize(W, bits))
         if not ok:
             break
@@ -254,11 +254,11 @@ def test_c07_mask_feasibility_accounting():
 
         runs = []
         for s in (0.25, 0.5, 0.75):
-            pat = SparsityPattern.unstructured(s)
+            pat = SparsityPattern("unstructured", sparsity=s)
             runs.append((pat, prune_magnitude(W, pat)[0]))
             runs.append((pat, prune_wanda(W, gram, pat)[0]))
             runs.append((pat, prune_obs(W, gram, pat, block_size=8)[0]))
-        nm = SparsityPattern.semi_structured(2, 4)
+        nm = SparsityPattern("semi_structured", n=2, m=4)
         runs.append((nm, prune_magnitude(W, nm)[0]))
         runs.append((nm, prune_wanda(W, gram, nm)[0]))
         runs.append((nm, prune_obs(W, gram, nm, block_size=8)[0]))
@@ -288,7 +288,7 @@ def test_c08_nested_mask_monotone_refit_loss():
         w = rng.standard_normal((1, d_in))
         losses = []
         for s in (0.25, 0.5, 0.75):
-            mask, _ = prune_magnitude(w, SparsityPattern.unstructured(s))
+            mask, _ = prune_magnitude(w, SparsityPattern("unstructured", sparsity=s))
             refit = refit_fixed_mask(w, gram, mask)
             losses.append(trace_form_loss(w, refit, gram))
         if not (losses[0] <= losses[1] + 1e-9 and losses[1] <= losses[2] + 1e-9):

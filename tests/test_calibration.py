@@ -269,7 +269,7 @@ class TestCollect:
 
     def test_temperature_sampling_reruns_identically(self, tiny_model):
         refs = all_refs(tiny_model.config)[:3]
-        cfg = self._config(sampler=Sampler("temperature", 1.3, seed=17))
+        cfg = self._config(sampler=Sampler(1.3, seed=17))
         a = collect(tiny_model, cfg, refs)
         b = collect(tiny_model, cfg, refs)
         assert a.content_digest() == b.content_digest()
@@ -307,7 +307,7 @@ class TestCollect:
                 CalibrationConfig(mode=mode, prompts=PROMPTS, t_max=4)
             with pytest.raises(ValidationError, match="does not decode"):
                 CalibrationConfig(mode=mode, prompts=PROMPTS,
-                                  sampler=Sampler("temperature", 0.8))
+                                  sampler=Sampler(0.8))
         with pytest.raises(ValidationError, match="takes no prompts"):
             CalibrationConfig(mode="corpus", prompts=((1, 2),), token_budget=8)
         with pytest.raises(ValidationError, match="mode 'rac' reads a non-empty prompt list"):
@@ -402,7 +402,8 @@ class TestPool:
                         all_refs(tiny_model.config))
         monkeypatch.setattr(compress_module, "usable_cpus", lambda: 2)
         pids = _record_calls(monkeypatch, "prune_obs", tmp_path / "pids.jsonl", os.getpid)
-        compress_model(tiny_model, calib, "rac", "obs", SparsityPattern.unstructured(0.5))
+        compress_model(tiny_model, calib, "rac", "obs",
+                       SparsityPattern("unstructured", sparsity=0.5))
         assert pids() and os.getpid() not in pids()
 
 
@@ -415,7 +416,7 @@ def _two_pass_oracle(target, config, refs):
     sequences = []
     for m, prompt in enumerate(config.prompts):
         sampler = config.sampler
-        if sampler.kind == "temperature":
+        if sampler.temperature is not None:
             child = np.random.SeedSequence(sampler.seed, spawn_key=(m,))
             sampler = replace(sampler, seed=int(child.generate_state(1, np.uint64)[0]))
         full = decode(source, prompt, config.t_max, sampler)
@@ -462,7 +463,7 @@ _PINNED_DIGESTS = {
     ("off_policy", "temperature", 30): "af0d59d2ca06f452a6552c06e408952a79cba188dc8ed5848ed7d63774a456c0",
 }
 
-_SAMPLERS = {"greedy": GREEDY, "temperature": Sampler("temperature", 1.3, seed=17)}
+_SAMPLERS = {"greedy": GREEDY, "temperature": Sampler(1.3, seed=17)}
 
 
 class TestSinglePass:

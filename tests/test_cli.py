@@ -650,7 +650,7 @@ class TestPrune:
 
     @pytest.mark.parametrize("nm, message", [
         ("4:2", "need 0 < n < m, got n=4 m=2"),
-        ("0:4", "need 0 < n < m, got n=0 m=4"),
+        ("0:4", "n must be >= 1, got 0"),
         ("a:b", "--nm expects integers 'n:m', got 'a:b'"),
     ], ids=["n-above-m", "n-zero", "not-integers"])
     def test_nm_flag_names_the_fault(self, ws, tmp_path, capsys, nm, message):
@@ -750,7 +750,7 @@ class TestPrune:
                     "--method", method, "--sparsity", "0.5", "--block-size", "0",
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: block_size must be >= 1"]
+        assert err == ["error: block_size must be >= 1, got 0"]
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["magnitude", "wanda", "obs"])
@@ -938,7 +938,7 @@ def test_negative_seed_rejected_before_any_file_is_read(tmp_path, capsys, comman
             "--seed", "-1", out_flag, str(out)]
     assert run(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: --seed must be >= 0"]
+    assert err == ["error: --seed must be >= 0, got -1"]
     assert not out.exists()
 
 

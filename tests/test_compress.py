@@ -24,6 +24,7 @@ from rackit.compress import (
     _STACK_ENTRIES,
     SparsityPattern,
     _greedy_block_mask,
+    _score_mask,
     _upper_inverse_factor,
     compress_model,
     prune_magnitude,
@@ -48,11 +49,12 @@ from .helpers import CLI_PROBE, fresh_python, random_gram, small_config, thread_
 from .oracle import (
     direct_loss,
     greedy_block_mask_per_row,
+    nm_mask_per_group,
     refit_fixed_mask_direct,
     rtn_quantize,
 )
 
-HALF = SparsityPattern.unstructured(0.5)
+HALF = SparsityPattern("unstructured", sparsity=0.5)
 
 
 def obs_inverse_factor(rng, dim):
@@ -111,19 +113,27 @@ class TestMagnitude:
 
     def test_two_of_four_hand_example(self):
         mask, W = prune_magnitude(np.array([[1.0, -4.0, 2.0, -3.0]]),
-                                  SparsityPattern.semi_structured(2, 4))
+                                  SparsityPattern("semi_structured", n=2, m=4))
         assert mask.tolist() == [[False, True, False, True]]
         assert W.tolist() == [[0.0, -4.0, 0.0, -3.0]]
 
+    def test_nm_mask_matches_per_group_loop_with_ties(self, rng):
+        for _ in range(200):
+            d_out, groups = rng.integers(1, 6, size=2)
+            n, m = [(1, 4), (2, 4), (3, 8)][rng.integers(3)]
+            scores = rng.integers(0, 3, size=(d_out, groups * m)).astype(float)
+            got = _score_mask(scores, SparsityPattern("semi_structured", n=n, m=m))
+            assert np.array_equal(got, nm_mask_per_group(scores, n, m))
+
     def test_pattern_validation(self):
         with pytest.raises(ValidationError):
-            SparsityPattern.unstructured(1.5)
+            SparsityPattern("unstructured", sparsity=1.5)
         with pytest.raises(ValidationError):
-            SparsityPattern.semi_structured(4, 4)
+            SparsityPattern("semi_structured", n=4, m=4)
         with pytest.raises(ValidationError):
             SparsityPattern(kind="mystery")
-        with pytest.raises(ValidationError, match="group_size must be >= 1 or None"):
-            SparsityPattern.quantize(4, group_size=0)
+        with pytest.raises(ValidationError, match="group_size must be >= 1, got 0"):
+            SparsityPattern("quantize", bits=4, group_size=0)
         for kind, unused in [
             ("unstructured", dict(group_size=4, bits=3, n=1, m=9)),
             ("unstructured", dict(group_size=3)),
@@ -142,7 +152,7 @@ class TestMagnitude:
     def test_unstructured_counts_exact(self, seed, d_out, d_in, s):
         rng = np.random.default_rng(seed)
         mask, _ = prune_magnitude(rng.standard_normal((d_out, d_in)),
-                                  SparsityPattern.unstructured(s))
+                                  SparsityPattern("unstructured", sparsity=s))
         assert (mask.sum(axis=1) == row_keep_target(d_in, s)).all()
 
     @given(seed=st.integers(0, 10_000),
@@ -153,7 +163,7 @@ class TestMagnitude:
         n, m = nm
         rng = np.random.default_rng(seed)
         mask, _ = prune_magnitude(rng.standard_normal((d_out, groups * m)),
-                                  SparsityPattern.semi_structured(n, m))
+                                  SparsityPattern("semi_structured", n=n, m=m))
         per_group = mask.reshape(d_out, groups, m).sum(axis=2)
         assert (per_group == n).all()
 
@@ -190,14 +200,14 @@ class TestObs:
     def test_zero_sparsity_is_a_no_op_bitwise(self, rng):
         W = rng.standard_normal((3, 8))
         gram, _ = random_gram(rng, 8)
-        mask, out = prune_obs(W, gram, SparsityPattern.unstructured(0.0))
+        mask, out = prune_obs(W, gram, SparsityPattern("unstructured", sparsity=0.0))
         assert mask.all()
         assert np.array_equal(out, W)
 
     def test_full_sparsity_zeroes_everything(self, rng):
         W = rng.standard_normal((3, 8))
         gram, _ = random_gram(rng, 8)
-        mask, out = prune_obs(W, gram, SparsityPattern.unstructured(1.0))
+        mask, out = prune_obs(W, gram, SparsityPattern("unstructured", sparsity=1.0))
         assert not mask.any()
         assert np.array_equal(out, np.zeros_like(W))
 
@@ -210,7 +220,7 @@ class TestObs:
         w = rng.standard_normal(d)
         hinv = np.linalg.inv(gram)
         mask, out = prune_obs(w[None, :], gram,
-                              SparsityPattern.unstructured(1.0 / d),
+                              SparsityPattern("unstructured", sparsity=1.0 / d),
                               damp_fraction=0.0)
         assert int((~mask[0]).sum()) == 1
         q = int(np.flatnonzero(~mask[0])[0])
@@ -233,7 +243,7 @@ class TestObs:
     def test_semi_structured_groups_exact_after_compensation(self, rng):
         W = rng.standard_normal((4, 16))
         gram, _ = random_gram(rng, 16)
-        mask, out = prune_obs(W, gram, SparsityPattern.semi_structured(2, 4),
+        mask, out = prune_obs(W, gram, SparsityPattern("semi_structured", n=2, m=4),
                               block_size=8)
         per_group = mask.reshape(4, 4, 4).sum(axis=2)
         assert (per_group == 2).all()
@@ -303,13 +313,13 @@ class TestObs:
         rng = np.random.default_rng(seed)
         W = rng.standard_normal((3, d_in))
         gram, _ = random_gram(rng, d_in)
-        mask, _ = prune_obs(W, gram, SparsityPattern.unstructured(s),
+        mask, _ = prune_obs(W, gram, SparsityPattern("unstructured", sparsity=s),
                             block_size=block)
         assert (mask.sum(axis=1) == row_keep_target(d_in, s)).all()
 
 
 class TestQuantize:
-    BITS8 = SparsityPattern.quantize(8)
+    BITS8 = SparsityPattern("quantize", bits=8)
 
     def test_identity_gram_equals_round_to_nearest(self, rng):
         W = rng.standard_normal((5, 16))
@@ -318,7 +328,7 @@ class TestQuantize:
 
     def test_identity_gram_grouped_equals_grouped_rtn(self, rng):
         W = rng.standard_normal((5, 16))
-        pat = SparsityPattern.quantize(4, group_size=4)
+        pat = SparsityPattern("quantize", bits=4, group_size=4)
         got = quantize_obs(W, identity_gram(16), pat, damp_fraction=0.0)
         assert np.array_equal(got, rtn_quantize(W, 4, group_size=4))
 
@@ -338,13 +348,13 @@ class TestQuantize:
 
     def test_bits_are_restricted(self):
         with pytest.raises(ValidationError):
-            SparsityPattern.quantize(5)
+            SparsityPattern("quantize", bits=5)
 
     def test_compensation_reduces_loss_on_correlated_inputs(self):
         rng = np.random.default_rng(8)
         W = rng.standard_normal((6, 16))
         gram, _ = random_gram(rng, 16, 64)
-        pat = SparsityPattern.quantize(2)
+        pat = SparsityPattern("quantize", bits=2)
         compensated = quantize_obs(W, gram, pat, damp_fraction=0.0)
         plain = rtn_quantize(W, 2)
         assert (trace_form_loss(W, compensated, gram)
@@ -368,7 +378,7 @@ class TestQuantize:
         W = rng.standard_normal((12, 48))
         gram, _ = random_gram(rng, 48)
         with single_blas_thread():
-            got = quantize_obs(W, gram, SparsityPattern.quantize(bits), block_size=block)
+            got = quantize_obs(W, gram, SparsityPattern("quantize", bits=bits), block_size=block)
         digest = hashlib.sha256(np.ascontiguousarray(got, "<f8").tobytes()).hexdigest()
         assert digest == self._UNGROUPED_PINS[bits]
 
@@ -432,7 +442,7 @@ def _bad_inputs():
     """(entry point, call, message) for every input an entry point rejects."""
     g6, g8 = identity_gram(6), identity_gram(8)
     W = np.ones((2, 8))
-    nm24, q4 = SparsityPattern.semi_structured(2, 4), SparsityPattern.quantize(4)
+    nm24, q4 = SparsityPattern("semi_structured", n=2, m=4), SparsityPattern("quantize", bits=4)
     flat = "weights must be 2-D"
     kind = "pruning requires an unstructured or semi_structured pattern"
     width = "input width 6 is not a multiple of m=4"
@@ -471,7 +481,8 @@ def _bad_inputs():
         ("quantize_obs", lambda: quantize_obs(np.ones(8), g8, q4), flat),
         ("quantize_obs", lambda: quantize_obs(W, g8, HALF),
          "quantize_obs requires a quantize pattern"),
-        ("quantize_obs", lambda: quantize_obs(W, g8, SparsityPattern.quantize(4, 3)),
+        ("quantize_obs",
+         lambda: quantize_obs(W, g8, SparsityPattern("quantize", bits=4, group_size=3)),
          "group_size 3 does not divide input width 8"),
         ("quantize_obs", lambda: quantize_obs(W, g6, q4), gram),
         ("quantize_obs", lambda: quantize_obs(W, g8, q4, block_size=0), block),
@@ -499,6 +510,13 @@ def _bad_inputs():
         ("quantize_obs", lambda: quantize_obs(narrow, g0, q4), empty),
         ("refit_fixed_mask", lambda: refit_fixed_mask(narrow, g0, narrow > 0), empty),
         ("trace_form_loss", lambda: trace_form_loss(narrow, narrow, g0), empty),
+        ("prune_obs", lambda: prune_obs(W, g8, HALF, block_size=True),
+         "block_size must be an integer, got True"),
+        ("quantize_obs", lambda: quantize_obs(W, g8, q4, block_size=2.5),
+         "block_size must be an integer, got 2.5"),
+        ("prune_obs", lambda: prune_obs(W, g8, HALF, damp_fraction=True),
+         "dampening fraction must be a real number, got True"),
+        ("dampen", lambda: dampen(g8, "0.1"), "dampening fraction must be a real number"),
     ]
 
 
@@ -538,7 +556,7 @@ class TestNestedMonotonicity:
         gram, _ = random_gram(rng, 12)
         losses = []
         for s in (0.25, 0.5, 0.75):
-            mask, _ = prune_magnitude(w, SparsityPattern.unstructured(s))
+            mask, _ = prune_magnitude(w, SparsityPattern("unstructured", sparsity=s))
             refit = refit_fixed_mask(w, gram, mask)
             losses.append(trace_form_loss(w, refit, gram))
         assert losses[0] <= losses[1] + 1e-9
@@ -559,7 +577,7 @@ class TestCompressModel:
     def test_zero_sparsity_round_trips_the_model(self, rac_setup):
         model, calib, refs = rac_setup
         out, report = compress_model(model, calib, "rac", "obs",
-                                     SparsityPattern.unstructured(0.0))
+                                     SparsityPattern("unstructured", sparsity=0.0))
         assert model_content_hash(out) == model_content_hash(model)
         assert all(r.loss == 0.0 for r in report.refs)
         assert report.input_model_hash == report.output_model_hash
@@ -593,7 +611,7 @@ class TestCompressModel:
     def test_report_shape_and_audit(self, rac_setup):
         model, calib, refs = rac_setup
         _, report = compress_model(model, calib, "rac", "obs",
-                                   SparsityPattern.semi_structured(2, 4),
+                                   SparsityPattern("semi_structured", n=2, m=4),
                                    block_size=8)
         body = report.as_dict()
         json.dumps(body)  # must be serializable as-is
@@ -616,7 +634,7 @@ class TestCompressModel:
         for method in ("magnitude", "wanda", "obs"):
             with pytest.raises(ValidationError, match="pruning requires"):
                 compress_model(model, calib, "rac", method,
-                               SparsityPattern.quantize(4))
+                               SparsityPattern("quantize", bits=4))
 
     def test_unknown_mode_and_method_rejected(self, rac_setup):
         model, calib, _ = rac_setup
@@ -632,7 +650,7 @@ class TestCompressModel:
             compress_model(model, calib, "corpus", "obs", HALF)
         with pytest.raises(ValidationError, match="unknown method"):
             compress_model(model, calib, "rac", "obs-quant",
-                           SparsityPattern.quantize(4))
+                           SparsityPattern("quantize", bits=4))
 
     def test_rac_mode_requires_decode_columns(self, rac_setup):
         model, _, refs = rac_setup
@@ -667,7 +685,7 @@ class TestCompressModel:
     def test_obs_quant_reports_grid_stats(self, rac_setup):
         model, calib, refs = rac_setup
         _, report = compress_model(model, calib, "rac", "obs_quant",
-                                   SparsityPattern.quantize(8, group_size=8),
+                                   SparsityPattern("quantize", bits=8, group_size=8),
                                    refs=refs[:1])
         achieved = report.refs[0].achieved
         assert achieved["bits"] == 8
@@ -701,17 +719,17 @@ def _huge(gram):
 _REJECTED_REQUESTS = {
     "obs-quantize-pattern": (
         lambda model, calib: compress_model(model, calib, "rac", "obs",
-                                            SparsityPattern.quantize(4)),
+                                            SparsityPattern("quantize", bits=4)),
         "pruning requires an unstructured or semi_structured pattern"),
     "group-size-width": (
         lambda model, calib: compress_model(model, calib, "rac", "obs_quant",
-                                            SparsityPattern.quantize(4, group_size=32),
+                                            SparsityPattern("quantize", bits=4, group_size=32),
                                             refs=[PrunableLayerRef(0, "mlp_down"),
                                                   PrunableLayerRef(1, "attn_q")]),
         "group_size 32 does not divide input width 16"),
     "block-size-not-multiple-of-m": (
         lambda model, calib: compress_model(model, calib, "rac", "obs",
-                                            SparsityPattern.semi_structured(2, 4),
+                                            SparsityPattern("semi_structured", n=2, m=4),
                                             block_size=6),
         "block_size 6 must be a multiple of m=4"),
     "foreign-calibration": (
@@ -780,7 +798,7 @@ def _record_calls(monkeypatch, name: str, log: Path, probe):
 
 @pytest.mark.parametrize("method, pattern", [
     ("obs", HALF),
-    ("obs_quant", SparsityPattern.quantize(4)),
+    ("obs_quant", SparsityPattern("quantize", bits=4)),
     ("wanda", HALF),
     ("magnitude", HALF),
 ])
@@ -843,8 +861,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("method, pattern", [
         ("obs", HALF),
-        ("obs", SparsityPattern.semi_structured(2, 4)),
-        ("obs_quant", SparsityPattern.quantize(4, group_size=8)),
+        ("obs", SparsityPattern("semi_structured", n=2, m=4)),
+        ("obs_quant", SparsityPattern("quantize", bits=4, group_size=8)),
     ], ids=["obs", "obs-2:4", "obs-quant"])
     def test_pool_and_in_process_agree(self, rac_setup, monkeypatch, method, pattern):
         model, calib, refs = rac_setup

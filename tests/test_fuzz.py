@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rackit.calibration import CalibrationConfig, CalibrationSet, collect
+from rackit.cli import main
 from rackit.errors import ContainerError
 from rackit.model import ModelConfig, all_refs, generate_model, load_model, save_model
 
@@ -114,3 +115,20 @@ def test_manifest_mutation_raises_only_container_error(containers, kind, data):
     except ContainerError:
         return
     assert not (changed and path[-1] in _OFFSET_KEYS), f"{path} loaded after {action}"
+
+
+@pytest.mark.parametrize("key", ["d_model", "n_layers", "n_heads", "d_mlp", "max_positions"])
+@pytest.mark.parametrize("bad", [True, 1.5, "8"])
+def test_config_size_that_is_no_integer_exits_3(tmp_path, capsys, key, bad):
+    """A size must be an integer: read as 1, ``"n_layers": true`` would load a
+    1-layer model's weights under another content hash."""
+    path, text = tmp_path / "m.tmc", tmp_path / "t.txt"
+    save_model(generate_model(ModelConfig(d_model=4, n_layers=1, n_heads=2, d_mlp=8,
+                                          max_positions=8), seed=3), path)
+    manifest, blob = _split(b"TMC1", path.read_bytes())
+    manifest["config"][key] = bad
+    body = json.dumps(manifest).encode()
+    path.write_bytes(b"TMC1" + _HEADER.pack(len(body)) + body + blob)
+    text.write_bytes(b"abc")
+    assert main(["eval", "--model", str(path), "--text", str(text)]) == 3
+    assert f"{key} must be an integer, got {bad!r}" in capsys.readouterr().err

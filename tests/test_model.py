@@ -10,6 +10,7 @@ import pytest
 import scipy.special
 
 from rackit.cli import main as cli_main
+from rackit.compress import SparsityPattern
 from rackit.errors import ContainerError, NumericalError, ValidationError
 from rackit.model import (
     GREEDY,
@@ -57,6 +58,54 @@ class TestConfig:
     def test_layernorm_epsilon_finite_and_positive(self, eps):
         with pytest.raises(ValidationError):
             small_config(layernorm_epsilon=eps)
+
+
+# (field, least, valid, build): build(value) passes value as that field of an
+# otherwise valid input and returns what was stored.
+_COUNT_FIELDS = [
+    *[pytest.param(name, 1, valid, lambda v, name=name: getattr(small_config(**{name: v}), name),
+                   id=name)
+      for name, valid in (("d_model", 16), ("n_layers", 2), ("n_heads", 2), ("d_mlp", 32),
+                          ("max_positions", 64), ("vocab_size", 256))],
+    pytest.param("layer_index", 0, 1, lambda v: PrunableLayerRef(v, "attn_q").layer_index,
+                 id="layer_index"),
+    pytest.param("seed", 0, 3,
+                 lambda v: generate_model(small_config(n_layers=1), v).provenance["seed"],
+                 id="generate_model.seed"),
+    pytest.param("seed", 0, 4, lambda v: Sampler(1.0, seed=v).seed, id="Sampler.seed"),
+    pytest.param("n", 1, 2, lambda v: SparsityPattern("semi_structured", n=v, m=4).n, id="n"),
+    pytest.param("m", 1, 4, lambda v: SparsityPattern("semi_structured", n=2, m=v).m, id="m"),
+    pytest.param("bits", 1, 4, lambda v: SparsityPattern("quantize", bits=v).bits, id="bits"),
+    pytest.param("group_size", 1, 8,
+                 lambda v: SparsityPattern("quantize", bits=4, group_size=v).group_size,
+                 id="group_size"),
+]
+
+
+@pytest.mark.parametrize("field, least, valid, build", _COUNT_FIELDS)
+def test_count_fields_follow_check_count(field, least, valid, build):
+    """A bool, a float or a value below the least is rejected by name; a
+    numpy integer is stored as an int, so it serializes."""
+    for bad in (True, 1.5, least - 1):
+        with pytest.raises(ValidationError, match=rf"^{field} must be"):
+            build(bad)
+    stored = build(np.int64(valid))
+    assert type(stored) is int and stored == valid
+
+
+@pytest.mark.parametrize("field, build", [
+    pytest.param(field, build, id=field) for field, build in (
+        ("layernorm_epsilon", lambda v: small_config(layernorm_epsilon=v).layernorm_epsilon),
+        ("temperature", lambda v: Sampler(v).temperature),
+        ("sparsity", lambda v: SparsityPattern("unstructured", sparsity=v).sparsity),
+    )
+])
+def test_real_fields_reject_bools_and_non_reals(field, build):
+    for bad in (True, "0.5", 0.5j):
+        with pytest.raises(ValidationError, match=rf"^{field} must be a real number"):
+            build(bad)
+    stored = build(np.float32(0.5))
+    assert type(stored) is float and stored == 0.5
 
 
 class TestGenerate:
@@ -308,7 +357,7 @@ class TestStepwiseOracle:
         for r in refs:
             assert np.array_equal(caps[r], long_caps[r][:40]), str(r)
 
-    @pytest.mark.parametrize("sampler", [GREEDY, Sampler("temperature", 1.5, seed=5)])
+    @pytest.mark.parametrize("sampler", [GREEDY, Sampler(1.5, seed=5)])
     def test_long_prompt_decode_and_rollout_are_bit_exact(self, oracle_model, sampler, rng):
         refs = all_refs(oracle_model.config)
         max_new = 16
@@ -323,7 +372,7 @@ class TestStepwiseOracle:
         for r in refs:
             assert np.array_equal(caps[r], want_caps[r]), str(r)
 
-    @pytest.mark.parametrize("sampler", [GREEDY, Sampler("temperature", 1.5, seed=5)])
+    @pytest.mark.parametrize("sampler", [GREEDY, Sampler(1.5, seed=5)])
     def test_decode_and_rollout_are_bit_exact(self, oracle_model, sampler, rng):
         refs = all_refs(oracle_model.config)
         prompt = [int(t) for t in rng.integers(1, 256, size=9)]
@@ -390,7 +439,7 @@ class TestLockstep:
 
     def test_temperature_samplers_per_prompt(self, oracle_model, rng):
         prompts = random_prompts(rng, 5, min_len=2, max_len=11)
-        samplers = [Sampler("temperature", 1.5, seed=s) for s in (5, 6, 7, 8, 9)]
+        samplers = [Sampler(1.5, seed=s) for s in (5, 6, 7, 8, 9)]
         self._check(oracle_model, prompts, 20, samplers, all_refs(oracle_model.config))
 
     def test_only_scored_batch_is_stable(self, tiny_model, rng):
@@ -410,7 +459,7 @@ class TestLockstep:
                                                         monkeypatch, rng):
         refs = all_refs(tiny_model.config)
         prompts = random_prompts(rng, 5, min_len=2, max_len=9)
-        samplers = [Sampler("temperature", 1.3, seed=s) for s in range(5)]
+        samplers = [Sampler(1.3, seed=s) for s in range(5)]
         if limit is not None:
             # room for exactly ``limit`` sequences per lockstep batch
             positions = max(map(len, prompts)) + 12
@@ -520,12 +569,12 @@ class TestDecode:
             decode(tiny_model, [1] * 10, cap - 9, GREEDY)
 
     def test_temperature_sampling_is_seed_deterministic(self, tiny_model):
-        s = Sampler(kind="temperature", temperature=1.5, seed=123)
+        s = Sampler(1.5, seed=123)
         a = decode(tiny_model, [4, 4], 12, s)
         b = decode(tiny_model, [4, 4], 12, s)
         assert a == b
 
-    @pytest.mark.parametrize("sampler", [GREEDY, Sampler("temperature", 1.5, seed=5)])
+    @pytest.mark.parametrize("sampler", [GREEDY, Sampler(1.5, seed=5)])
     def test_rollout_captures_equal_teacher_forced_replay(self, tiny_model, sampler):
         refs = all_refs(tiny_model.config)
         tokens, caps = next(rollouts(tiny_model, [[4, 9, 2]], 12, [sampler], refs))
@@ -547,21 +596,19 @@ class TestDecode:
 
     def test_overflowing_temperature_is_a_numerical_error(self, tiny_model):
         """Logits over a tiny temperature overflow; numpy would sample from NaN."""
-        sampler = Sampler("temperature", 1e-308)
+        sampler = Sampler(1e-308)
         with pytest.raises(NumericalError, match="logits overflow at temperature 1e-308"):
             list(rollouts(tiny_model, [[1, 2, 3]], 4, [sampler]))
 
     def test_sampler_validation(self):
         with pytest.raises(ValidationError):
-            Sampler(kind="nucleus")
-        with pytest.raises(ValidationError):
-            Sampler(kind="temperature", temperature=0.0)
+            Sampler(0.0)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValidationError, match="finite and positive"):
-                Sampler(kind="temperature", temperature=bad)
-        for kind in ("greedy", "temperature"):
+                Sampler(bad)
+        for temperature in (None, 1.5):
             with pytest.raises(ValidationError, match="seed must be >= 0"):
-                Sampler(kind=kind, seed=-5)
+                Sampler(temperature, seed=-5)
 
 
 class TestApplyCompressed:
